@@ -37,15 +37,13 @@ from sidebandlimit.physics import (
 from sidebandlimit.spectra import (
     WINDOW_LINEWIDTHS,
     HeterodyneSpectrum,
+    floor_sample,
     lorentzian,
 )
 
 # Cap applied to n_avg when building fit weights so the noiseless
 # (n_avg = inf) mode keeps finite weights.
 _MAX_WEIGHT_AVERAGES = 1e12
-
-# Off-resonant bins kept for constraining the floor.
-_FLOOR_SAMPLE_BINS = 4096
 
 # Reweighting passes of the iterated Gamma-variance fit.
 _IRLS_ROUNDS = 3
@@ -150,10 +148,29 @@ def _smooth(values: np.ndarray, width: int) -> np.ndarray:
     return uniform_filter1d(values, size=width, mode="nearest")
 
 
+def _smooth_runs(spectrum: HeterodyneSpectrum, width: int) -> np.ndarray:
+    """Boxcar-smooth each run of adjacent stored bins on its own.
+
+    A full record is one run.  Isolated floor-sample bins keep their value.
+    """
+    psd = spectrum.psd
+    smooth = psd.copy()
+    breaks = np.flatnonzero(np.diff(spectrum.index) != 1) + 1
+    starts = np.concatenate([[0], breaks])
+    stops = np.concatenate([breaks, [psd.size]])
+    runs = stops - starts > 1
+    for a, b in zip(starts[runs].tolist(), stops[runs].tolist()):
+        smooth[a:b] = _smooth(psd[a:b], width)
+    return smooth
+
+
 def _half_max_width(
-    values: np.ndarray, peak_idx: int, floor: float, step: float
+    values: np.ndarray, bins: np.ndarray, peak_idx: int, floor: float, step: float
 ) -> float:
-    """FWHM from half-max crossings around a peak, in frequency units."""
+    """FWHM from half-max crossings around a peak, in frequency units.
+
+    ``bins`` holds the grid bin of each entry of ``values``.
+    """
     half = floor + 0.5 * (values[peak_idx] - floor)
     left = peak_idx
     while left > 0 and values[left] > half:
@@ -161,7 +178,7 @@ def _half_max_width(
     right = peak_idx
     while right < values.size - 1 and values[right] > half:
         right += 1
-    return max(right - left, 2) * step
+    return max(bins[right] - bins[left], 2) * step
 
 
 @dataclass(frozen=True)
@@ -179,25 +196,30 @@ _SMOOTH_WIDTH = 7
 def _initial_guess(spectrum: HeterodyneSpectrum) -> _InitGuess:
     """Deterministic data-driven starting point.
 
-    Floor from the median of the outer frequency quartiles.  The sideband
-    offset comes from the maximum of the spectrum folded about the beat
-    note, where the two mirrored peaks add coherently while noise maxima
-    have to coincide across both halves; width from the half-max
-    crossings around the folded peak.
+    Floor from the median of the stored bins in the outer frequency
+    quartiles of the grid.  The sideband offset comes from the maximum of
+    the stored spectrum folded about the beat note, where the two mirrored
+    peaks add coherently while noise maxima have to coincide across both
+    halves; width from the half-max crossings around the folded peak.
+    Every step reads stored bins only, so its cost follows the record,
+    not the grid.
     """
     psd = spectrum.psd
-    n = psd.size
+    index = spectrum.index
+    n = spectrum.grid_bins
     quart = max(n // 4, 1)
-    stride = max(1, quart // 100_000)
-    outer = np.concatenate([psd[:quart:stride], psd[-quart::stride]])
+    lo_end, hi_start = np.searchsorted(index, [quart, n - quart])
+    stride = max(1, (lo_end + psd.size - hi_start) // 200_000)
+    outer = np.concatenate([psd[:lo_end:stride], psd[hi_start::stride]])
     floor0 = float(np.median(outer))
     # The Gamma bin law is skewed at low averaging: the mean, not the
     # median, estimates the floor level the noise scales with.
     floor_mean = float(np.mean(outer))
-    smooth = _smooth(psd, _SMOOTH_WIDTH)
+    smooth = _smooth_runs(spectrum, _SMOOTH_WIDTH)
 
     # Fold the band about zero.  On a uniform grid the bin mirrored from
-    # index i sits at M - i with constant M, so the fold is pure slicing.
+    # index i sits at M - i with constant M; fold the stored bins above
+    # the beat note whose mirror is stored too.
     res = spectrum.resolution
     i_zero = int(round(-spectrum.f_lo / res))
     mirror = int(round(-2.0 * spectrum.f_lo / res))
@@ -207,12 +229,22 @@ def _initial_guess(spectrum: HeterodyneSpectrum) -> _InitGuess:
             "spectrum must extend to both sides of the beat note to cover "
             "both mechanical sidebands"
         )
-    pos_view = smooth[i_zero + 1 : i_zero + n_fold]
-    neg_view = smooth[mirror - i_zero - 1 : mirror - i_zero - n_fold : -1]
+    p0, p1 = np.searchsorted(index, [i_zero + 1, i_zero + n_fold])
+    pos = np.arange(p0, p1)
+    mirrored = mirror - index[pos]
+    neg = np.minimum(np.searchsorted(index, mirrored), index.size - 1)
+    paired = index[neg] == mirrored
+    pos, neg = pos[paired], neg[paired]
+    if not pos.size:
+        raise SpectrumCoverageError(
+            "spectrum stores no mirrored bin pairs about the beat note"
+        )
+    pos_view = smooth[pos]
+    neg_view = smooth[neg]
     folded = pos_view + neg_view
 
     k = int(np.argmax(folded))
-    omega_m0 = spectrum.f_lo + (i_zero + 1 + k) * res
+    omega_m0 = spectrum.f_lo + index[pos[k]] * res
     peak_pos = pos_view[k] - floor0
     peak_neg = neg_view[k] - floor0
 
@@ -236,7 +268,7 @@ def _initial_guess(spectrum: HeterodyneSpectrum) -> _InitGuess:
             f"(folded maximum at the band edge, offset {omega_m0:.6g} rad/s)"
         )
 
-    gamma0 = _half_max_width(folded, k, 2.0 * floor0, res)
+    gamma0 = _half_max_width(folded, index[pos], k, 2.0 * floor0, res)
     if gamma0 < (_SMOOTH_WIDTH + 2.0) * res:
         raise SpectrumCoverageError(
             "sideband under-resolved: need >= 10 bins per linewidth, "
@@ -254,7 +286,10 @@ def _initial_guess(spectrum: HeterodyneSpectrum) -> _InitGuess:
 def _fit_indices(
     spectrum: HeterodyneSpectrum, omega_m: float, window: float
 ) -> np.ndarray:
-    """Bins used by the fit: both sideband windows plus a strided floor sample."""
+    """Stored bins the fit reads: both sideband windows plus a strided floor sample.
+
+    Returns positions into ``spectrum.psd``.
+    """
     sl_pos = spectrum.index_range(omega_m - window, omega_m + window)
     sl_neg = spectrum.index_range(-omega_m - window, -omega_m + window)
     window_idx = np.concatenate(
@@ -262,26 +297,9 @@ def _fit_indices(
     )
     if window_idx.size < 20:
         raise SpectrumCoverageError("sideband windows contain too few bins")
-
-    guard = 1.5 * window
-    slices = []
-    total = 0
-    for lo, hi in (
-        (spectrum.f_lo, -omega_m - guard),
-        (-omega_m + guard, omega_m - guard),
-        (omega_m + guard, spectrum.f_hi),
-    ):
-        sl = spectrum.index_range(lo, hi)
-        if sl.stop > sl.start:
-            slices.append(sl)
-            total += sl.stop - sl.start
-    if slices:
-        stride = max(1, total // _FLOOR_SAMPLE_BINS)
-        floor_idx = np.concatenate(
-            [np.arange(sl.start, sl.stop, stride) for sl in slices]
-        )
-    else:
-        floor_idx = np.empty(0, dtype=int)
+    floor_idx = floor_sample(
+        spectrum.index_range, spectrum.f_lo, spectrum.f_hi, omega_m, window
+    )
     return np.unique(np.concatenate([window_idx, floor_idx]))
 
 

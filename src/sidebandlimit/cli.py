@@ -46,7 +46,7 @@ from sidebandlimit.pipeline import (
     analyze_spectrum_files,
     plan_curve,
     run_cooling_curve,
-    run_point,
+    run_points,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cool.add_argument(
         "--save-spectra",
         action="store_true",
-        help="persist raw spectra (weak-drive points can reach GB-scale files)",
+        help="persist the recorded spectra (sideband spans and floor sample)",
     )
 
     p_sweep = sub.add_parser("sweep", help="cooling curves across all detunings")
@@ -405,16 +405,7 @@ def _cmd_synth(args) -> int:
         "detuning_index": 0,
         "config_hash": config_hash(config.hash_dict()),
     }
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(run_point, plan, str(out_dir), metadata) for plan in plans
-            ]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [run_point(plan, str(out_dir), metadata) for plan in plans]
+    outcomes = run_points(plans, max(args.jobs, 1), str(out_dir), metadata)
     print(f"wrote {len(outcomes)} spectra to {out_dir}")
     return EXIT_OK
 

@@ -62,7 +62,7 @@ class ExperimentConfig:
     system: SystemConfig = field(default_factory=SystemConfig)
     detunings_hz: tuple[float, ...] = (-1.62e6, -0.5e6, -1.0e6, -1.97e6, -2.5e6)
     gamma_opt_grid_hz: tuple[float, ...] = field(
-        default_factory=lambda: tuple(np.geomspace(1.0, 30000.0, 20))
+        default_factory=lambda: tuple(float(g) for g in np.geomspace(1.0, 30000.0, 20))
     )
     bath_temperature_k: float = 0.36
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)

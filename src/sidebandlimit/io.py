@@ -4,14 +4,24 @@ All files are deterministic for a given configuration and seed: floats are
 written with round-trip precision, JSON keys are sorted, and no timestamps
 or environment details are embedded.
 
-Spectrum CSV schema (one file per spectrum)::
+Spectrum CSV schema (one file per spectrum).  A record that stores only
+some bins of its grid -- the sideband spans and floor sample a zoomed
+acquisition keeps -- is written as v2, with the grid bin of each row::
+
+    # sidebandlimit-spectrum v2 key=value key=value ...
+    bin,frequency_hz,psd_sn
+    110954,-1.6199...e6,1.0023...
+
+A record that stores every bin of its grid is written as v1, without the
+bin column (row ``i`` is bin ``i``)::
 
     # sidebandlimit-spectrum v1 key=value key=value ...
     frequency_hz,psd_sn
     -1.6199...e6,1.0023...
 
-The header metadata carries the exact grid (``f_lo_rad``,
-``resolution_rad``), the averaging count and the drive context
+Both versions are read.  The header metadata carries the exact grid
+(``f_lo_rad``, ``resolution_rad``, and for v2 ``grid_bins``), the
+averaging count, the number of rows (``n_bins``) and the drive context
 (``gamma_opt_hz``, ``detuning_hz``), so an analysis of the file is
 bit-identical to an analysis of the in-memory spectrum it was written
 from.
@@ -31,8 +41,10 @@ from sidebandlimit.spectra import HeterodyneSpectrum
 from sidebandlimit.synth import OscillatorRecord
 
 SPECTRUM_MAGIC = "sidebandlimit-spectrum v1"
+SPECTRUM_MAGIC_V2 = "sidebandlimit-spectrum v2"
 TIMESERIES_MAGIC = "sidebandlimit-timeseries v1"
 SPECTRUM_COLUMNS = "frequency_hz,psd_sn"
+SPECTRUM_COLUMNS_V2 = "bin,frequency_hz,psd_sn"
 TIMESERIES_COLUMNS = "time_s,value_i,value_q"
 POINTS_COLUMNS = "gamma_opt_hz,n_bar,sigma_n,flags"
 
@@ -60,24 +72,31 @@ def _format_metadata(metadata: Mapping[str, Any]) -> str:
     return " ".join(parts)
 
 
-def _parse_metadata(path, line: str) -> dict[str, str]:
-    body = line[1:].strip()
-    if not body.startswith(SPECTRUM_MAGIC):
-        raise SchemaError(path, 1, f"expected header magic '{SPECTRUM_MAGIC}'")
-    fields = body[len(SPECTRUM_MAGIC) :].split()
+def _parse_metadata(path, line: str) -> tuple[str, dict[str, str]]:
+    """Header magic and ``key=value`` items of a spectrum file's first line."""
+    words = line[1:].split()
+    magic = " ".join(words[:2])
+    if magic not in (SPECTRUM_MAGIC, SPECTRUM_MAGIC_V2):
+        raise SchemaError(
+            path, 1, f"expected header magic '{SPECTRUM_MAGIC}' or '{SPECTRUM_MAGIC_V2}'"
+        )
     metadata: dict[str, str] = {}
-    for item in fields:
+    for item in words[2:]:
         if "=" not in item:
             raise SchemaError(path, 1, f"malformed metadata item {item!r}")
         key, value = item.split("=", 1)
         metadata[key] = value
-    return metadata
+    return magic, metadata
 
 
 def write_spectrum_csv(
     path, spectrum: HeterodyneSpectrum, metadata: Mapping[str, Any] | None = None
 ) -> None:
-    """Write a spectrum with its exact grid and context in the header."""
+    """Write a spectrum with its exact grid and context in the header.
+
+    A record storing its whole grid is written as v1, any other as v2.
+    """
+    full = spectrum.n_bins == spectrum.grid_bins
     meta = dict(metadata or {})
     meta.update(
         f_lo_rad=float(spectrum.f_lo),
@@ -85,53 +104,84 @@ def write_spectrum_csv(
         n_avg=float(spectrum.n_avg),
         n_bins=spectrum.n_bins,
     )
+    columns = [spectrum.frequencies / TWO_PI, spectrum.psd]
+    fmt = ["%.17g", "%.17g"]
+    if full:
+        magic, header = SPECTRUM_MAGIC, SPECTRUM_COLUMNS
+    else:
+        magic, header = SPECTRUM_MAGIC_V2, SPECTRUM_COLUMNS_V2
+        meta["grid_bins"] = spectrum.grid_bins
+        columns.insert(0, spectrum.index)
+        fmt.insert(0, "%d")
     path = Path(path)
     with path.open("w") as handle:
-        handle.write(f"# {SPECTRUM_MAGIC} {_format_metadata(meta)}\n")
-        handle.write(SPECTRUM_COLUMNS + "\n")
-        table = np.column_stack([spectrum.frequencies / TWO_PI, spectrum.psd])
-        np.savetxt(handle, table, fmt="%.17g", delimiter=",")
+        handle.write(f"# {magic} {_format_metadata(meta)}\n")
+        handle.write(header + "\n")
+        np.savetxt(handle, np.column_stack(columns), fmt=fmt, delimiter=",")
 
 
 def read_spectrum_csv(path) -> tuple[HeterodyneSpectrum, dict[str, str]]:
-    """Read a spectrum file, validating the schema with line numbers."""
+    """Read a v1 or v2 spectrum file, validating the schema with line numbers."""
     path = Path(path)
     with path.open("r") as handle:
         header = handle.readline()
         if not header.startswith("#"):
             raise SchemaError(path, 1, "missing metadata header line")
-        metadata = _parse_metadata(path, header)
+        magic, metadata = _parse_metadata(path, header)
+        v2 = magic == SPECTRUM_MAGIC_V2
+        expected = SPECTRUM_COLUMNS_V2 if v2 else SPECTRUM_COLUMNS
         columns = handle.readline().strip()
-        if columns != SPECTRUM_COLUMNS:
+        if columns != expected:
             raise SchemaError(
-                path, 2, f"expected column header {SPECTRUM_COLUMNS!r}, got {columns!r}"
+                path, 2, f"expected column header {expected!r}, got {columns!r}"
             )
         try:
             table = np.loadtxt(handle, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise SchemaError(path, None, f"malformed data row: {exc}") from exc
 
-    for key in ("f_lo_rad", "resolution_rad", "n_avg", "n_bins"):
+    required = ["f_lo_rad", "resolution_rad", "n_avg", "n_bins"]
+    if v2:
+        required.append("grid_bins")
+    for key in required:
         if key not in metadata:
             raise SchemaError(path, 1, f"missing required metadata key {key!r}")
-    n_bins = int(metadata["n_bins"])
+    try:
+        n_bins = int(metadata["n_bins"])
+        grid_bins = int(metadata["grid_bins"]) if v2 else None
+        f_lo = float(metadata["f_lo_rad"])
+        resolution = float(metadata["resolution_rad"])
+        n_avg = float(metadata["n_avg"])
+    except ValueError as exc:
+        raise SchemaError(path, 1, f"malformed metadata value: {exc}") from exc
     if table.shape[0] != n_bins:
         raise SchemaError(
             path,
             3,
             f"expected {n_bins} data rows per metadata, found {table.shape[0]}",
         )
-    if table.shape[1] != 2:
-        raise SchemaError(path, 3, "expected exactly two columns")
-    spectrum = HeterodyneSpectrum(
-        f_lo=float(metadata["f_lo_rad"]),
-        resolution=float(metadata["resolution_rad"]),
-        psd=table[:, 1].copy(),
-        n_avg=float(metadata["n_avg"]),
-    )
+    n_columns = expected.count(",") + 1
+    if table.shape[1] != n_columns:
+        raise SchemaError(path, 3, f"expected exactly {n_columns} columns")
+    index = None
+    if v2:
+        index = table[:, 0].astype(np.int64)
+        if not np.array_equal(index, table[:, 0]):
+            raise SchemaError(path, 3, "bin column must hold integers")
+    try:
+        spectrum = HeterodyneSpectrum(
+            f_lo=f_lo,
+            resolution=resolution,
+            psd=table[:, -1].copy(),
+            n_avg=n_avg,
+            index=index,
+            grid_bins=grid_bins,
+        )
+    except ValueError as exc:
+        raise SchemaError(path, 3, str(exc)) from exc
     # The frequency column is displayed in Hz; verify it matches the grid.
     expected_hz = spectrum.frequencies / TWO_PI
-    if not np.allclose(table[:, 0], expected_hz, rtol=1e-9, atol=0.0):
+    if not np.allclose(table[:, -2], expected_hz, rtol=1e-9, atol=0.0):
         raise SchemaError(path, 3, "frequency column inconsistent with header grid")
     return spectrum, metadata
 

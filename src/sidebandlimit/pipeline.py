@@ -3,7 +3,8 @@
 A cooling curve is planned point by point from the configuration: the
 drive grid fixes each point's optical damping, the rate equation predicts
 its occupation, and synthesis settings (grid resolution tied to the
-linewidth, averaging scaled with occupation) follow.  Points own
+linewidth, averaging scaled with occupation, and the grid bins to record:
+a span around each sideband plus the fit's floor sample) follow.  Points own
 independent RNG streams derived from ``(master seed, detuning index,
 point index)``, so any execution order -- including process pools --
 reproduces identical data.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,13 @@ from sidebandlimit.physics import (
     steady_state_occupation,
     thermal_occupation,
 )
-from sidebandlimit.spectra import SpectrumModel, apparent_sideband_bias, build_model, laser_noise_bias
+from sidebandlimit.spectra import (
+    SpectrumModel,
+    acquisition_index,
+    apparent_sideband_bias,
+    build_model,
+    laser_noise_bias,
+)
 from sidebandlimit.synth import SynthConfig, synthesize_spectrum
 
 TWO_PI = 2.0 * math.pi
@@ -103,6 +110,20 @@ def plan_curve(
         resolution = model.gamma_eff / syn.bins_per_linewidth
         span = params.omega_m + syn.grid_margin_linewidths * model.gamma_eff
         half_bins = int(math.ceil(span / resolution))
+        grid = SynthConfig(
+            f_lo=-half_bins * resolution,
+            f_hi=half_bins * resolution,
+            resolution=resolution,
+            n_avg=n_avg,
+            seed=np.random.SeedSequence(
+                entropy=master_seed, spawn_key=(detuning_index, i)
+            ),
+            oracle_duration=syn.oracle_duration_s,
+            oracle_rate=syn.oracle_rate_hz,
+        )
+        recorded = acquisition_index(
+            model, grid.f_lo, resolution, grid.grid_bins, syn.grid_margin_linewidths
+        )
         plans.append(
             PointPlan(
                 index=i,
@@ -110,17 +131,7 @@ def plan_curve(
                 gamma_opt_hz=gamma_opt_hz,
                 n_bar_truth=n_bar,
                 model=model,
-                synth=SynthConfig(
-                    f_lo=-half_bins * resolution,
-                    f_hi=half_bins * resolution,
-                    resolution=resolution,
-                    n_avg=n_avg,
-                    seed=np.random.SeedSequence(
-                        entropy=master_seed, spawn_key=(detuning_index, i)
-                    ),
-                    oracle_duration=syn.oracle_duration_s,
-                    oracle_rate=syn.oracle_rate_hz,
-                ),
+                synth=replace(grid, index=recorded),
             )
         )
     return plans
@@ -160,6 +171,25 @@ def run_point(
         fit=fit,
         spectrum_file=spectrum_file,
     )
+
+
+def run_points(
+    plans: list[PointPlan],
+    jobs: int = 1,
+    spectra_dir: str | None = None,
+    file_metadata: dict | None = None,
+) -> list[PointOutcome]:
+    """Run every plan, in a process pool when ``jobs > 1``; ordered by point."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [
+                pool.submit(run_point, plan, spectra_dir, file_metadata)
+                for plan in plans
+            ]
+            outcomes = [f.result() for f in futures]
+    else:
+        outcomes = [run_point(plan, spectra_dir, file_metadata) for plan in plans]
+    return sorted(outcomes, key=lambda o: o.index)
 
 
 @dataclass(frozen=True)
@@ -271,15 +301,7 @@ def run_cooling_curve(
         "detuning_index": detuning_index,
         "config_hash": config_hash(config.hash_dict()),
     }
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run_point, plan, spectra_dir, metadata) for plan in plans
-            ]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [run_point(plan, spectra_dir, metadata) for plan in plans]
-    outcomes.sort(key=lambda o: o.index)
+    outcomes = run_points(plans, jobs, spectra_dir, metadata)
 
     params = config.system_params()
     s_est, occupation, curve, flags = analyze_outcomes(
@@ -317,9 +339,12 @@ def analyze_spectrum_files(
         spectrum, metadata = read_spectrum_csv(path)
         if "gamma_opt_hz" not in metadata:
             raise SchemaError(path, 1, "missing required metadata key 'gamma_opt_hz'")
-        gamma_opt_hz = float(metadata["gamma_opt_hz"])
-        if "detuning_hz" in metadata:
-            detunings_hz.add(float(metadata["detuning_hz"]))
+        try:
+            gamma_opt_hz = float(metadata["gamma_opt_hz"])
+            if "detuning_hz" in metadata:
+                detunings_hz.add(float(metadata["detuning_hz"]))
+        except ValueError as exc:
+            raise SchemaError(path, 1, f"malformed metadata value: {exc}") from exc
         try:
             fit = fit_sidebands(spectrum)
             error = None

@@ -9,12 +9,19 @@ Stokes sideband sits at ``-omega_m`` and the anti-Stokes sideband at
 
 Only the sideband amplitude *ratio* carries the thermometry; the absolute
 peak height convention is fixed by ``PEAK_HEIGHT_NORM`` below.
+
+A measured or synthesized record (:class:`HeterodyneSpectrum`) lives on a
+uniform grid and stores any sorted subset of its bins.  An acquisition
+zoomed on the sidebands records only what the sideband fit reads
+(:func:`acquisition_index`), so its size does not grow as the lines narrow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -35,10 +42,12 @@ PEAK_HEIGHT_NORM = 4.0
 LASER_NOISE_OCCUPATION_SCALE = 0.006 / 0.022
 
 # Analysis-band conventions shared with the sideband fitter: how far the
-# fit window extends around each sideband and how finely a linewidth is
-# sampled when a grid has to be built from scratch.
+# fit window extends around each sideband, how finely a linewidth is
+# sampled when a grid has to be built from scratch, and how many
+# off-resonant bins constrain the floor.
 WINDOW_LINEWIDTHS = 60.0
 BINS_PER_LINEWIDTH = 14
+FLOOR_SAMPLE_BINS = 4096
 
 
 def lorentzian(omega, center: float, fwhm: float):
@@ -79,19 +88,32 @@ class SpectrumModel:
             raise ValueError("floor must equal 1 + background_fraction")
 
 
+def _grid_slice(f_lo: float, resolution: float, n_bins: int, lo: float, hi: float) -> slice:
+    """Bins of the grid ``f_lo + i * resolution`` (``0 <= i < n_bins``) in [lo, hi]."""
+    i0 = max(0, math.ceil((lo - f_lo) / resolution))
+    i1 = min(n_bins, math.floor((hi - f_lo) / resolution) + 1)
+    return slice(i0, max(i0, i1))
+
+
 @dataclass(frozen=True)
 class HeterodyneSpectrum:
-    """A uniformly binned heterodyne PSD record.
+    """A heterodyne PSD record on a uniform frequency grid.
 
-    The frequency grid is stored implicitly as ``f_lo + i * resolution``
-    (rad/s, relative to the beat note) so that very fine grids do not pay
-    for an explicit axis until one is requested.
+    The grid is ``f_lo + i * resolution`` for ``0 <= i < grid_bins``
+    (rad/s, relative to the beat note) and is never materialized.
+    ``index`` lists, in ascending order, the grid bins the record stores:
+    ``psd[k]`` is the value of bin ``index[k]``.  A full record stores
+    every bin, which is what omitting ``index`` means; an acquisition
+    zoomed on the sidebands stores only the spans around them plus a
+    floor sample (:func:`acquisition_index`).
     """
 
-    f_lo: float  # first bin (rad/s)
+    f_lo: float  # grid bin 0 (rad/s)
     resolution: float  # bin spacing (rad/s)
-    psd: np.ndarray  # PSD values (shot-noise units, or 1/Hz for estimates)
+    psd: np.ndarray  # PSD of the stored bins (shot-noise units, or 1/Hz for estimates)
     n_avg: float  # averaged periodograms behind each bin (>= 1)
+    index: np.ndarray | None = None  # stored grid bins, ascending (default: all)
+    grid_bins: int | None = None  # grid extent (default: one past the last stored bin)
 
     def __post_init__(self) -> None:
         if not self.resolution > 0:
@@ -102,34 +124,41 @@ class HeterodyneSpectrum:
             raise ValueError("psd must be a 1-d array with at least two bins")
         if np.any(self.psd < 0) or not np.all(np.isfinite(self.psd)):
             raise ValueError("psd values must be finite and non-negative")
+        index = np.arange(self.psd.size) if self.index is None else np.asarray(self.index)
+        if index.shape != self.psd.shape or index.dtype.kind not in "iu":
+            raise ValueError("index must hold one integer grid bin per psd value")
+        grid_bins = int(index[-1]) + 1 if self.grid_bins is None else int(self.grid_bins)
+        if index[0] < 0 or index[-1] >= grid_bins or np.any(np.diff(index) <= 0):
+            raise ValueError(
+                f"index must be strictly increasing within the grid [0, {grid_bins})"
+            )
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "grid_bins", grid_bins)
 
     @property
     def n_bins(self) -> int:
+        """Stored bins."""
         return self.psd.size
 
     @property
     def f_hi(self) -> float:
-        return self.f_lo + (self.n_bins - 1) * self.resolution
+        """Last grid bin (rad/s)."""
+        return self.f_lo + (self.grid_bins - 1) * self.resolution
 
     @property
     def frequencies(self) -> np.ndarray:
-        """Materialized frequency axis (rad/s)."""
-        return self.f_lo + self.resolution * np.arange(self.n_bins)
+        """Frequencies of the stored bins (rad/s)."""
+        return self.f_lo + self.resolution * self.index
 
     def index_range(self, lo: float, hi: float) -> slice:
-        """Bin slice covering the closed frequency interval [lo, hi]."""
-        i0 = max(0, math.ceil((lo - self.f_lo) / self.resolution))
-        i1 = min(self.n_bins, math.floor((hi - self.f_lo) / self.resolution) + 1)
-        return slice(i0, max(i0, i1))
+        """Slice of the stored bins lying in the closed frequency interval [lo, hi]."""
+        grid = _grid_slice(self.f_lo, self.resolution, self.grid_bins, lo, hi)
+        start, stop = np.searchsorted(self.index, [grid.start, grid.stop])
+        return slice(int(start), int(stop))
 
     def frequencies_at(self, sel) -> np.ndarray:
-        """Frequency axis for a slice or index array, without a full axis."""
-        if isinstance(sel, slice):
-            start, stop, step = sel.indices(self.n_bins)
-            idx = np.arange(start, stop, step)
-        else:
-            idx = np.asarray(sel)
-        return self.f_lo + self.resolution * idx
+        """Frequencies of the stored bins picked by a slice or position array."""
+        return self.f_lo + self.resolution * self.index[sel]
 
     @classmethod
     def from_frequencies(
@@ -191,6 +220,73 @@ def evaluate_psd(model: SpectrumModel, frequencies) -> np.ndarray:
         + model.peak_stokes * lorentzian(omega, -model.omega_m, model.gamma_eff)
         + model.peak_antistokes * lorentzian(omega, +model.omega_m, model.gamma_eff)
     )
+
+
+def floor_sample(
+    index_range: Callable[[float, float], slice],
+    f_lo: float,
+    f_hi: float,
+    omega_m: float,
+    window: float,
+) -> np.ndarray:
+    """Strided sample of about FLOOR_SAMPLE_BINS off-resonant bins.
+
+    The sample covers the band outside both sideband windows of half
+    width ``window``, each widened by a guard of half a window: left of
+    the Stokes window, between the windows and right of the anti-Stokes
+    window.  ``index_range(lo, hi)`` maps a closed frequency interval to
+    the slice of bins it holds; one stride runs over all three regions.
+    """
+    guard = 1.5 * window
+    slices = [
+        sl
+        for sl in (
+            index_range(f_lo, -omega_m - guard),
+            index_range(-omega_m + guard, omega_m - guard),
+            index_range(omega_m + guard, f_hi),
+        )
+        if sl.stop > sl.start
+    ]
+    if not slices:
+        return np.empty(0, dtype=int)
+    stride = max(1, sum(sl.stop - sl.start for sl in slices) // FLOOR_SAMPLE_BINS)
+    return np.concatenate([np.arange(sl.start, sl.stop, stride) for sl in slices])
+
+
+def acquisition_index(
+    model: SpectrumModel,
+    f_lo: float,
+    resolution: float,
+    grid_bins: int,
+    span_linewidths: float,
+) -> np.ndarray:
+    """Grid bins an acquisition zoomed on the sidebands records, ascending.
+
+    Two spans of ``span_linewidths`` linewidths either side of each
+    sideband, mirror images of each other about the beat note, plus the
+    floor sample the sideband fitter reads (:func:`floor_sample` with the
+    fitter's window).  This is all a fit of the record reads, so the count
+    stays near ``2 * 2 * span_linewidths * bins-per-linewidth +
+    FLOOR_SAMPLE_BINS`` however narrow the lines are.
+    """
+    locate = partial(_grid_slice, f_lo, resolution, grid_bins)
+    half = span_linewidths * model.gamma_eff
+    anti_stokes = locate(model.omega_m - half, model.omega_m + half)
+    anti_stokes = np.arange(anti_stokes.start, anti_stokes.stop)
+    # bin ``mirror - i`` sits at minus the frequency of bin ``i``
+    mirror = int(round(-2.0 * f_lo / resolution))
+    stokes = mirror - anti_stokes
+    stokes = stokes[(stokes >= 0) & (stokes < grid_bins)]
+    floor = floor_sample(
+        locate,
+        f_lo,
+        f_lo + (grid_bins - 1) * resolution,
+        model.omega_m,
+        WINDOW_LINEWIDTHS * model.gamma_eff,
+    )
+    bins = np.sort(np.concatenate([stokes, anti_stokes, floor]))
+    # drop the bins the spans and the floor sample share
+    return bins[np.concatenate([[True], np.diff(bins) > 0])]
 
 
 def _sideband_windows(model: SpectrumModel) -> np.ndarray:
@@ -267,13 +363,16 @@ def solve_background_for_bias(model: SpectrumModel, target: float) -> float:
         # returns NaN; treat that as far beyond any finite target.
         return math.inf if math.isnan(bias) else abs(bias) - target
 
+    def bracketed_gap(b: float) -> float:
+        value = gap(b)
+        return value if math.isfinite(value) else 1.0
+
     lo, hi = 0.0, 1e-4
     while gap(hi) < 0:
         lo, hi = hi, hi * 2.0
         if hi > 1.0:
             raise ValueError("target bias not reachable for background_fraction <= 1")
-    return brentq(lambda b: gap(b) if math.isfinite(gap(b)) else 1.0, lo, hi,
-                  xtol=1e-12, rtol=1e-12)
+    return brentq(bracketed_gap, lo, hi, xtol=1e-12, rtol=1e-12)
 
 
 def laser_noise_bias(

@@ -4,7 +4,10 @@ Two independent routes produce spectra:
 
 * :func:`synthesize_spectrum` draws each bin of an analytic model from the
   exact n_avg-averaged-periodogram law (a Gamma distribution), preserving
-  the skew of low-average data.
+  the skew of low-average data.  Bins of an averaged periodogram are
+  independent, so it evaluates and stores only the grid bins a plan asks
+  for -- the pipeline asks for the sideband spans and floor sample the
+  fit reads, which keeps memory and model cost flat as the lines narrow.
 * :func:`simulate_oscillator` plus :func:`estimate_psd` build a spectrum
   the long way, from a time-domain stochastic oscillator record, and serve
   as an oracle for the spectral analysis chain.  The time-domain route
@@ -14,6 +17,9 @@ Two independent routes produce spectra:
 Determinism: a fixed seed yields bit-identical output regardless of how
 work is scheduled.  Sweeps derive one child stream per spectrum from
 (master seed, sweep index) via `numpy.random.SeedSequence` spawn keys.
+A stream yields one variate per grid bin in grid order, whichever bins
+are stored, so a record of some bins holds exactly the values the full
+record holds there.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from scipy.signal.windows import hann
 
 from sidebandlimit.spectra import HeterodyneSpectrum, SpectrumModel, evaluate_psd
 
-# Bins per RNG request; fixed so chunking never affects the stream.
-_CHUNK = 1 << 22
+# Bins per RNG request; bounds the draw buffer and leaves the stream as is.
+_CHUNK = 1 << 18
 
 # Coverage demanded of a synthesis grid around each sideband.
 _MIN_SPAN_LINEWIDTHS = 3.0
@@ -40,7 +46,8 @@ class SynthConfig:
 
     ``n_avg`` may be ``math.inf`` to request the noiseless analytic limit.
     ``seed`` accepts an integer or a `numpy.random.SeedSequence` (the
-    pipeline passes per-point children of the master seed).
+    pipeline passes per-point children of the master seed).  ``index``
+    names the grid bins to synthesize, ascending; ``None`` means all.
     """
 
     f_lo: float  # grid start (rad/s, relative to beat note)
@@ -50,6 +57,7 @@ class SynthConfig:
     seed: int | np.random.SeedSequence = 0
     oracle_duration: float = 0.05  # time-domain record length (s)
     oracle_rate: float = 1.0e8  # sample rate (samples/s)
+    index: np.ndarray | None = None  # grid bins to synthesize (default: all)
 
     def __post_init__(self) -> None:
         if not self.f_hi > self.f_lo:
@@ -60,6 +68,10 @@ class SynthConfig:
             raise ValueError(f"n_avg must be >= 1, got {self.n_avg}")
         if not self.oracle_duration > 0 or not self.oracle_rate > 0:
             raise ValueError("oracle_duration and oracle_rate must be positive")
+
+    @property
+    def grid_bins(self) -> int:
+        return int(math.floor((self.f_hi - self.f_lo) / self.resolution)) + 1
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -88,12 +100,12 @@ class OscillatorRecord:
 
 
 def synthesize_spectrum(model: SpectrumModel, config: SynthConfig) -> HeterodyneSpectrum:
-    """Draw a noisy spectrum from the model, bin by bin.
+    """Draw a noisy spectrum from the model at the configured grid bins.
 
     Each bin is an independent Gamma(n_avg) variate with mean equal to the
     model PSD there -- the exact distribution of an average of n_avg
     exponential periodogram bins.  ``n_avg = inf`` returns the model
-    evaluated on the grid.
+    evaluated at the bins.
     """
     margin = _MIN_SPAN_LINEWIDTHS * model.gamma_eff
     if config.f_lo > -(model.omega_m + margin) or config.f_hi < model.omega_m + margin:
@@ -102,25 +114,38 @@ def synthesize_spectrum(model: SpectrumModel, config: SynthConfig) -> Heterodyne
             f"[{-(model.omega_m + margin):.6g}, {model.omega_m + margin:.6g}] rad/s, "
             f"got [{config.f_lo:.6g}, {config.f_hi:.6g}]"
         )
-    n_bins = int(math.floor((config.f_hi - config.f_lo) / config.resolution)) + 1
-    psd = np.empty(n_bins)
-    noiseless = math.isinf(config.n_avg)
-    rng = None if noiseless else config.rng()
-    for start in range(0, n_bins, _CHUNK):
-        stop = min(start + _CHUNK, n_bins)
-        freqs = config.f_lo + config.resolution * np.arange(start, stop)
-        mean = evaluate_psd(model, freqs)
-        if noiseless:
-            psd[start:stop] = mean
-        else:
-            draws = rng.standard_gamma(config.n_avg, size=mean.size)
-            psd[start:stop] = draws * (mean / config.n_avg)
+    grid_bins = config.grid_bins
+    index = np.arange(grid_bins) if config.index is None else np.asarray(config.index)
+    psd = evaluate_psd(model, config.f_lo + config.resolution * index)
+    if not math.isinf(config.n_avg):
+        draws = _grid_draws(config.rng(), config.n_avg, index)
+        psd = draws * (psd / config.n_avg)
     return HeterodyneSpectrum(
         f_lo=config.f_lo,
         resolution=config.resolution,
         psd=psd,
         n_avg=config.n_avg,
+        index=index,
+        grid_bins=grid_bins,
     )
+
+
+def _grid_draws(rng: np.random.Generator, shape: float, index: np.ndarray) -> np.ndarray:
+    """Gamma(shape) variates of the grid bins ``index`` (ascending).
+
+    The stream is drawn for every grid bin up to the last one asked for
+    and the others are dropped, so each bin's variate does not depend on
+    which bins are stored.
+    """
+    out = np.empty(index.size)
+    n_bins = int(index[-1]) + 1
+    buf = np.empty(min(_CHUNK, n_bins))
+    for start in range(0, n_bins, _CHUNK):
+        stop = min(start + _CHUNK, n_bins)
+        k0, k1 = np.searchsorted(index, [start, stop])
+        rng.standard_gamma(shape, out=buf[: stop - start])
+        out[k0:k1] = buf[index[k0:k1] - start]
+    return out
 
 
 def simulate_oscillator(

@@ -7,6 +7,7 @@ spectra are not needed, to keep the suite fast.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from sidebandlimit.physics import (
     steady_state_occupation,
     thermal_occupation,
 )
-from sidebandlimit.spectra import HeterodyneSpectrum, build_model
+from sidebandlimit.io import read_spectrum_csv, write_spectrum_csv
+from sidebandlimit.spectra import (
+    HeterodyneSpectrum,
+    acquisition_index,
+    build_model,
+    evaluate_psd,
+)
 from sidebandlimit.synth import SynthConfig, synthesize_spectrum
 from sidebandlimit.analysis import (
     AnalysisError,
@@ -167,6 +174,82 @@ class TestFitSidebands:
         assert best is not None
         assert best.gamma_eff_fit > 0
         assert best.n_bins_used > 0
+
+
+def _full_grid_record(params, n0, gamma_opt_hz, n_avg, seed):
+    """Noisy full-grid record built without the synthesis module."""
+    _, _, model = make_model(params, n0, gamma_opt_hz, background_fraction=0.002775)
+    res = model.gamma_eff / 14
+    half = math.ceil((model.omega_m + 80 * model.gamma_eff) / res)
+    freqs = res * np.arange(-half, half + 1)
+    draws = np.random.default_rng(seed).standard_gamma(n_avg, freqs.size)
+    return HeterodyneSpectrum(
+        f_lo=-half * res,
+        resolution=res,
+        psd=evaluate_psd(model, freqs) * draws / n_avg,
+        n_avg=n_avg,
+    )
+
+
+class TestRecordLayouts:
+    # Exact fits of two full-grid records written and read back as v1:
+    # records that store every bin must keep fitting to these numbers.
+    PINNED = {
+        2100.0: (
+            2.0e5, 5,
+            (9299131.3901606, 13153.80725392519, 0.0469911532200161,
+             0.11630986029284714, 1.0027808359607617, 0.9754685986414983, 8250),
+            4.291971668065222e-05,
+        ),
+        30000.0: (
+            2.6e4, 6,
+            (9299267.052222176, 158148.40884746888, 0.037809725937874426,
+             0.04488631188622039, 1.002915964244971, 0.9925285023272299, 3183),
+            0.003778129811151248,
+        ),
+    }
+
+    @pytest.mark.parametrize("gamma_opt_hz", sorted(PINNED))
+    def test_full_grid_v1_fit_is_pinned(
+        self, params, bath_occupation, tmp_path, gamma_opt_hz
+    ):
+        n_avg, seed, expected, ratio_variance = self.PINNED[gamma_opt_hz]
+        record = _full_grid_record(params, bath_occupation, gamma_opt_hz, n_avg, seed)
+        path = tmp_path / "full.csv"
+        write_spectrum_csv(path, record, {"gamma_opt_hz": gamma_opt_hz})
+        assert path.read_text().startswith("# sidebandlimit-spectrum v1 ")
+        fit = fit_sidebands(read_spectrum_csv(path)[0])
+        got = (
+            fit.omega_m_fit, fit.gamma_eff_fit, fit.amp_stokes, fit.amp_antistokes,
+            fit.floor_fit, fit.residual_norm, fit.n_bins_used,
+        )
+        assert got == expected
+        assert fit.ratio_variance() == ratio_variance
+
+    @pytest.mark.parametrize("gamma_opt_hz", [3.0, 227.0, 30e3])
+    def test_sparse_record_fits_like_full_grid(self, params, bath_occupation, gamma_opt_hz):
+        # noiseless: the recorded spans and floor sample pin the same optimum
+        _, _, model = make_model(params, bath_occupation, gamma_opt_hz)
+        res = model.gamma_eff / 14
+        half = math.ceil((model.omega_m + 80 * model.gamma_eff) / res)
+        config = SynthConfig(f_lo=-half * res, f_hi=half * res, resolution=res, n_avg=math.inf)
+        index = acquisition_index(model, config.f_lo, res, config.grid_bins, 80.0)
+        sparse = fit_sidebands(synthesize_spectrum(model, replace(config, index=index)))
+        assert index.size < 10_000
+        for got, truth in (
+            (sparse.omega_m_fit, model.omega_m),
+            (sparse.gamma_eff_fit, model.gamma_eff),
+            (sparse.amp_stokes, model.peak_stokes),
+            (sparse.amp_antistokes, model.peak_antistokes),
+            (sparse.floor_fit, model.floor),
+        ):
+            assert got == pytest.approx(truth, rel=1e-6)
+        if gamma_opt_hz >= 227.0:  # a full grid at 3 Hz holds 12M bins
+            full = fit_sidebands(synthesize_spectrum(model, config))
+            assert sparse.amplitude_ratio() == pytest.approx(
+                full.amplitude_ratio(), rel=1e-9
+            )
+            assert sparse.n_bins_used == pytest.approx(full.n_bins_used, rel=0.05)
 
 
 def _fit_series(params, n0, gamma_opt_hz_list, n_avg_base, entropy):

@@ -182,6 +182,21 @@ class TestComposition:
             assert direct == refit
 
 
+    def test_default_config_save_then_fit_is_bit_identical(self, tmp_path, monkeypatch):
+        # no config file: the drive grid comes from default_config()
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("cool", "--save-spectra", "--out", tmp_path / "a") == 0
+        spectra = sorted((tmp_path / "a" / "cool_-1620000Hz" / "spectra").glob("*.csv"))
+        assert len(spectra) == 20
+        assert run_cli("fit", "--out", tmp_path / "b", *spectra) == 0
+        for name in ("points.csv", "summary.json"):
+            direct = (tmp_path / "a" / "cool_-1620000Hz" / name).read_bytes()
+            refit = (tmp_path / "b" / "cool_-1620000Hz" / name).read_bytes()
+            assert direct == refit
+        points = read_points_csv(tmp_path / "a" / "cool_-1620000Hz" / "points.csv")
+        assert points[0]["gamma_opt_hz"] == 1.0
+
+
 class TestFitCommand:
     def test_missing_gamma_opt_metadata_is_named(self, small_config, tmp_path, capsys):
         spectrum = HeterodyneSpectrum(
@@ -191,6 +206,15 @@ class TestFitCommand:
         write_spectrum_csv(path, spectrum, {"detuning_hz": -1.62e6})
         assert run_cli("fit", "--config", small_config, path) == 2
         assert "gamma_opt_hz" in capsys.readouterr().err
+
+    def test_malformed_metadata_value_is_a_schema_error(self, small_config, tmp_path, capsys):
+        spectrum = HeterodyneSpectrum(
+            f_lo=-1e7, resolution=1e4, psd=np.ones(2001), n_avg=10.0
+        )
+        path = tmp_path / "repr.csv"
+        write_spectrum_csv(path, spectrum, {"gamma_opt_hz": "np.float64(1.0)"})
+        assert run_cli("fit", "--config", small_config, path) == 2
+        assert "repr.csv" in capsys.readouterr().err
 
     def test_truncated_spectrum_reports_coverage_failure(
         self, small_config, tmp_path, capsys
@@ -258,6 +282,15 @@ class TestSynthCommand:
         assert float(metadata["gamma_opt_hz"]) == SMALL_GRID_HZ[0]
         assert float(metadata["detuning_hz"]) == -1.62e6
         assert spectrum.n_bins > 1000
+
+    def test_output_independent_of_jobs(self, small_config, tmp_path):
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run_cli("synth", "--config", small_config, "--out", out, "--jobs", jobs) == 0
+        one = sorted((tmp_path / "jobs1" / "synth_-1620000Hz").glob("*.csv"))
+        two = sorted((tmp_path / "jobs2" / "synth_-1620000Hz").glob("*.csv"))
+        assert [p.name for p in one] == [p.name for p in two]
+        assert all(a.read_bytes() == b.read_bytes() for a, b in zip(one, two))
 
 
 class TestConfigHandling:

@@ -8,6 +8,7 @@ import pytest
 from sidebandlimit.io import (
     POINTS_COLUMNS,
     SPECTRUM_COLUMNS,
+    SPECTRUM_COLUMNS_V2,
     SchemaError,
     config_hash,
     read_points_csv,
@@ -79,6 +80,61 @@ class TestSpectrumFiles:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-10]) + "\n")
         with pytest.raises(SchemaError, match="data rows"):
+            read_spectrum_csv(path)
+
+
+@pytest.fixture
+def sparse_spectrum():
+    rng = np.random.default_rng(6)
+    index = np.concatenate([np.arange(40, 90), np.arange(300, 3000, 97), np.arange(3910, 3960)])
+    return HeterodyneSpectrum(
+        f_lo=-1.23456789e7,
+        resolution=987.654321,
+        psd=1.0 + rng.random(index.size),
+        n_avg=250.0,
+        index=index,
+        grid_bins=4001,
+    )
+
+
+class TestSparseSpectrumFiles:
+    def test_round_trip_is_bit_exact(self, tmp_path, sparse_spectrum):
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(path, sparse_spectrum, {"gamma_opt_hz": 300.0})
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("# sidebandlimit-spectrum v2 ")
+        assert lines[1] == SPECTRUM_COLUMNS_V2
+        assert lines[2].startswith("40,")
+        back, metadata = read_spectrum_csv(path)
+        assert np.array_equal(back.psd, sparse_spectrum.psd)
+        assert np.array_equal(back.index, sparse_spectrum.index)
+        assert back.grid_bins == 4001
+        assert back.f_lo == sparse_spectrum.f_lo
+        assert back.resolution == sparse_spectrum.resolution
+        assert back.n_avg == sparse_spectrum.n_avg
+        assert metadata["gamma_opt_hz"] == "300.0"
+
+    def test_non_integer_bin_rejected(self, tmp_path, sparse_spectrum):
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(path, sparse_spectrum)
+        lines = path.read_text().splitlines()
+        lines[2] = "40.5" + lines[2][2:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="integers"):
+            read_spectrum_csv(path)
+
+    def test_bin_outside_grid_rejected(self, tmp_path, sparse_spectrum):
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(path, sparse_spectrum)
+        path.write_text(path.read_text().replace("grid_bins=4001", "grid_bins=3000"))
+        with pytest.raises(SchemaError, match=r"spec\.csv:3"):
+            read_spectrum_csv(path)
+
+    def test_missing_grid_extent_named(self, tmp_path, sparse_spectrum):
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(path, sparse_spectrum)
+        path.write_text(path.read_text().replace(" grid_bins=4001", ""))
+        with pytest.raises(SchemaError, match="grid_bins"):
             read_spectrum_csv(path)
 
 

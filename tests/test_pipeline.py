@@ -55,6 +55,24 @@ class TestPlanCurve:
             assert plan.synth.f_hi >= plan.model.omega_m + 0.99 * margin
             assert plan.synth.f_lo == -plan.synth.f_hi
 
+    def test_recorded_bins_do_not_grow_as_lines_narrow(self):
+        # weakest (1 Hz) and strongest (30 kHz) drive of the default curve
+        plans = plan_curve(default_config(), -1.62e6, master_seed=1)
+        weak, strong = plans[0].synth, plans[-1].synth
+        assert weak.grid_bins > 1000 * weak.index.size
+        assert weak.index.size < 3 * strong.index.size
+        assert sum(p.synth.index.size for p in plans) < 250_000
+
+    def test_recorded_spans_mirror_about_the_beat_note(self, config):
+        for plan in plan_curve(config, config.detunings_hz[0], master_seed=1):
+            synth, model = plan.synth, plan.model
+            grid = np.arange(synth.grid_bins)
+            freqs = synth.f_lo + synth.resolution * grid
+            span = grid[np.abs(np.abs(freqs) - model.omega_m) <= 79.0 * model.gamma_eff]
+            # every bin of both spans is stored, and so is its mirror image
+            assert np.isin(span, synth.index).all()
+            assert np.isin(synth.grid_bins - 1 - span, synth.index).all()
+
     def test_noiseless_plans(self, config):
         plans = plan_curve(config, config.detunings_hz[0], 1, noiseless=True)
         assert all(math.isinf(p.synth.n_avg) for p in plans)

@@ -167,6 +167,34 @@ class TestHeterodyneSpectrum:
         assert (sl.start, sl.stop) == (3, 8)
         assert spec.frequencies_at(sl) == pytest.approx(np.arange(3.0, 8.0))
 
+    def test_sparse_record_addresses_grid_bins(self):
+        spec = HeterodyneSpectrum(
+            f_lo=0.0, resolution=1.0, psd=np.ones(5), n_avg=1,
+            index=np.array([1, 2, 6, 7, 9]), grid_bins=12,
+        )
+        assert spec.n_bins == 5
+        assert spec.f_hi == 11.0
+        assert spec.frequencies == pytest.approx([1.0, 2.0, 6.0, 7.0, 9.0])
+        sl = spec.index_range(2.0, 7.5)
+        assert (sl.start, sl.stop) == (1, 4)
+        assert spec.frequencies_at(sl) == pytest.approx([2.0, 6.0, 7.0])
+
+    def test_full_record_is_the_default_index(self):
+        spec = HeterodyneSpectrum(f_lo=-2.0, resolution=0.5, psd=np.ones(9), n_avg=1)
+        assert np.array_equal(spec.index, np.arange(9))
+        assert spec.grid_bins == 9
+
+    @pytest.mark.parametrize(
+        "index, grid_bins",
+        [([0, 2, 2], 5), ([3, 1, 4], 5), ([-1, 0, 1], 5), ([0, 1, 5], 5), ([0.0, 1.0, 2.0], 5)],
+    )
+    def test_rejects_bad_index(self, index, grid_bins):
+        with pytest.raises(ValueError, match="index"):
+            HeterodyneSpectrum(
+                f_lo=0.0, resolution=1.0, psd=np.ones(3), n_avg=1,
+                index=np.array(index), grid_bins=grid_bins,
+            )
+
     def test_rejects_non_uniform_grid(self):
         freqs = np.array([0.0, 1.0, 2.5, 3.0])
         with pytest.raises(ValueError, match="uniform"):
@@ -208,6 +236,11 @@ class TestApparentSidebandBias:
         b = solve_background_for_bias(model, 0.006)
         assert b == pytest.approx(2.7754e-3, rel=1e-4)
         assert abs(apparent_sideband_bias(model, b)) == pytest.approx(0.006, abs=1e-9)
+
+    def test_calibration_root_is_pinned(self, reference):
+        params, point, n_bar = reference
+        model = build_model(params, point, n_bar)
+        assert solve_background_for_bias(model, 0.006) == 0.0027753948876887676
 
     def test_requires_physics_metadata(self):
         bare = SpectrumModel(

@@ -6,6 +6,7 @@ are regression tests, not flaky hypothesis checks.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sidebandlimit.physics import (
     steady_state_occupation,
     thermal_occupation,
 )
+from sidebandlimit import synth
 from sidebandlimit.spectra import build_model, evaluate_psd, lorentzian
 from sidebandlimit.synth import (
     OscillatorRecord,
@@ -84,6 +86,23 @@ class TestSynthesizeSpectrum:
             for child in children
         ]
         assert not np.array_equal(specs[0].psd, specs[1].psd)
+
+    @pytest.mark.parametrize("chunk", [1 << 18, 1000])
+    def test_recorded_bins_take_their_full_grid_variates(self, model, monkeypatch, chunk):
+        # one variate per grid bin in grid order, whichever bins are stored
+        # and however the stream is chunked
+        monkeypatch.setattr(synth, "_CHUNK", chunk)
+        config = _grid_config(model, n_avg=100.0, seed=99)
+        index = np.unique(np.random.default_rng(3).integers(0, config.grid_bins, 500))
+        assert config.grid_bins > 3 * 1000 and index[-1] > 3 * 1000
+        part = synthesize_spectrum(model, replace(config, index=index))
+        full = synthesize_spectrum(model, config)
+        draws = np.random.default_rng(99).standard_gamma(100.0, config.grid_bins)
+        freqs = config.f_lo + config.resolution * np.arange(config.grid_bins)
+        expected = draws * (evaluate_psd(model, freqs) / 100.0)
+        assert np.array_equal(full.psd, expected)
+        assert np.array_equal(part.index, index)
+        assert np.array_equal(part.psd, expected[index])
 
     def test_noiseless_mode_returns_model(self, model):
         config = _grid_config(model, n_avg=math.inf)
