@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -35,6 +34,7 @@ from sidebandlimit.config import (
 )
 from sidebandlimit.io import SchemaError, config_hash, write_points_csv, write_report_json
 from sidebandlimit.physics import (
+    TWO_PI,
     backaction_limit,
     optimal_detuning,
     regime_boundaries,
@@ -47,9 +47,9 @@ from sidebandlimit.pipeline import (
     plan_curve,
     run_cooling_curve,
     run_points,
+    save_point,
+    worker_pool,
 )
-
-TWO_PI = 2.0 * math.pi
 
 SEED_ENV_VAR = "SIDEBAND_LIMIT_SEED"
 
@@ -274,15 +274,16 @@ def _cmd_cool(args) -> int:
     detuning_hz = _resolve_detuning_hz(args, config)
     out_dir = Path(config.output_dir) / f"cool_{_detuning_label(detuning_hz)}"
     spectra_dir = str(out_dir / "spectra") if args.save_spectra else None
-    run = run_cooling_curve(
-        config,
-        detuning_hz,
-        master_seed=seed,
-        detuning_index=0,
-        jobs=max(args.jobs, 1),
-        noiseless=args.no_noise,
-        spectra_dir=spectra_dir,
-    )
+    with worker_pool(args.jobs) as pool:
+        run = run_cooling_curve(
+            config,
+            detuning_hz,
+            master_seed=seed,
+            detuning_index=0,
+            noiseless=args.no_noise,
+            spectra_dir=spectra_dir,
+            executor=pool,
+        )
     _write_curve_outputs(run, config, seed, out_dir, "cool")
     _print_curve_summary(run, out_dir)
     failed = [o for o in run.outcomes if o.fit is None]
@@ -304,25 +305,26 @@ def _cmd_sweep(args) -> int:
 
     results = {}
     errors = {}
-    for index, detuning_hz in enumerate(config.detunings_hz):
-        label = _detuning_label(detuning_hz)
-        out_dir = out_root / f"d{index:02d}_{label}"
-        try:
-            run = run_cooling_curve(
-                config,
-                detuning_hz,
-                master_seed=seed,
-                detuning_index=index,
-                jobs=max(args.jobs, 1),
-                noiseless=args.no_noise,
-                spectra_dir=str(out_dir / "spectra") if args.save_spectra else None,
-            )
-        except AnalysisError as exc:
-            errors[detuning_hz] = f"{type(exc).__name__}: {exc}"
-            print(f"detuning {label}: failed: {exc}", file=sys.stderr)
-            continue
-        _write_curve_outputs(run, config, seed, out_dir, "cool")
-        results[detuning_hz] = run
+    with worker_pool(args.jobs) as pool:
+        for index, detuning_hz in enumerate(config.detunings_hz):
+            label = _detuning_label(detuning_hz)
+            out_dir = out_root / f"d{index:02d}_{label}"
+            try:
+                run = run_cooling_curve(
+                    config,
+                    detuning_hz,
+                    master_seed=seed,
+                    detuning_index=index,
+                    noiseless=args.no_noise,
+                    spectra_dir=str(out_dir / "spectra") if args.save_spectra else None,
+                    executor=pool,
+                )
+            except AnalysisError as exc:
+                errors[detuning_hz] = f"{type(exc).__name__}: {exc}"
+                print(f"detuning {label}: failed: {exc}", file=sys.stderr)
+                continue
+            _write_curve_outputs(run, config, seed, out_dir, "cool")
+            results[detuning_hz] = run
 
     if results:
         summary = detuning_sweep_summary(
@@ -405,8 +407,9 @@ def _cmd_synth(args) -> int:
         "detuning_index": 0,
         "config_hash": config_hash(config.hash_dict()),
     }
-    outcomes = run_points(plans, max(args.jobs, 1), str(out_dir), metadata)
-    print(f"wrote {len(outcomes)} spectra to {out_dir}")
+    with worker_pool(args.jobs) as pool:
+        written = run_points(save_point, plans, str(out_dir), metadata, executor=pool)
+    print(f"wrote {len(written)} spectra to {out_dir}")
     return EXIT_OK
 
 

@@ -9,15 +9,12 @@ losslessly through ``to_dict``/``from_dict``.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from sidebandlimit.physics import SystemParams
-
-TWO_PI = 2.0 * math.pi
+from sidebandlimit.physics import TWO_PI, SystemParams
 
 
 class ConfigError(ValueError):

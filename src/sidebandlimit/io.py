@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
+from sidebandlimit.physics import TWO_PI
 from sidebandlimit.spectra import HeterodyneSpectrum
 from sidebandlimit.synth import OscillatorRecord
 
@@ -47,8 +47,6 @@ SPECTRUM_COLUMNS = "frequency_hz,psd_sn"
 SPECTRUM_COLUMNS_V2 = "bin,frequency_hz,psd_sn"
 TIMESERIES_COLUMNS = "time_s,value_i,value_q"
 POINTS_COLUMNS = "gamma_opt_hz,n_bar,sigma_n,flags"
-
-TWO_PI = 2.0 * math.pi
 
 
 class SchemaError(ValueError):

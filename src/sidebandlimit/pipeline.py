@@ -8,12 +8,19 @@ a span around each sideband plus the fit's floor sample) follow.  Points own
 independent RNG streams derived from ``(master seed, detuning index,
 point index)``, so any execution order -- including process pools --
 reproduces identical data.
+
+Points fan out through ``run_points``.  A command opens one pool of
+``jobs`` workers with ``worker_pool`` and passes it down as ``executor``,
+so every curve of a sweep shares the same warm workers; without an
+executor the points run in this process.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,6 +40,7 @@ from sidebandlimit.analysis import (
 from sidebandlimit.config import ExperimentConfig
 from sidebandlimit.io import read_spectrum_csv, write_spectrum_csv
 from sidebandlimit.physics import (
+    TWO_PI,
     SystemParams,
     backaction_limit,
     cooling_point,
@@ -41,6 +49,7 @@ from sidebandlimit.physics import (
     thermal_occupation,
 )
 from sidebandlimit.spectra import (
+    HeterodyneSpectrum,
     SpectrumModel,
     acquisition_index,
     apparent_sideband_bias,
@@ -48,8 +57,6 @@ from sidebandlimit.spectra import (
     laser_noise_bias,
 )
 from sidebandlimit.synth import SynthConfig, synthesize_spectrum
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -137,59 +144,80 @@ def plan_curve(
     return plans
 
 
+def record_point(
+    plan: PointPlan,
+    spectra_dir: str | None = None,
+    file_metadata: dict | None = None,
+) -> tuple[HeterodyneSpectrum, str | None]:
+    """Synthesize one point and, given a directory, write it there.
+
+    Returns the spectrum and the path of the file written, if any.
+    """
+    spectrum = synthesize_spectrum(plan.model, plan.synth)
+    if spectra_dir is None:
+        return spectrum, None
+    path = Path(spectra_dir) / f"point_{plan.index:02d}.csv"
+    metadata = dict(file_metadata or {})
+    metadata["gamma_opt_hz"] = plan.gamma_opt_hz
+    metadata["point_index"] = plan.index
+    write_spectrum_csv(path, spectrum, metadata)
+    return spectrum, str(path)
+
+
+def save_point(
+    plan: PointPlan, spectra_dir: str, file_metadata: dict | None = None
+) -> str:
+    """Synthesize one point into ``spectra_dir``; returns only the path.
+
+    The spectrum stays where it was made, so a pool ships back a string.
+    """
+    return record_point(plan, spectra_dir, file_metadata)[1]
+
+
 def run_point(
     plan: PointPlan,
     spectra_dir: str | None = None,
     file_metadata: dict | None = None,
 ) -> PointOutcome:
     """Synthesize one point, optionally persist it, and fit it."""
-    spectrum = synthesize_spectrum(plan.model, plan.synth)
-    spectrum_file = None
-    if spectra_dir is not None:
-        path = Path(spectra_dir) / f"point_{plan.index:02d}.csv"
-        metadata = dict(file_metadata or {})
-        metadata["gamma_opt_hz"] = plan.gamma_opt_hz
-        metadata["point_index"] = plan.index
-        write_spectrum_csv(path, spectrum, metadata)
-        spectrum_file = str(path)
+    spectrum, spectrum_file = record_point(plan, spectra_dir, file_metadata)
     try:
-        fit = fit_sidebands(spectrum)
+        fit, error = fit_sidebands(spectrum), None
     except AnalysisError as exc:
-        return PointOutcome(
-            index=plan.index,
-            gamma_opt=plan.gamma_opt,
-            gamma_opt_hz=plan.gamma_opt_hz,
-            n_avg=plan.synth.n_avg,
-            error=f"{type(exc).__name__}: {exc}",
-            spectrum_file=spectrum_file,
-        )
+        fit, error = None, f"{type(exc).__name__}: {exc}"
     return PointOutcome(
         index=plan.index,
         gamma_opt=plan.gamma_opt,
         gamma_opt_hz=plan.gamma_opt_hz,
         n_avg=plan.synth.n_avg,
         fit=fit,
+        error=error,
         spectrum_file=spectrum_file,
     )
 
 
+def worker_pool(jobs: int):
+    """A pool of ``jobs`` worker processes to share across a command.
+
+    Serial runs (``jobs <= 1``) get a context that yields ``None``.
+    """
+    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+
+
 def run_points(
+    task: Callable,
     plans: list[PointPlan],
-    jobs: int = 1,
-    spectra_dir: str | None = None,
-    file_metadata: dict | None = None,
-) -> list[PointOutcome]:
-    """Run every plan, in a process pool when ``jobs > 1``; ordered by point."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(run_point, plan, spectra_dir, file_metadata)
-                for plan in plans
-            ]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [run_point(plan, spectra_dir, file_metadata) for plan in plans]
-    return sorted(outcomes, key=lambda o: o.index)
+    *args,
+    executor: Executor | None = None,
+) -> list:
+    """``task(plan, *args)`` for every plan, results in plan order.
+
+    Tasks go to ``executor`` when one is given, else run in this process.
+    """
+    if executor is None:
+        return [task(plan, *args) for plan in plans]
+    futures = [executor.submit(task, plan, *args) for plan in plans]
+    return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -285,11 +313,14 @@ def run_cooling_curve(
     detuning_hz: float,
     master_seed: int,
     detuning_index: int = 0,
-    jobs: int = 1,
     noiseless: bool = False,
     spectra_dir: str | None = None,
+    executor: Executor | None = None,
 ) -> CurveRun:
-    """Synthesize, fit and reduce one full cooling curve."""
+    """Synthesize, fit and reduce one full cooling curve.
+
+    Points run on ``executor`` when given, else in this process.
+    """
     plans = plan_curve(config, detuning_hz, master_seed, detuning_index, noiseless)
     if spectra_dir is not None:
         Path(spectra_dir).mkdir(parents=True, exist_ok=True)
@@ -301,7 +332,7 @@ def run_cooling_curve(
         "detuning_index": detuning_index,
         "config_hash": config_hash(config.hash_dict()),
     }
-    outcomes = run_points(plans, jobs, spectra_dir, metadata)
+    outcomes = run_points(run_point, plans, spectra_dir, metadata, executor=executor)
 
     params = config.system_params()
     s_est, occupation, curve, flags = analyze_outcomes(
@@ -363,18 +394,7 @@ def analyze_spectrum_files(
             )
         )
     outcomes.sort(key=lambda o: o.gamma_opt_hz)
-    outcomes = [
-        PointOutcome(
-            index=i,
-            gamma_opt=o.gamma_opt,
-            gamma_opt_hz=o.gamma_opt_hz,
-            n_avg=o.n_avg,
-            fit=o.fit,
-            error=o.error,
-            spectrum_file=o.spectrum_file,
-        )
-        for i, o in enumerate(outcomes)
-    ]
+    outcomes = [replace(o, index=i) for i, o in enumerate(outcomes)]
 
     detuning_hz = detunings_hz.pop() if len(detunings_hz) == 1 else None
     params = config.system_params()

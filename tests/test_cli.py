@@ -6,10 +6,12 @@ full-scale defaults are exercised by the acceptance suite.
 
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from sidebandlimit import pipeline
 from sidebandlimit.cli import main
 from sidebandlimit.config import ConfigError, default_config, from_dict, load_config
 from sidebandlimit.io import read_points_csv, read_spectrum_csv, write_spectrum_csv
@@ -272,6 +274,37 @@ class TestSweepCommand:
             "detuning_hz,min_n_bar,sigma,n_ba_predicted,flags"
         )
 
+    def test_one_pool_and_identical_outputs_across_jobs(
+        self, small_config, tmp_path, monkeypatch
+    ):
+        pools = []
+        init = ProcessPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            pools.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        trees = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run_cli("sweep", "--config", small_config, "--out", out, "--jobs", jobs) == 0
+            root = out / "sweep"
+            trees.append(
+                {
+                    str(path.relative_to(root)): path.read_bytes()
+                    for path in sorted(root.rglob("*"))
+                    if path.is_file()
+                }
+            )
+        # one pool for the whole two-detuning sweep, none when serial
+        assert len(pools) == 1
+        assert sorted(trees[0]) == sorted(trees[1])
+        basenames = [name.rsplit("/", 1)[-1] for name in trees[0]]
+        assert basenames.count("points.csv") == basenames.count("summary.json") == 2
+        assert {"sweep.json", "sweep_summary.csv"} <= set(trees[0])
+        assert trees[0] == trees[1]
+
 
 class TestSynthCommand:
     def test_writes_readable_spectra(self, small_config, tmp_path):
@@ -291,6 +324,15 @@ class TestSynthCommand:
         two = sorted((tmp_path / "jobs2" / "synth_-1620000Hz").glob("*.csv"))
         assert [p.name for p in one] == [p.name for p in two]
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(one, two))
+
+    def test_writes_without_fitting(self, small_config, tmp_path, monkeypatch):
+        def no_fit(spectrum):
+            raise AssertionError("synth must not fit the spectra it writes")
+
+        monkeypatch.setattr(pipeline, "fit_sidebands", no_fit)
+        assert run_cli("synth", "--config", small_config, "--jobs", 1) == 0
+        files = list((tmp_path / "out" / "synth_-1620000Hz").glob("*.csv"))
+        assert len(files) == len(SMALL_GRID_HZ)
 
 
 class TestConfigHandling:

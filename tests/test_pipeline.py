@@ -7,7 +7,12 @@ import pytest
 
 from sidebandlimit.config import default_config, from_dict
 from sidebandlimit.physics import steady_state_occupation, thermal_occupation
-from sidebandlimit.pipeline import plan_curve, run_cooling_curve, systematics_biases
+from sidebandlimit.pipeline import (
+    plan_curve,
+    run_cooling_curve,
+    systematics_biases,
+    worker_pool,
+)
 from sidebandlimit.synth import synthesize_spectrum
 
 TWO_PI = 2.0 * math.pi
@@ -97,8 +102,9 @@ class TestPlanCurve:
 class TestRunCoolingCurve:
     def test_results_deterministic_across_jobs(self, config):
         detuning_hz = config.detunings_hz[0]
-        one = run_cooling_curve(config, detuning_hz, master_seed=4, jobs=1)
-        two = run_cooling_curve(config, detuning_hz, master_seed=4, jobs=2)
+        one = run_cooling_curve(config, detuning_hz, master_seed=4)
+        with worker_pool(2) as pool:
+            two = run_cooling_curve(config, detuning_hz, master_seed=4, executor=pool)
         assert one.curve.n_ba_fit == two.curve.n_ba_fit
         assert one.curve.n0_fit == two.curve.n0_fit
         assert one.s_est.s_hat == two.s_est.s_hat
