@@ -7,19 +7,15 @@ recovers phonon occupation, bath temperature and the backaction limit.
 """
 
 from sidebandlimit.physics import (
-    BathState,
     CoolingPoint,
     RatioOccupation,
     RedDetuningError,
     RegimeBoundaries,
     SystemParams,
     backaction_limit,
-    bath_state_from_occupation,
-    bath_state_from_temperature,
     cooling_point,
     occupation_from_ratio,
     optimal_detuning,
-    raman_rates,
     regime_boundaries,
     sideband_ratio,
     steady_state_occupation,

@@ -38,7 +38,7 @@ from sidebandlimit.spectra import (
     WINDOW_LINEWIDTHS,
     HeterodyneSpectrum,
     floor_sample,
-    lorentzian,
+    two_lorentzian,
 )
 
 # Cap applied to n_avg when building fit weights so the noiseless
@@ -106,9 +106,6 @@ class SidebandFit:
             raise ValueError("covariance must be 5x5")
         if not np.allclose(cov, cov.T, rtol=1e-8, atol=0.0):
             raise ValueError("covariance must be symmetric")
-        eigvals = np.linalg.eigvalsh(cov)
-        if eigvals.min() < -1e-9 * max(eigvals.max(), 1e-300):
-            raise ValueError("covariance must be positive semi-definite")
 
     def amplitude_ratio(self) -> float:
         """Stokes / anti-Stokes amplitude ratio R."""
@@ -131,15 +128,6 @@ def _psd_projection(cov: np.ndarray) -> np.ndarray:
     sym = 0.5 * (cov + cov.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
     return (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
-
-
-def _model_on(freqs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    omega_m, gamma, amp_s, amp_as, floor = x
-    return (
-        floor
-        + amp_s * lorentzian(freqs, -omega_m, gamma)
-        + amp_as * lorentzian(freqs, +omega_m, gamma)
-    )
 
 
 def _smooth(values: np.ndarray, width: int) -> np.ndarray:
@@ -303,28 +291,18 @@ def _fit_indices(
     return np.unique(np.concatenate([window_idx, floor_idx]))
 
 
-def fit_sidebands(
-    spectrum: HeterodyneSpectrum, init: SidebandFit | None = None
-) -> SidebandFit:
+def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     """Simultaneous weighted fit of both mechanical sidebands.
 
     Shared center offset and linewidth, independent amplitudes, free
-    floor.  Bin weights follow the Gamma noise law sigma = model /
-    sqrt(n_avg) and are re-derived from the running model
-    (:data:`_IRLS_ROUNDS` passes).  Raises
-    :class:`FitConvergenceError` (carrying the best-so-far state) if the
-    bounded optimizer stops without reaching the gradient tolerance.
+    floor, always started from the data-driven :func:`_initial_guess`.
+    Bin weights follow the Gamma noise law sigma = model / sqrt(n_avg)
+    and are re-derived from the running model (:data:`_IRLS_ROUNDS`
+    passes).  Raises :class:`FitConvergenceError` (carrying the
+    best-so-far state) if the bounded optimizer stops without reaching
+    the gradient tolerance.
     """
-    if init is None:
-        guess = _initial_guess(spectrum)
-    else:
-        guess = _InitGuess(
-            omega_m=init.omega_m_fit,
-            gamma_eff=init.gamma_eff_fit,
-            amp_stokes=init.amp_stokes,
-            amp_antistokes=init.amp_antistokes,
-            floor=init.floor_fit,
-        )
+    guess = _initial_guess(spectrum)
 
     window = WINDOW_LINEWIDTHS * guess.gamma_eff
     idx = _fit_indices(spectrum, guess.omega_m, window)
@@ -357,10 +335,10 @@ def fit_sidebands(
     x = x0
     result = None
     for _ in range(_IRLS_ROUNDS):
-        sigma = _model_on(freqs, x) / math.sqrt(n_w)
+        sigma = two_lorentzian(freqs, *x) / math.sqrt(n_w)
 
         def residual(p, sigma=sigma):
-            return (_model_on(freqs, p) - data) / sigma
+            return (two_lorentzian(freqs, *p) - data) / sigma
 
         result = least_squares(
             residual,
@@ -624,13 +602,10 @@ def fit_cooling_curve(
     s_hat: float = math.nan,
     sigma_s: float = math.nan,
     n_ba_predicted: float | None = None,
-    fit_gamma_0: bool = False,
 ) -> CoolingCurveResult:
     """Weighted fit of the two-bath rate equation with (n0, n_ba) free.
 
-    ``gamma_0`` is a fixed input by default (it is measured
-    independently, e.g. by ringdown); pass ``fit_gamma_0=True`` to float
-    it as a third parameter, with the given value as the starting point.
+    ``gamma_0`` is fixed: it is measured independently, e.g. by ringdown.
     Flagged points are excluded from the fit but retained in the result.
     A degenerate drive span or an unconstrained floor is reported through
     flags rather than a failure.
@@ -662,21 +637,19 @@ def fit_cooling_curve(
     n0_guess = max(
         n_bar.max() * (gamma_0 + gamma_opt[np.argmax(n_bar)]) / gamma_0, 10.0 * n_ba0
     )
-    n_free = 3 if fit_gamma_0 else 2
-    x = np.array([n0_guess, n_ba0, gamma_0][:n_free])
+    x = np.array([n0_guess, n_ba0])
     sigma = sigma_meas
     result = None
     for _ in range(3 if reweight else 1):
 
         def residual(p, sigma=sigma):
-            g0 = p[2] if fit_gamma_0 else gamma_0
-            model = (p[0] * g0 + p[1] * gamma_opt) / (g0 + gamma_opt)
+            model = (p[0] * gamma_0 + p[1] * gamma_opt) / (gamma_0 + gamma_opt)
             return (model - n_bar) / sigma
 
         result = least_squares(
             residual,
             x,
-            bounds=(np.zeros(n_free), np.full(n_free, np.inf)),
+            bounds=(np.zeros(2), np.full(2, np.inf)),
             x_scale=np.maximum(x, 1e-9),
             ftol=1e-14,
             xtol=1e-14,
@@ -687,9 +660,8 @@ def fit_cooling_curve(
             raise AnalysisError("cooling-curve fit did not converge")
         x = result.x
         if reweight:
-            g0 = x[2] if fit_gamma_0 else gamma_0
             m = np.maximum(
-                (x[0] * g0 + x[1] * gamma_opt) / (g0 + gamma_opt), 1e-12
+                (x[0] * gamma_0 + x[1] * gamma_opt) / (gamma_0 + gamma_opt), 1e-12
             )
             sigma = np.sqrt(
                 (m * m / s_hat) ** 2 * sigma_ratio**2
@@ -697,8 +669,6 @@ def fit_cooling_curve(
             )
     cov = np.linalg.pinv(result.jac.T @ result.jac)
     n0_fit, n_ba_fit = float(result.x[0]), float(result.x[1])
-    if fit_gamma_0:
-        gamma_0 = float(result.x[2])
     sigma_n0 = float(math.sqrt(max(cov[0, 0], 0.0)))
     sigma_n_ba = float(math.sqrt(max(cov[1, 1], 0.0)))
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -130,8 +131,10 @@ def _resolve_seed(args, config: ExperimentConfig) -> int:
 
 def _resolve_detuning_hz(args, config: ExperimentConfig) -> float:
     if getattr(args, "detuning", None) is not None:
-        if args.detuning >= 0:
-            raise ConfigError("--detuning: must be negative (red-detuned), in Hz")
+        if not (math.isfinite(args.detuning) and args.detuning < 0):
+            raise ConfigError(
+                "--detuning: must be finite and negative (red-detuned), in Hz"
+            )
         return args.detuning
     return config.detunings_hz[0]
 
@@ -344,6 +347,7 @@ def _cmd_sweep(args) -> int:
             }
             for d_hz, row in zip(sorted_hz, summary.rows)
         ]
+        best_hz = min(rows, key=lambda r: r["min_n_bar"])["detuning_hz"]
         with (out_root / "sweep_summary.csv").open("w") as handle:
             handle.write("detuning_hz,min_n_bar,sigma,n_ba_predicted,flags\n")
             for row in rows:
@@ -357,9 +361,7 @@ def _cmd_sweep(args) -> int:
                 "schema": "sidebandlimit-sweep v1",
                 "seed": seed,
                 "config_hash": config_hash(config.hash_dict()),
-                "global_min_detuning_hz": min(
-                    rows, key=lambda r: r["min_n_bar"]
-                )["detuning_hz"],
+                "global_min_detuning_hz": best_hz,
                 "flags": list(summary.flags),
                 "rows": rows,
                 "errors": {
@@ -373,7 +375,6 @@ def _cmd_sweep(args) -> int:
                 f"{row['detuning_hz'] / 1e6:12.4f} {row['min_n_bar']:9.4f} "
                 f"{row['sigma']:8.4f} {row['n_ba_predicted']:11.4f}"
             )
-        best_hz = min(rows, key=lambda r: r["min_n_bar"])["detuning_hz"]
         print(f"global minimum at {best_hz / 1e6:.4f} MHz; outputs in {out_root}")
     return EXIT_FAILURE if errors else EXIT_OK
 

@@ -1,20 +1,22 @@
 """Experiment configuration: a single JSON document, all frequencies in Hz.
 
 Values are quoted the way device parameters usually are (ordinary
-frequency); the 2*pi conversion to the package's internal angular units
-happens exactly once, in the accessors here.  Configurations round-trip
-losslessly through ``to_dict``/``from_dict``.
+frequency); each is converted to the package's internal angular units
+exactly once, where it is used (``system_params`` for the device
+constants, curve planning for the detunings and the drive grid).
+Configurations round-trip losslessly through ``to_dict``/``from_dict``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from sidebandlimit.physics import TWO_PI, SystemParams
+from sidebandlimit.physics import SystemParams
 
 
 class ConfigError(ValueError):
@@ -74,14 +76,6 @@ class ExperimentConfig:
         s = self.system
         return SystemParams.from_hz(s.kappa_hz, s.omega_m_hz, s.gamma_0_hz, s.efficiency)
 
-    def detunings(self) -> tuple[float, ...]:
-        """Configured detunings in angular units (rad/s)."""
-        return tuple(TWO_PI * d for d in self.detunings_hz)
-
-    def gamma_opt_grid(self) -> tuple[float, ...]:
-        """Drive-damping grid in angular units (rad/s)."""
-        return tuple(TWO_PI * g for g in self.gamma_opt_grid_hz)
-
     def to_dict(self) -> dict:
         out = asdict(self)
         out["detunings_hz"] = list(self.detunings_hz)
@@ -106,9 +100,10 @@ def _require(condition: bool, name: str, message: str) -> None:
         raise ConfigError(f"{name}: {message}")
 
 
-def _pick(data: dict, name: str, cls, prefix: str):
+def _pick(data, name: str, cls):
+    _require(isinstance(data, dict), name, "expected a JSON object")
     extra = set(data) - {f for f in cls.__dataclass_fields__}
-    _require(not extra, f"{prefix}{name}", f"unknown fields {sorted(extra)}")
+    _require(not extra, name, f"unknown fields {sorted(extra)}")
     return cls(**data)
 
 
@@ -121,28 +116,51 @@ def from_dict(data: dict) -> ExperimentConfig:
     _require(not extra, "config", f"unknown fields {sorted(extra)}")
 
     merged = dict(data)
-    if "system" in merged:
-        merged["system"] = _pick(dict(merged["system"]), "system", SystemConfig, "config.")
-    if "synthesis" in merged:
-        merged["synthesis"] = _pick(
-            dict(merged["synthesis"]), "synthesis", SynthesisConfig, "config."
-        )
-    if "systematics" in merged:
-        merged["systematics"] = _pick(
-            dict(merged["systematics"]), "systematics", SystematicsConfig, "config."
-        )
-    if "detunings_hz" in merged:
-        merged["detunings_hz"] = tuple(float(d) for d in merged["detunings_hz"])
-    if "gamma_opt_grid_hz" in merged:
-        merged["gamma_opt_grid_hz"] = tuple(
-            float(g) for g in merged["gamma_opt_grid_hz"]
-        )
+    for name, cls in (
+        ("system", SystemConfig),
+        ("synthesis", SynthesisConfig),
+        ("systematics", SystematicsConfig),
+    ):
+        if name in merged:
+            merged[name] = _pick(merged[name], f"config.{name}", cls)
+    for name in ("detunings_hz", "gamma_opt_grid_hz"):
+        if name in merged:
+            try:
+                merged[name] = tuple(float(v) for v in merged[name])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config.{name}: expected numbers ({exc})") from exc
     config = ExperimentConfig(**merged)
     validate(config)
     return config
 
 
+def _leaves(data, name: str):
+    """``(field name, value)`` for every set leaf of nested settings.
+
+    Only dicts and tuples (the sequence fields) are walked, so a JSON list
+    where one number belongs is a leaf, and is rejected as one.
+    """
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield from _leaves(value, f"{name}.{key}")
+    elif isinstance(data, tuple):
+        for i, value in enumerate(data):
+            yield from _leaves(value, f"{name}[{i}]")
+    elif data is not None:
+        yield name, data
+
+
 def validate(config: ExperimentConfig) -> None:
+    settings = asdict(config)
+    del settings["output_dir"]  # the one setting that is not a number
+    for name, value in _leaves(settings, "config"):
+        _require(
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value),
+            name,
+            f"must be a finite number, got {value!r}",
+        )
     s = config.system
     _require(s.kappa_hz > 0, "config.system.kappa_hz", "must be positive")
     _require(s.omega_m_hz > 0, "config.system.omega_m_hz", "must be positive")
@@ -202,7 +220,7 @@ def validate(config: ExperimentConfig) -> None:
         "config.systematics.amp_noise/phase_noise",
         "must be >= 0",
     )
-    _require(int(config.seed) == config.seed, "config.seed", "must be an integer")
+    _require(isinstance(config.seed, int), "config.seed", "must be an integer")
 
 
 def load_config(path) -> ExperimentConfig:

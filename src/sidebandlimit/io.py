@@ -1,8 +1,9 @@
-"""CSV and JSON schemas for spectra, time series, points and reports.
+"""CSV and JSON schemas for spectra, points and reports.
 
 All files are deterministic for a given configuration and seed: floats are
 written with round-trip precision, JSON keys are sorted, and no timestamps
-or environment details are embedded.
+or environment details are embedded.  Oscillator time series, the
+time-domain oracle's input, stay in memory and have no file format.
 
 Spectrum CSV schema (one file per spectrum).  A record that stores only
 some bins of its grid -- the sideband spans and floor sample a zoomed
@@ -38,14 +39,11 @@ import numpy as np
 
 from sidebandlimit.physics import TWO_PI
 from sidebandlimit.spectra import HeterodyneSpectrum
-from sidebandlimit.synth import OscillatorRecord
 
 SPECTRUM_MAGIC = "sidebandlimit-spectrum v1"
 SPECTRUM_MAGIC_V2 = "sidebandlimit-spectrum v2"
-TIMESERIES_MAGIC = "sidebandlimit-timeseries v1"
 SPECTRUM_COLUMNS = "frequency_hz,psd_sn"
 SPECTRUM_COLUMNS_V2 = "bin,frequency_hz,psd_sn"
-TIMESERIES_COLUMNS = "time_s,value_i,value_q"
 POINTS_COLUMNS = "gamma_opt_hz,n_bar,sigma_n,flags"
 
 
@@ -182,22 +180,6 @@ def read_spectrum_csv(path) -> tuple[HeterodyneSpectrum, dict[str, str]]:
     if not np.allclose(table[:, -2], expected_hz, rtol=1e-9, atol=0.0):
         raise SchemaError(path, 3, "frequency column inconsistent with header grid")
     return spectrum, metadata
-
-
-def write_timeseries_csv(
-    path, record: OscillatorRecord, metadata: Mapping[str, Any] | None = None
-) -> None:
-    """Write a demodulated record as I/Q columns."""
-    meta = dict(metadata or {})
-    meta.update(dt_s=float(record.dt), n_samples=record.values.size)
-    path = Path(path)
-    with path.open("w") as handle:
-        handle.write(f"# {TIMESERIES_MAGIC} {_format_metadata(meta)}\n")
-        handle.write(TIMESERIES_COLUMNS + "\n")
-        table = np.column_stack(
-            [record.times, record.values.real, record.values.imag]
-        )
-        np.savetxt(handle, table, fmt="%.17g", delimiter=",")
 
 
 def write_points_csv(path, rows: Iterable[Mapping[str, Any]]) -> None:

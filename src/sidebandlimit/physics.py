@@ -124,42 +124,6 @@ class CoolingPoint:
             )
 
 
-@dataclass(frozen=True)
-class BathState:
-    """Thermal environment of the mechanical mode.
-
-    ``n0`` and ``t0`` are related by the high-occupancy Bose relation of
-    :func:`thermal_occupation`; use :func:`bath_state_from_temperature` or
-    :func:`bath_state_from_occupation` to build consistent values.
-    """
-
-    n0: float  # bath occupation (phonons)
-    t0: float  # bath temperature (K)
-    n_bar: float  # current mode occupation (phonons)
-
-    def __post_init__(self) -> None:
-        if not self.n0 > 0:
-            raise ValueError(f"n0 must be positive, got {self.n0}")
-        if not self.t0 > 0:
-            raise ValueError(f"t0 must be positive, got {self.t0}")
-        if self.n_bar < 0:
-            raise ValueError(f"n_bar must be >= 0, got {self.n_bar}")
-
-
-def bath_state_from_temperature(
-    t0: float, omega_m: float, n_bar: float | None = None
-) -> BathState:
-    n0 = thermal_occupation(t0, omega_m)
-    return BathState(n0=n0, t0=t0, n_bar=n0 if n_bar is None else n_bar)
-
-
-def bath_state_from_occupation(
-    n0: float, omega_m: float, n_bar: float | None = None
-) -> BathState:
-    t0 = temperature_from_occupation(n0, omega_m)
-    return BathState(n0=n0, t0=t0, n_bar=n0 if n_bar is None else n_bar)
-
-
 def _check_red_detuned(delta) -> None:
     if np.any(np.asarray(delta) >= 0):
         raise RedDetuningError(
@@ -268,21 +232,6 @@ def temperature_from_occupation(n0: float, omega_m: float) -> float:
     if not n0 > 0:
         raise ValueError(f"occupation must be positive, got {n0}")
     return n0 * HBAR * omega_m / BOLTZMANN
-
-
-def raman_rates(point: CoolingPoint, n_bar: float) -> tuple[float, float]:
-    """Physical Stokes and anti-Stokes scattering rates at occupation ``n_bar``.
-
-    Returns ``(gamma_plus, gamma_minus)`` with gamma_plus = A+ * (n_bar + 1)
-    and gamma_minus = A- * n_bar.  They are equal exactly at n_bar = n_ba.
-    """
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be >= 0, got {n_bar}")
-    if point.s_ratio >= 1:
-        raise ValueError("s_ratio >= 1 gives no net cooling")
-    gamma_plus = point.rate_stokes_per_quantum * (n_bar + 1.0)
-    gamma_minus = point.rate_antistokes_per_quantum * n_bar
-    return gamma_plus, gamma_minus
 
 
 class RegimeBoundaries(NamedTuple):

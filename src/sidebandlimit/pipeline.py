@@ -289,9 +289,10 @@ def systematics_biases(
 ) -> tuple[float, float]:
     """Predicted occupation shifts of both systematics channels.
 
-    Evaluated from the configuration alone at the strongest drive
-    setting, so analyses of synthesized and of re-read data report the
-    same numbers.
+    Evaluated from the configuration alone, so analyses of synthesized
+    and of re-read data report the same numbers: the laser channel from
+    the noise levels only, the substrate channel at the strongest drive
+    setting.
     """
     params = config.system_params()
     gamma_opt = TWO_PI * gamma_opt_top_hz
@@ -303,7 +304,7 @@ def systematics_biases(
         params, point, n_bar, background_fraction=sysc.background_fraction
     )
     return (
-        laser_noise_bias(sysc.amp_noise, sysc.phase_noise, point, n_bar),
+        laser_noise_bias(sysc.amp_noise, sysc.phase_noise),
         apparent_sideband_bias(model, sysc.background_fraction),
     )
 

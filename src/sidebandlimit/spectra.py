@@ -71,7 +71,6 @@ class SpectrumModel:
     peak_antistokes: float  # anti-Stokes peak height (shot-noise units)
     floor: float  # off-resonant level, 1 + background_fraction
     background_fraction: float  # substrate-mode excess floor, >= 0
-    center_offset: float = 0.0  # heterodyne beat frequency; axes are relative to it
     s_ratio: float | None = None
     n_bar: float | None = None
 
@@ -160,24 +159,6 @@ class HeterodyneSpectrum:
         """Frequencies of the stored bins picked by a slice or position array."""
         return self.f_lo + self.resolution * self.index[sel]
 
-    @classmethod
-    def from_frequencies(
-        cls, frequencies: np.ndarray, psd: np.ndarray, n_avg: float
-    ) -> "HeterodyneSpectrum":
-        frequencies = np.asarray(frequencies, dtype=float)
-        if frequencies.ndim != 1 or frequencies.size < 2:
-            raise ValueError("frequency grid must be 1-d with at least two bins")
-        steps = np.diff(frequencies)
-        res = float(steps[0])
-        if res <= 0 or not np.allclose(steps, res, rtol=1e-6, atol=0.0):
-            raise ValueError("frequency grid must be strictly increasing and uniform")
-        return cls(
-            f_lo=float(frequencies[0]),
-            resolution=res,
-            psd=np.asarray(psd, dtype=float),
-            n_avg=n_avg,
-        )
-
 
 def build_model(
     params: SystemParams,
@@ -208,6 +189,19 @@ def build_model(
     )
 
 
+def two_lorentzian(omega, omega_m, gamma, amp_stokes, amp_antistokes, floor):
+    """Flat floor plus a unit-peak Lorentzian of width ``gamma`` at each sideband.
+
+    The one place the sideband lineshape is written; arguments follow the
+    sideband fit's parameter order.
+    """
+    return (
+        floor
+        + amp_stokes * lorentzian(omega, -omega_m, gamma)
+        + amp_antistokes * lorentzian(omega, +omega_m, gamma)
+    )
+
+
 def evaluate_psd(model: SpectrumModel, frequencies) -> np.ndarray:
     """Model PSD on a frequency grid (rad/s, relative to the beat note)."""
     omega = np.asarray(frequencies, dtype=float)
@@ -215,10 +209,13 @@ def evaluate_psd(model: SpectrumModel, frequencies) -> np.ndarray:
         raise ValueError("frequency grid is empty")
     if not np.all(np.isfinite(omega)):
         raise ValueError("frequency grid must be finite")
-    return (
-        model.floor
-        + model.peak_stokes * lorentzian(omega, -model.omega_m, model.gamma_eff)
-        + model.peak_antistokes * lorentzian(omega, +model.omega_m, model.gamma_eff)
+    return two_lorentzian(
+        omega,
+        model.omega_m,
+        model.gamma_eff,
+        model.peak_stokes,
+        model.peak_antistokes,
+        model.floor,
     )
 
 
@@ -327,10 +324,13 @@ def apparent_sideband_bias(model: SpectrumModel, background_fraction: float) -> 
         return 0.0
 
     omega = _sideband_windows(model)
-    local = (
-        1.0
-        + model.peak_stokes * lorentzian(omega, -model.omega_m, model.gamma_eff)
-        + model.peak_antistokes * lorentzian(omega, +model.omega_m, model.gamma_eff)
+    local = two_lorentzian(
+        omega,
+        model.omega_m,
+        model.gamma_eff,
+        model.peak_stokes,
+        model.peak_antistokes,
+        1.0,
     )
     normalized = local / (1.0 + background_fraction)
 
@@ -375,28 +375,19 @@ def solve_background_for_bias(model: SpectrumModel, target: float) -> float:
     return brentq(bracketed_gap, lo, hi, xtol=1e-12, rtol=1e-12)
 
 
-def laser_noise_bias(
-    amp_noise: float, phase_noise: float, point: CoolingPoint, n_bar: float
-) -> float:
+def laser_noise_bias(amp_noise: float, phase_noise: float) -> float:
     """Occupation shift induced by classical noise on the cooling laser.
 
     First-order model: classical amplitude and phase noise contaminate the
     two sidebands coherently with the same cavity susceptibility weights as
     the Raman-scattered signal, i.e. in proportion (1, s).  In units of the
-    anti-Stokes signal per phonon the contamination therefore adds
-    ``LASER_NOISE_OCCUPATION_SCALE * (amp_noise + phase_noise)`` quanta of
-    apparent occupation.  The scale is calibrated, not derived; see the
-    constant's note.
+    anti-Stokes signal per phonon the contamination adds ``c =
+    LASER_NOISE_OCCUPATION_SCALE * (amp_noise + phase_noise)`` quanta to
+    both sidebands, so the inverted ratio ``s (n + 1 + c) / (n + c)`` reads
+    ``n + c``: the shift is ``c`` itself, whatever the detuning (through
+    ``s``) and the occupation.  The scale is calibrated, not derived; see
+    the constant's note.
     """
     if amp_noise < 0 or phase_noise < 0:
         raise ValueError("noise fractions must be >= 0")
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be >= 0, got {n_bar}")
-    s = point.s_ratio
-    contamination = LASER_NOISE_OCCUPATION_SCALE * (amp_noise + phase_noise)
-    if contamination == 0.0:
-        return 0.0
-    # Sideband amplitudes in per-phonon units: (s (n+1) + s c) / (n + c).
-    r_biased = (s * (n_bar + 1.0) + s * contamination) / (n_bar + contamination)
-    biased = occupation_from_ratio(r_biased, s)
-    return biased.n_bar - n_bar
+    return LASER_NOISE_OCCUPATION_SCALE * (amp_noise + phase_noise)

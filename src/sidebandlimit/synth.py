@@ -90,14 +90,6 @@ class OscillatorRecord:
         if self.values.ndim != 1:
             raise ValueError("record must be 1-d")
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.size)
-
-    @property
-    def duration(self) -> float:
-        return self.dt * self.values.size
-
 
 def synthesize_spectrum(model: SpectrumModel, config: SynthConfig) -> HeterodyneSpectrum:
     """Draw a noisy spectrum from the model at the configured grid bins.

@@ -318,7 +318,7 @@ def test_criterion_8_systematics_magnitudes():
         background_fraction=config.systematics.background_fraction,
     )
     laser = laser_noise_bias(
-        config.systematics.amp_noise, config.systematics.phase_noise, point, n_bar
+        config.systematics.amp_noise, config.systematics.phase_noise
     )
     substrate = apparent_sideband_bias(
         model, config.systematics.background_fraction

@@ -128,13 +128,6 @@ class TestFitSidebands:
             ).n_bar
             assert n_scaled == pytest.approx(n_ref, rel=1e-6)
 
-    def test_init_override_is_honored(self, params, bath_occupation):
-        _, _, model = make_model(params, bath_occupation, 30e3)
-        spectrum = synthesize(model, math.inf)
-        first = fit_sidebands(spectrum)
-        again = fit_sidebands(spectrum, init=first)
-        assert again.omega_m_fit == pytest.approx(first.omega_m_fit, rel=1e-9)
-
     def test_insufficient_visibility_raises(self, params, bath_occupation):
         _, _, model = make_model(params, bath_occupation, 30e3)
         with pytest.raises(InsufficientVisibilityError):
@@ -470,20 +463,6 @@ class TestFitCoolingCurve:
         assert len(curve.points) == len(points)
         assert curve.points[7].flags == ("unphysical_ratio",)
         assert curve.n_ba_fit == pytest.approx(n_ba, rel=2e-2)
-
-    def test_optional_joint_damping_fit(self, params, bath_occupation):
-        # gamma_0 floats only behind the explicit flag
-        n_ba = backaction_limit(-TWO_PI * 1.62e6, params)
-        points = _fabricated_points(params, bath_occupation, n_ba, GRID_FULL_HZ, 0.0)
-        wrong_gamma = 3.0 * params.gamma_0
-        fixed = fit_cooling_curve(points, wrong_gamma, params.omega_m)
-        floated = fit_cooling_curve(
-            points, wrong_gamma, params.omega_m, fit_gamma_0=True
-        )
-        assert floated.gamma_0 == pytest.approx(params.gamma_0, rel=1e-3)
-        assert floated.n0_fit == pytest.approx(bath_occupation, rel=1e-3)
-        # with the wrong fixed damping the bath occupation absorbs the error
-        assert abs(fixed.n0_fit - bath_occupation) > 0.5 * bath_occupation
 
     def test_requires_four_usable_points(self, params, bath_occupation):
         n_ba = 0.178

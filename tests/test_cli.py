@@ -367,6 +367,27 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match=field.split("[")[0]):
             from_dict(data)
 
+    @pytest.mark.parametrize(
+        "argv, patch",
+        [
+            (["cool", "--detuning", "nan"], {}),
+            (["model"], {"detunings_hz": ["a"]}),
+            (["model"], {"seed": "x"}),
+            (["model"], {"system": 5}),
+            (["model"], {"system": {"kappa_hz": math.inf}}),
+            (["model"], {"system": {"kappa_hz": [2.6e6]}}),
+            (["model"], {"detunings_hz": [-math.inf]}),
+            (["model"], {"gamma_opt_grid_hz": [math.inf]}),
+        ],
+    )
+    def test_malformed_or_non_finite_input_is_a_usage_error(
+        self, argv, patch, tmp_path, capsys
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **patch}))
+        assert run_cli(*argv, "--config", path) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_invalid_env_seed_rejected(self, small_config, monkeypatch, capsys):
         monkeypatch.setenv("SIDEBAND_LIMIT_SEED", "not-a-number")
         assert run_cli("cool", "--config", small_config) == 2

@@ -15,10 +15,8 @@ from sidebandlimit.io import (
     read_spectrum_csv,
     write_points_csv,
     write_spectrum_csv,
-    write_timeseries_csv,
 )
 from sidebandlimit.spectra import HeterodyneSpectrum
-from sidebandlimit.synth import OscillatorRecord
 
 
 @pytest.fixture
@@ -158,19 +156,6 @@ class TestPointsFiles:
         path.write_text(POINTS_COLUMNS + "\n1.0,2.0\n")
         with pytest.raises(SchemaError, match=r"points\.csv:2"):
             read_points_csv(path)
-
-
-class TestTimeseriesFiles:
-    def test_writes_iq_columns(self, tmp_path):
-        record = OscillatorRecord(
-            dt=1e-6, values=np.array([1 + 2j, 3 - 4j, 0 + 0j])
-        )
-        path = tmp_path / "record.csv"
-        write_timeseries_csv(path, record, {"seed": 3})
-        lines = path.read_text().splitlines()
-        assert lines[1] == "time_s,value_i,value_q"
-        assert len(lines) == 2 + 3
-        assert [float(x) for x in lines[2].split(",")] == [0.0, 1.0, 2.0]
 
 
 class TestConfigHash:

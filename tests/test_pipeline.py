@@ -31,7 +31,7 @@ def config():
 class TestPlanCurve:
     def test_plans_follow_the_grid(self, config):
         plans = plan_curve(config, config.detunings_hz[0], master_seed=1)
-        assert [p.gamma_opt for p in plans] == list(config.gamma_opt_grid())
+        assert [p.gamma_opt for p in plans] == [TWO_PI * g for g in config.gamma_opt_grid_hz]
         params = config.system_params()
         n0 = thermal_occupation(0.36, params.omega_m)
         n_ba = 0.1782615949282616  # closed form at -1.62 MHz
@@ -117,6 +117,13 @@ class TestRunCoolingCurve:
         assert run.bias_substrate == pytest.approx(substrate)
         assert abs(laser) == pytest.approx(0.006, abs=2e-3)
         assert abs(substrate) == pytest.approx(0.006, abs=2e-3)
+
+    def test_laser_channel_is_the_calibrated_constant(self):
+        # The laser channel depends on the noise levels alone: the reference
+        # levels give exactly the calibrated 0.006 phonons at every detuning.
+        config = default_config()
+        for detuning_hz in config.detunings_hz:
+            assert systematics_biases(config, detuning_hz, 30e3)[0] == 0.006
 
 
 class TestModuleDefaults:
