@@ -46,12 +46,9 @@ from sidebandlimit.analysis import (
     OccupationPoint,
     SidebandFit,
     SpectrumCoverageError,
-    SRatioEstimate,
     detuning_sweep_summary,
-    estimate_s,
     fit_cooling_curve,
     fit_sidebands,
-    occupation_series,
 )
 
 __version__ = "0.1.0"

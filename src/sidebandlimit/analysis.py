@@ -6,17 +6,21 @@ The chain mirrors how the measurement is actually reduced:
    two-Lorentzian model with a shared center offset and linewidth,
    independent amplitudes and a free floor.  Weights follow the Gamma
    bin-noise law (variance = model^2 / n_avg), iteratively reweighted.
-2. :func:`estimate_s` -- the susceptibility-only amplitude ratio ``s``,
-   from the zero-damping extrapolation of the per-point ratios.
-3. :func:`occupation_series` -- per-point occupations via the ratio
-   inversion, with first-order uncertainty propagation.
-4. :func:`fit_cooling_curve` -- the two-bath rate-equation fit giving the
-   bath occupation, its temperature, and the saturation floor.
+2. :func:`ratio_series` -- each fit's amplitude ratio R and its
+   uncertainty.
+3. :func:`fit_cooling_curve` -- one weighted fit of the measured ratios,
+   R = s (1 + 1/n_bar) with the two-bath rate equation for n_bar and
+   (s, n0, n_ba) free, giving the susceptibility ratio, the bath
+   occupation and temperature, and the saturation floor; the mean ratio
+   of the classical-window points cross-checks s.
+4. :func:`occupation_series` -- per-point occupations for the reports,
+   inverted with the fitted s, with first-order uncertainties.
 5. :func:`detuning_sweep_summary` -- the saturation floor versus detuning
    compared against the closed-form backaction limit.
 
-Unphysical points (measured ratio at or below ``s``) are carried through
-flagged and excluded from fits, never silently dropped.
+A fit that measures no ratio (an amplitude at its bound of 0) is left
+out of the curve fit.  It, and any point whose ratio fell at or below
+``s``, is carried through flagged, never silently dropped.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from scipy.optimize import least_squares
 from sidebandlimit.physics import (
     CLASSICAL_OCCUPATION,
     occupation_from_ratio,
-    steady_state_occupation,
     temperature_from_occupation,
 )
 from sidebandlimit.spectra import (
@@ -73,9 +76,6 @@ class FitConvergenceError(AnalysisError):
     def __init__(self, message: str, best: "SidebandFit | None" = None):
         super().__init__(message)
         self.best = best
-
-
-_PARAM_NAMES = ("omega_m", "gamma_eff", "amp_stokes", "amp_antistokes", "floor")
 
 
 @dataclass(frozen=True)
@@ -384,196 +384,32 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     return fit
 
 
-@dataclass(frozen=True)
-class SRatioEstimate:
-    """Susceptibility ratio extrapolated to zero optical damping.
+def ratio_series(fits: Sequence[SidebandFit]) -> tuple[list[float], list[float]]:
+    """Measured amplitude ratio R and its uncertainty for each fit.
 
-    ``s_hat`` comes from the global fit of R(gamma_opt) with the
-    rate-equation occupation substituted (the primary estimator);
-    ``s_classical`` is the weighted mean of R over points in the
-    classical window (occupation > CLASSICAL_OCCUPATION), reported as a
-    cross-check when such points exist.
+    Both are NaN where a fitted amplitude sits at its bound of 0 or the
+    ratio variance is not finite: such a fit measures no ratio.
     """
-
-    s_hat: float
-    sigma_s: float
-    n0_hat: float
-    sigma_n0: float
-    s_classical: float | None
-    sigma_classical: float | None
-    flags: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not 0 < self.s_hat < 1:
-            raise ValueError(f"s_hat must be in (0, 1), got {self.s_hat}")
-
-
-def _ratio_series(
-    series: Sequence[tuple[float, SidebandFit]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    gamma_opt = np.array([g for g, _ in series], dtype=float)
-    ratios = np.array([f.amplitude_ratio() for _, f in series])
-    sigma = np.sqrt([max(f.ratio_variance(), 1e-300) for _, f in series])
-    ok = np.isfinite(ratios) & np.isfinite(sigma) & (ratios > 0)
-    return gamma_opt[ok], ratios[ok], sigma[ok]
-
-
-def estimate_s(
-    series: Sequence[tuple[float, SidebandFit]], gamma_0: float
-) -> SRatioEstimate:
-    """Extrapolate the amplitude ratio to gamma_opt = 0.
-
-    Two estimators are computed: (a) the weighted mean of R over points
-    whose provisional occupation exceeds the classical threshold, and
-    (b) a weighted fit of R(gamma_opt) = s (1 + 1/n_bar(gamma_opt)) with
-    the rate equation substituted for n_bar and (s, n0) free.  (b) is the
-    primary result; a greater than 3 sigma disagreement is flagged.
-    """
-    gamma_opt, ratios, sigma = _ratio_series(series)
-    if gamma_opt.size < 3:
-        raise AnalysisError(
-            f"need at least 3 valid sideband fits to estimate s, got {gamma_opt.size}"
-        )
-    flags: list[str] = []
-
-    def ratio_model(x):
-        s, n0 = x
-        n_ba = s / (1.0 - s)
-        n_bar = (n0 * gamma_0 + n_ba * gamma_opt) / (gamma_0 + gamma_opt)
-        return s * (1.0 + 1.0 / n_bar)
-
-    s0 = min(0.999 * ratios.min(), 1.0 - 1e-9)
-    n0_guess = (gamma_0 + gamma_opt.min()) / (
-        gamma_0 * max(ratios[np.argmin(gamma_opt)] / s0 - 1.0, 1e-9)
-    )
-    x0 = np.array([s0, max(n0_guess, 1.0)])
-    result = least_squares(
-        lambda x: (ratio_model(x) - ratios) / sigma,
-        x0,
-        bounds=(np.array([1e-9, 1e-12]), np.array([1.0 - 1e-9, np.inf])),
-        x_scale=x0,
-        ftol=1e-14,
-        xtol=1e-14,
-        gtol=1e-10,
-        max_nfev=_MAX_EVALS,
-    )
-    if result.status == 0:
-        raise AnalysisError("ratio extrapolation did not converge")
-    cov = np.linalg.pinv(result.jac.T @ result.jac)
-    s_hat = float(result.x[0])
-    sigma_s = float(math.sqrt(max(cov[0, 0], 0.0)))
-
-    # Classical window for the cross-check: provisional occupations from
-    # the primary fit's s (a ratio at or below s means an effectively
-    # classical, fluctuation-dominated point).
-    with np.errstate(divide="ignore"):
-        n_prov = np.where(
-            ratios > s_hat, 1.0 / np.maximum(ratios / s_hat - 1.0, 1e-300), np.inf
-        )
-    classical = n_prov > CLASSICAL_OCCUPATION
-    if classical.any():
-        count = int(classical.sum())
-        s_classical = float(np.mean(ratios[classical]))
-        sigma_classical = float(
-            math.sqrt(np.sum(sigma[classical] ** 2)) / count
-        )
-    else:
-        s_classical = None
-        sigma_classical = None
-        flags.append("no_classical_points")
-
-    if s_classical is not None:
-        # The classical mean sits above s by up to the bosonic correction
-        # the window tolerates (1/n at the threshold); alarm only beyond
-        # that allowance plus 3 sigma.
-        gap = abs(s_hat - s_classical)
-        allowance = s_hat / CLASSICAL_OCCUPATION
-        combined = math.hypot(sigma_s, sigma_classical)
-        if gap > allowance + 3.0 * combined:
-            flags.append("s_estimators_disagree")
-
-    return SRatioEstimate(
-        s_hat=s_hat,
-        sigma_s=sigma_s,
-        n0_hat=float(result.x[1]),
-        sigma_n0=float(math.sqrt(max(cov[1, 1], 0.0))),
-        s_classical=s_classical,
-        sigma_classical=sigma_classical,
-        flags=tuple(flags),
-    )
-
-
-@dataclass(frozen=True)
-class OccupationPoint:
-    """One cooling-curve point: occupation inferred at a drive setting.
-
-    ``sigma_r`` keeps the underlying ratio uncertainty so downstream fits
-    can re-derive weights from a model occupation instead of the measured
-    one (measured-sigma weights bias rate-equation fits low, because a
-    downward fluctuation also shrinks its own error bar).
-    """
-
-    gamma_opt: float  # rad/s
-    n_bar: float  # phonons (NaN when flagged unphysical)
-    sigma_n: float  # phonons
-    sigma_r: float = math.nan  # uncertainty of the amplitude ratio
-    flags: tuple[str, ...] = ()
-
-    @property
-    def usable(self) -> bool:
-        return (
-            not self.flags
-            and math.isfinite(self.n_bar)
-            and math.isfinite(self.sigma_n)
-            and self.sigma_n > 0
-        )
-
-
-def occupation_series(
-    series: Sequence[tuple[float, SidebandFit]], s_est: SRatioEstimate
-) -> list[OccupationPoint]:
-    """Per-point occupations from the fitted ratios and the extrapolated s.
-
-    Uncertainties are first order in the amplitude covariance and the
-    uncertainty of ``s_hat``.  Points with R <= s are flagged
-    ``unphysical_ratio`` and carried through with NaN occupation.
-    """
-    s, var_s = s_est.s_hat, s_est.sigma_s**2
-    points: list[OccupationPoint] = []
-    for gamma_opt, fit in series:
-        r = fit.amplitude_ratio()
-        var_r = fit.ratio_variance()
-        out = occupation_from_ratio(r, s)
-        if out.unphysical:
-            points.append(
-                OccupationPoint(
-                    gamma_opt=gamma_opt,
-                    n_bar=math.nan,
-                    sigma_n=math.nan,
-                    flags=("unphysical_ratio",),
-                )
-            )
-            continue
-        n = out.n_bar
-        dn_dr = n * n / s
-        dn_ds = n * (n + 1.0) / s
-        sigma_n = math.sqrt(dn_dr**2 * var_r + dn_ds**2 * var_s)
-        points.append(
-            OccupationPoint(
-                gamma_opt=gamma_opt,
-                n_bar=n,
-                sigma_n=sigma_n,
-                sigma_r=math.sqrt(var_r),
-            )
-        )
-    return points
+    ratio = [math.nan] * len(fits)
+    sigma = [math.nan] * len(fits)
+    for i, fit in enumerate(fits):
+        if fit.amp_stokes > 0 and fit.amp_antistokes > 0:
+            var = fit.ratio_variance()
+            if math.isfinite(var):
+                ratio[i] = fit.amplitude_ratio()
+                sigma[i] = math.sqrt(max(var, 1e-300))
+    return ratio, sigma
 
 
 @dataclass(frozen=True)
 class CoolingCurveResult:
-    """Rate-equation fit of a cooling curve and its derived quantities."""
+    """Joint fit of a cooling curve's sideband ratios.
 
-    points: tuple[OccupationPoint, ...]
+    ``s_classical`` and ``sigma_classical`` hold the mean ratio over the
+    classical window (occupation above CLASSICAL_OCCUPATION), a
+    cross-check on ``s_hat``; both are None when no point lies there.
+    """
+
     s_hat: float
     sigma_s: float
     n0_fit: float
@@ -582,105 +418,98 @@ class CoolingCurveResult:
     sigma_n_ba: float
     t0_fit: float  # kelvin
     sigma_t0: float
-    gamma_0: float  # rad/s, fixed input
-    omega_m: float  # rad/s
+    s_classical: float | None = None
+    sigma_classical: float | None = None
     n_ba_predicted: float | None = None
     flags: tuple[str, ...] = ()
 
-    def occupation_at(self, gamma_opt: float) -> float:
-        """Fitted curve evaluated at a drive setting."""
-        return steady_state_occupation(
-            self.n0_fit, self.gamma_0, self.n_ba_fit, gamma_opt
-        )
-
 
 def fit_cooling_curve(
-    points: Sequence[OccupationPoint],
+    gamma_opt: Sequence[float],
+    ratio: Sequence[float],
+    sigma_ratio: Sequence[float],
     gamma_0: float,
     omega_m: float,
     *,
-    s_hat: float = math.nan,
-    sigma_s: float = math.nan,
     n_ba_predicted: float | None = None,
 ) -> CoolingCurveResult:
-    """Weighted fit of the two-bath rate equation with (n0, n_ba) free.
+    """One weighted fit of R = s (1 + 1/n_bar) with (s, n0, n_ba) free.
 
-    ``gamma_0`` is fixed: it is measured independently, e.g. by ringdown.
-    Flagged points are excluded from the fit but retained in the result.
-    A degenerate drive span or an unconstrained floor is reported through
-    flags rather than a failure.
+    n_bar follows the two-bath rate equation at each drive's optical
+    damping; ``gamma_0`` is fixed, as measured independently (e.g. by
+    ringdown).  Weights are the measured sigma_R.  Points without a
+    positive, finite ratio and uncertainty are left out.  s, n0, n_ba and
+    their uncertainties all come from this one fit.  A degenerate drive
+    span, an unconstrained floor or a classical-window mean at odds with
+    s are reported through flags rather than a failure.
     """
-    usable = [p for p in points if p.usable]
-    if len(usable) < 4:
+    gamma_opt = np.asarray(gamma_opt, dtype=float)
+    ratio = np.asarray(ratio, dtype=float)
+    sigma = np.asarray(sigma_ratio, dtype=float)
+    ok = np.isfinite(ratio) & np.isfinite(sigma) & (ratio > 0) & (sigma > 0)
+    gamma_opt, ratio, sigma = gamma_opt[ok], ratio[ok], sigma[ok]
+    if gamma_opt.size < 4:
         raise AnalysisError(
-            f"need at least 4 usable points to fit a cooling curve, got {len(usable)}"
+            "need at least 4 valid sideband ratios to fit (s, n0, n_ba), "
+            f"got {gamma_opt.size}"
         )
-    gamma_opt = np.array([p.gamma_opt for p in usable])
-    n_bar = np.array([p.n_bar for p in usable])
-    sigma_meas = np.array([p.sigma_n for p in usable])
-    sigma_ratio = np.array([p.sigma_r for p in usable])
     flags: list[str] = []
     if gamma_opt.max() < 10.0 * gamma_opt.min():
         flags.append("narrow_drive_span")
 
-    # Weights from the measured occupation first, then re-derived from the
-    # fitted curve: sigma_n scales as n^2, so measured-sigma weights favor
-    # downward fluctuations and pull the fit low.
-    reweight = (
-        math.isfinite(s_hat)
-        and 0 < s_hat < 1
-        and bool(np.all(np.isfinite(sigma_ratio)))
+    def residual(x):
+        s, n0, n_ba = x
+        n_bar = (n0 * gamma_0 + n_ba * gamma_opt) / (gamma_0 + gamma_opt)
+        return (s * (1.0 + 1.0 / n_bar) - ratio) / sigma
+
+    # Start just below the smallest ratio, with n0 from the weakest drive
+    # and the floor where the mode meets the optical bath (R = 1).
+    s0 = min(0.999 * ratio.min(), 1.0 - 1e-9)
+    weakest = np.argmin(gamma_opt)
+    n0_start = (gamma_0 + gamma_opt[weakest]) / (
+        gamma_0 * max(ratio[weakest] / s0 - 1.0, 1e-9)
     )
-    var_s = sigma_s**2 if math.isfinite(sigma_s) else 0.0
-
-    n_ba0 = max(n_bar.min(), 1e-9)
-    n0_guess = max(
-        n_bar.max() * (gamma_0 + gamma_opt[np.argmax(n_bar)]) / gamma_0, 10.0 * n_ba0
+    x0 = np.array([s0, max(n0_start, 1.0), s0 / (1.0 - s0)])
+    result = least_squares(
+        residual,
+        x0,
+        bounds=([1e-9, 1e-12, 1e-12], [1.0 - 1e-9, np.inf, np.inf]),
+        x_scale=x0,
+        ftol=1e-14,
+        xtol=1e-14,
+        gtol=1e-10,
+        max_nfev=_MAX_EVALS,
     )
-    x = np.array([n0_guess, n_ba0])
-    sigma = sigma_meas
-    result = None
-    for _ in range(3 if reweight else 1):
-
-        def residual(p, sigma=sigma):
-            model = (p[0] * gamma_0 + p[1] * gamma_opt) / (gamma_0 + gamma_opt)
-            return (model - n_bar) / sigma
-
-        result = least_squares(
-            residual,
-            x,
-            bounds=(np.zeros(2), np.full(2, np.inf)),
-            x_scale=np.maximum(x, 1e-9),
-            ftol=1e-14,
-            xtol=1e-14,
-            gtol=1e-10,
-            max_nfev=_MAX_EVALS,
-        )
-        if result.status == 0:
-            raise AnalysisError("cooling-curve fit did not converge")
-        x = result.x
-        if reweight:
-            m = np.maximum(
-                (x[0] * gamma_0 + x[1] * gamma_opt) / (gamma_0 + gamma_opt), 1e-12
-            )
-            sigma = np.sqrt(
-                (m * m / s_hat) ** 2 * sigma_ratio**2
-                + (m * (m + 1.0) / s_hat) ** 2 * var_s
-            )
+    if result.status == 0:
+        raise AnalysisError("cooling-curve fit did not converge")
+    s_hat, n0_fit, n_ba_fit = (float(v) for v in result.x)
     cov = np.linalg.pinv(result.jac.T @ result.jac)
-    n0_fit, n_ba_fit = float(result.x[0]), float(result.x[1])
-    sigma_n0 = float(math.sqrt(max(cov[0, 0], 0.0)))
-    sigma_n_ba = float(math.sqrt(max(cov[1, 1], 0.0)))
+    sigma_s, sigma_n0, sigma_n_ba = (math.sqrt(max(v, 0.0)) for v in np.diag(cov))
 
-    if 2.0 * sigma_n_ba >= max(n_ba_fit, 1e-300):
+    # Classical window: ratios within the bosonic correction 1/n of s at
+    # the occupation threshold (a ratio at or below s counts as classical).
+    classical = ratio < s_hat * (1.0 + 1.0 / CLASSICAL_OCCUPATION)
+    s_classical = sigma_classical = None
+    if classical.any():
+        s_classical = float(np.mean(ratio[classical]))
+        sigma_classical = float(
+            math.sqrt(np.sum(sigma[classical] ** 2)) / classical.sum()
+        )
+        # The classical mean sits above s by up to that correction; alarm
+        # only beyond the allowance plus 3 sigma.
+        gap = abs(s_hat - s_classical)
+        allowance = s_hat / CLASSICAL_OCCUPATION
+        if gap > allowance + 3.0 * math.hypot(sigma_s, sigma_classical):
+            flags.append("s_estimators_disagree")
+    else:
+        flags.append("no_classical_points")
+    if 2.0 * sigma_n_ba >= n_ba_fit:
         flags.append("n_ba_unidentifiable")
     if n0_fit <= n_ba_fit:
         flags.append("not_a_cooling_dataset")
 
-    t0_fit = temperature_from_occupation(max(n0_fit, 1e-300), omega_m)
-    sigma_t0 = t0_fit * sigma_n0 / n0_fit if n0_fit > 0 else math.inf
+    t0_fit = temperature_from_occupation(n0_fit, omega_m)
     return CoolingCurveResult(
-        points=tuple(points),
         s_hat=s_hat,
         sigma_s=sigma_s,
         n0_fit=n0_fit,
@@ -688,12 +517,50 @@ def fit_cooling_curve(
         n_ba_fit=n_ba_fit,
         sigma_n_ba=sigma_n_ba,
         t0_fit=t0_fit,
-        sigma_t0=sigma_t0,
-        gamma_0=gamma_0,
-        omega_m=omega_m,
+        sigma_t0=t0_fit * sigma_n0 / n0_fit,
+        s_classical=s_classical,
+        sigma_classical=sigma_classical,
         n_ba_predicted=n_ba_predicted,
         flags=tuple(flags),
     )
+
+
+@dataclass(frozen=True)
+class OccupationPoint:
+    """One cooling-curve point: occupation inferred at a drive setting."""
+
+    gamma_opt: float  # rad/s
+    n_bar: float  # phonons (NaN when flagged)
+    sigma_n: float  # phonons
+    flags: tuple[str, ...] = ()
+
+
+def occupation_series(
+    gamma_opt: Sequence[float],
+    ratio: Sequence[float],
+    sigma_ratio: Sequence[float],
+    s: float,
+    sigma_s: float,
+) -> list[OccupationPoint]:
+    """Per-point occupations n = 1 / (R/s - 1) for the reports.
+
+    ``s`` and ``sigma_s`` come from the cooling-curve fit, which reads the
+    ratios themselves.  Uncertainties are first order in sigma_R and
+    sigma_s.  A point without a measured ratio, or with R <= s, is flagged
+    ``unphysical_ratio`` and carried through with NaN occupation.
+    """
+    points: list[OccupationPoint] = []
+    for g, r, sigma_r in zip(gamma_opt, ratio, sigma_ratio):
+        out = occupation_from_ratio(r, s) if r > 0 else None
+        if out is None or out.unphysical:
+            points.append(
+                OccupationPoint(g, math.nan, math.nan, flags=("unphysical_ratio",))
+            )
+            continue
+        n = out.n_bar
+        sigma_n = math.hypot(n * n / s * sigma_r, n * (n + 1.0) / s * sigma_s)
+        points.append(OccupationPoint(g, n, sigma_n))
+    return points
 
 
 # Detunings closer to the cavity than this fraction of omega_m sit in the

@@ -173,7 +173,7 @@ def _curve_report(
         },
         "estimates": {
             "s_hat": curve.s_hat,
-            "s_classical": run.s_est.s_classical,
+            "s_classical": curve.s_classical,
             "n0": curve.n0_fit,
             "n_ba": curve.n_ba_fit,
             "t0_k": curve.t0_fit,
@@ -181,7 +181,7 @@ def _curve_report(
         },
         "uncertainties": {
             "sigma_s": curve.sigma_s,
-            "sigma_s_classical": run.s_est.sigma_classical,
+            "sigma_s_classical": curve.sigma_classical,
             "sigma_n0": curve.sigma_n0,
             "sigma_n_ba": curve.sigma_n_ba,
             "sigma_t0_k": curve.sigma_t0,
@@ -190,7 +190,7 @@ def _curve_report(
             "delta_n_laser": run.bias_laser,
             "delta_n_substrate": run.bias_substrate,
         },
-        "flags": sorted(set(run.flags) | set(run.s_est.flags)),
+        "flags": sorted(set(run.flags)),
         "points": points,
     }
     return report

@@ -42,8 +42,6 @@ class SynthesisConfig:
     n_avg_occupation_cap: float = 50.0
     bins_per_linewidth: float = 14.0
     grid_margin_linewidths: float = 80.0
-    oracle_duration_s: float = 0.05
-    oracle_rate_hz: float = 1.0e8
 
 
 @dataclass(frozen=True)
@@ -202,11 +200,6 @@ def validate(config: ExperimentConfig) -> None:
     _require(
         syn.grid_margin_linewidths > 0,
         "config.synthesis.grid_margin_linewidths",
-        "must be positive",
-    )
-    _require(
-        syn.oracle_duration_s > 0 and syn.oracle_rate_hz > 0,
-        "config.synthesis.oracle_duration_s/oracle_rate_hz",
         "must be positive",
     )
     sys_ = config.systematics

@@ -31,11 +31,10 @@ from sidebandlimit.analysis import (
     CoolingCurveResult,
     OccupationPoint,
     SidebandFit,
-    SRatioEstimate,
-    estimate_s,
     fit_cooling_curve,
     fit_sidebands,
     occupation_series,
+    ratio_series,
 )
 from sidebandlimit.config import ExperimentConfig
 from sidebandlimit.io import read_spectrum_csv, write_spectrum_csv
@@ -125,8 +124,6 @@ def plan_curve(
             seed=np.random.SeedSequence(
                 entropy=master_seed, spawn_key=(detuning_index, i)
             ),
-            oracle_duration=syn.oracle_duration_s,
-            oracle_rate=syn.oracle_rate_hz,
         )
         recorded = acquisition_index(
             model, grid.f_lo, resolution, grid.grid_bins, syn.grid_margin_linewidths
@@ -226,7 +223,6 @@ class CurveRun:
 
     detuning_hz: float | None
     outcomes: tuple[PointOutcome, ...]
-    s_est: SRatioEstimate
     occupation: tuple[OccupationPoint, ...]
     curve: CoolingCurveResult
     flags: tuple[str, ...]
@@ -238,50 +234,42 @@ def analyze_outcomes(
     outcomes: list[PointOutcome],
     params: SystemParams,
     detuning: float | None = None,
-) -> tuple[SRatioEstimate, list[OccupationPoint], CoolingCurveResult, tuple[str, ...]]:
+) -> tuple[list[OccupationPoint], CoolingCurveResult, tuple[str, ...]]:
     """Reduce per-point fits to a cooling curve; failures stay flagged."""
-    series = [(o.gamma_opt, o.fit) for o in outcomes if o.fit is not None]
-    if len(series) < 3:
-        raise AnalysisError(
-            f"only {len(series)} of {len(outcomes)} points produced usable fits"
-        )
-    s_est = estimate_s(series, params.gamma_0)
-    fitted = iter(occupation_series(series, s_est))
-    occupation = [
-        next(fitted)
-        if o.fit is not None
-        else OccupationPoint(
-            gamma_opt=o.gamma_opt,
-            n_bar=math.nan,
-            sigma_n=math.nan,
-            flags=("fit_failed",),
-        )
-        for o in outcomes
-    ]
+    fitted = [o for o in outcomes if o.fit is not None]
+    gamma_opt = [o.gamma_opt for o in fitted]
+    ratio, sigma_ratio = ratio_series([o.fit for o in fitted])
     n_ba_predicted = (
         float(backaction_limit(detuning, params)) if detuning is not None else None
     )
     curve = fit_cooling_curve(
-        occupation,
+        gamma_opt,
+        ratio,
+        sigma_ratio,
         params.gamma_0,
         params.omega_m,
-        s_hat=s_est.s_hat,
-        sigma_s=s_est.sigma_s,
         n_ba_predicted=n_ba_predicted,
     )
+    points = iter(
+        occupation_series(gamma_opt, ratio, sigma_ratio, curve.s_hat, curve.sigma_s)
+    )
+    occupation = [
+        next(points)
+        if o.fit is not None
+        else OccupationPoint(o.gamma_opt, math.nan, math.nan, flags=("fit_failed",))
+        for o in outcomes
+    ]
 
     flags = list(curve.flags)
     top = max(o.gamma_opt for o in outcomes)
-    bounds = regime_boundaries(
-        max(curve.n0_fit, 1e-12), max(curve.n_ba_fit, 1e-12), params.gamma_0
-    )
+    bounds = regime_boundaries(curve.n0_fit, curve.n_ba_fit, params.gamma_0)
     if top < bounds.ground_state:
         flags.append("classical_regime_only")
     elif top >= bounds.backaction:
         flags.append("backaction_limited")
     else:
         flags.append("ground_state_regime")
-    return s_est, occupation, curve, tuple(flags)
+    return occupation, curve, tuple(flags)
 
 
 def systematics_biases(
@@ -336,7 +324,7 @@ def run_cooling_curve(
     outcomes = run_points(run_point, plans, spectra_dir, metadata, executor=executor)
 
     params = config.system_params()
-    s_est, occupation, curve, flags = analyze_outcomes(
+    occupation, curve, flags = analyze_outcomes(
         outcomes, params, TWO_PI * detuning_hz
     )
     bias_laser, bias_substrate = systematics_biases(
@@ -345,7 +333,6 @@ def run_cooling_curve(
     return CurveRun(
         detuning_hz=detuning_hz,
         outcomes=tuple(outcomes),
-        s_est=s_est,
         occupation=tuple(occupation),
         curve=curve,
         flags=flags,
@@ -399,7 +386,7 @@ def analyze_spectrum_files(
 
     detuning_hz = detunings_hz.pop() if len(detunings_hz) == 1 else None
     params = config.system_params()
-    s_est, occupation, curve, flags = analyze_outcomes(
+    occupation, curve, flags = analyze_outcomes(
         outcomes, params, TWO_PI * detuning_hz if detuning_hz is not None else None
     )
     bias_laser = bias_substrate = None
@@ -410,7 +397,6 @@ def analyze_spectrum_files(
     run = CurveRun(
         detuning_hz=detuning_hz,
         outcomes=tuple(outcomes),
-        s_est=s_est,
         occupation=tuple(occupation),
         curve=curve,
         flags=flags,

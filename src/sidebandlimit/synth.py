@@ -42,7 +42,7 @@ _MIN_SPAN_LINEWIDTHS = 3.0
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Synthesis settings for one spectrum or oscillator record.
+    """Synthesis settings for one spectrum.
 
     ``n_avg`` may be ``math.inf`` to request the noiseless analytic limit.
     ``seed`` accepts an integer or a `numpy.random.SeedSequence` (the
@@ -55,8 +55,6 @@ class SynthConfig:
     resolution: float  # bin spacing (rad/s)
     n_avg: float = 1000.0
     seed: int | np.random.SeedSequence = 0
-    oracle_duration: float = 0.05  # time-domain record length (s)
-    oracle_rate: float = 1.0e8  # sample rate (samples/s)
     index: np.ndarray | None = None  # grid bins to synthesize (default: all)
 
     def __post_init__(self) -> None:
@@ -66,8 +64,6 @@ class SynthConfig:
             raise ValueError("resolution must be positive")
         if not self.n_avg >= 1:
             raise ValueError(f"n_avg must be >= 1, got {self.n_avg}")
-        if not self.oracle_duration > 0 or not self.oracle_rate > 0:
-            raise ValueError("oracle_duration and oracle_rate must be positive")
 
     @property
     def grid_bins(self) -> int:
@@ -141,15 +137,21 @@ def _grid_draws(rng: np.random.Generator, shape: float, index: np.ndarray) -> np
 
 
 def simulate_oscillator(
-    gamma_eff: float, omega_m: float, n_target: float, config: SynthConfig
+    gamma_eff: float,
+    omega_m: float,
+    n_target: float,
+    duration: float,
+    sample_rate: float,
+    seed: int | np.random.SeedSequence = 0,
 ) -> OscillatorRecord:
     """Integrate a complex Ornstein-Uhlenbeck oscillator record.
 
     The amplitude decays at gamma_eff / 2, rotates at +omega_m relative to
     the beat note, and is driven so the stationary mean of |amplitude|^2
-    is ``n_target``.  Uses the exact one-step update, so the statistics
-    are correct for any stable step; steps coarser than 0.1 / omega_m are
-    rejected because they no longer resolve the rotation.
+    is ``n_target``.  The record lasts ``duration`` seconds at
+    ``sample_rate`` samples per second.  Uses the exact one-step update,
+    so the statistics are correct for any stable step; steps coarser than
+    0.1 / omega_m are rejected because they no longer resolve the rotation.
     """
     if not 0 < gamma_eff < 0.1 * omega_m:
         raise ValueError(
@@ -157,20 +159,20 @@ def simulate_oscillator(
         )
     if n_target < 0:
         raise ValueError(f"n_target must be >= 0, got {n_target}")
-    if config.oracle_rate <= 4.0 * omega_m / (2.0 * math.pi):
-        raise ValueError("oracle_rate must exceed four times the sideband frequency")
-    dt = 1.0 / config.oracle_rate
+    if sample_rate <= 4.0 * omega_m / (2.0 * math.pi):
+        raise ValueError("sample_rate must exceed four times the sideband frequency")
+    dt = 1.0 / sample_rate
     if dt > 0.1 / omega_m:
         raise ValueError(
             f"integration step too coarse: dt={dt:.3g} s exceeds 0.1/omega_m"
         )
-    n = int(round(config.oracle_duration * config.oracle_rate))
+    n = int(round(duration * sample_rate))
     if n < 2:
         raise ValueError("record would be shorter than two samples")
     if n_target == 0.0:
         return OscillatorRecord(dt=dt, values=np.zeros(n, dtype=complex))
 
-    rng = config.rng()
+    rng = np.random.default_rng(seed)
     phi = np.exp((1j * omega_m - 0.5 * gamma_eff) * dt)
     # stationary AR(1): var(step noise) = n_target * (1 - |phi|^2)
     step_var = n_target * (1.0 - math.exp(-gamma_eff * dt))

@@ -188,15 +188,9 @@ def test_criterion_6_oracle_equivalence():
     gamma_eff = TWO_PI * 30e3
     n_target = 2.0
     tau = 2.0 / gamma_eff
-    config = SynthConfig(
-        f_lo=-1.0,
-        f_hi=1.0,
-        resolution=0.1,
-        oracle_duration=1e4 * tau,
-        oracle_rate=1.0e8,
-        seed=20250810,
+    record = simulate_oscillator(
+        gamma_eff, OMEGA_M, n_target, 1e4 * tau, sample_rate=1.0e8, seed=20250810
     )
-    record = simulate_oscillator(gamma_eff, OMEGA_M, n_target, config)
     spectrum = estimate_psd(record, segment_length=32768, overlap=0.5)
 
     sel = np.abs(spectrum.frequencies - OMEGA_M) < 20 * gamma_eff

@@ -2,7 +2,7 @@
 
 Monte-Carlo assertions run against pinned seeds with tolerances sized for
 the statistics involved; they are regression tests, not flaky checks.
-Cooling-curve fits are exercised on fabricated occupation points where
+Cooling-curve fits are exercised on fabricated ratio series where
 spectra are not needed, to keep the suite fast.
 """
 
@@ -17,6 +17,7 @@ from sidebandlimit.physics import (
     backaction_limit,
     cooling_point,
     occupation_from_ratio,
+    sideband_ratio,
     steady_state_occupation,
     thermal_occupation,
 )
@@ -31,13 +32,12 @@ from sidebandlimit.synth import SynthConfig, synthesize_spectrum
 from sidebandlimit.analysis import (
     AnalysisError,
     InsufficientVisibilityError,
-    OccupationPoint,
     SpectrumCoverageError,
     detuning_sweep_summary,
-    estimate_s,
     fit_cooling_curve,
     fit_sidebands,
     occupation_series,
+    ratio_series,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -267,24 +267,34 @@ def _fit_series(params, n0, gamma_opt_hz_list, n_avg_base, entropy):
 GRID_FAST_HZ = (200.0, 743.0, 2760.0, 10253.0, 30000.0)
 
 
+def _reduce(params, series):
+    """Joint cooling-curve fit of (gamma_opt, fit) pairs."""
+    ratio, sigma_ratio = ratio_series([f for _, f in series])
+    return fit_cooling_curve(
+        [g for g, _ in series], ratio, sigma_ratio, params.gamma_0, params.omega_m
+    )
+
+
 class TestEstimateS:
+    """The susceptibility ratio s from the joint cooling-curve fit."""
+
     def test_noiseless_series_recovers_s(self, params, bath_occupation):
         series = _fit_series(params, bath_occupation, GRID_FAST_HZ, math.inf, 0)
-        est = estimate_s(series, params.gamma_0)
+        curve = _reduce(params, series)
         s_true = cooling_point(params, -TWO_PI * 1.62e6, 1.0).s_ratio
-        assert est.s_hat == pytest.approx(s_true, rel=1e-7)
-        assert "no_classical_points" in est.flags  # grid starts at 200 Hz
+        assert curve.s_hat == pytest.approx(s_true, rel=1e-7)
+        assert "no_classical_points" in curve.flags  # grid starts at 200 Hz
 
     def test_classical_plateau_mean(self, params):
         # all points deep in the classical regime: R is constant and the
         # windowed mean applies
         n0 = 5068.0
-        series = _fit_series(params, n0, (2.0, 5.0, 12.0), math.inf, 0)
-        est = estimate_s(series, params.gamma_0)
+        series = _fit_series(params, n0, (2.0, 5.0, 8.0, 12.0), math.inf, 0)
+        curve = _reduce(params, series)
         ratios = [f.amplitude_ratio() for _, f in series]
-        assert est.s_classical is not None
-        assert est.s_classical == pytest.approx(np.mean(ratios), rel=1e-4)
-        assert "no_classical_points" not in est.flags
+        assert curve.s_classical is not None
+        assert curve.s_classical == pytest.approx(np.mean(ratios), rel=1e-4)
+        assert "no_classical_points" not in curve.flags
 
     def test_naive_mean_overestimates_where_global_fit_does_not(
         self, params, bath_occupation
@@ -293,46 +303,53 @@ class TestEstimateS:
         # drive, so the plain average is far above s while the
         # rate-equation fit stays on it
         series = _fit_series(params, bath_occupation, GRID_FAST_HZ, math.inf, 0)
-        est = estimate_s(series, params.gamma_0)
+        curve = _reduce(params, series)
         s_true = cooling_point(params, -TWO_PI * 1.62e6, 1.0).s_ratio
         naive = np.mean([f.amplitude_ratio() for _, f in series])
         assert naive > s_true * 1.5
-        assert est.s_hat == pytest.approx(s_true, rel=1e-6)
+        assert curve.s_hat == pytest.approx(s_true, rel=1e-6)
 
     def test_requires_three_points(self, params, bath_occupation):
+        # three free parameters need at least four ratios
         series = _fit_series(params, bath_occupation, (30e3,), math.inf, 0)
-        with pytest.raises(AnalysisError, match="at least 3"):
-            estimate_s(series, params.gamma_0)
+        with pytest.raises(AnalysisError, match="at least 4"):
+            _reduce(params, series)
 
 
 class TestOccupationSeries:
     def test_noiseless_exact_inversion(self, params, bath_occupation):
         series = _fit_series(params, bath_occupation, GRID_FAST_HZ, math.inf, 0)
-        est = estimate_s(series, params.gamma_0)
-        points = occupation_series(series, est)
-        for (gamma_opt, _), point in zip(series, points):
+        curve = _reduce(params, series)
+        gamma_opt = [g for g, _ in series]
+        ratio, sigma_ratio = ratio_series([f for _, f in series])
+        points = occupation_series(
+            gamma_opt, ratio, sigma_ratio, curve.s_hat, curve.sigma_s
+        )
+        for g, point in zip(gamma_opt, points):
             n_truth = steady_state_occupation(
                 bath_occupation,
                 params.gamma_0,
                 backaction_limit(-TWO_PI * 1.62e6, params),
-                gamma_opt,
+                g,
             )
             assert point.n_bar == pytest.approx(n_truth, rel=1e-6)
             assert not point.flags
 
     def test_unphysical_ratio_carried_through_flagged(self, params, bath_occupation):
         series = _fit_series(params, bath_occupation, GRID_FAST_HZ, math.inf, 0)
-        est = estimate_s(series, params.gamma_0)
+        curve = _reduce(params, series)
         # fabricate one fit whose ratio fluctuated below s
         good = series[-1][1]
-        import dataclasses
-
-        bad = dataclasses.replace(good, amp_stokes=good.amp_antistokes * est.s_hat * 0.9)
-        points = occupation_series(series + [(series[-1][0], bad)], est)
+        bad = replace(good, amp_stokes=good.amp_antistokes * curve.s_hat * 0.9)
+        series = series + [(series[-1][0], bad)]
+        ratio, sigma_ratio = ratio_series([f for _, f in series])
+        points = occupation_series(
+            [g for g, _ in series], ratio, sigma_ratio, curve.s_hat, curve.sigma_s
+        )
         assert points[-1].flags == ("unphysical_ratio",)
         assert math.isnan(points[-1].n_bar)
-        assert not points[-1].usable
-        assert len(points) == len(series) + 1
+        assert math.isnan(points[-1].sigma_n)
+        assert len(points) == len(series)
 
     def test_sigma_shrinks_with_doubled_averaging(self, params, bath_occupation):
         # doubling n_avg shrinks the occupation scatter by about sqrt(2)
@@ -379,27 +396,24 @@ class TestOccupationSeries:
         assert 0.63 <= covered / 500 <= 0.73
 
 
-def _fabricated_points(params, n0, n_ba, gamma_hz, rel_sigma, entropy=None):
-    """Occupation points straight from the rate equation, optionally noisy."""
-    rng = np.random.default_rng(entropy) if entropy is not None else None
-    points = []
-    for g_hz in gamma_hz:
-        gamma_opt = TWO_PI * g_hz
-        n = steady_state_occupation(n0, params.gamma_0, n_ba, gamma_opt)
-        sigma = rel_sigma * n
-        value = n + rng.normal(0.0, sigma) if rng is not None else n
-        s_ref = 0.1513
-        points.append(
-            OccupationPoint(
-                gamma_opt=gamma_opt,
-                n_bar=value,
-                sigma_n=sigma if sigma > 0 else 1e-9 * max(n, 1e-9),
-                sigma_r=(sigma if sigma > 0 else 1e-9 * max(n, 1e-9))
-                * s_ref
-                / max(n, 1e-12) ** 2,
-            )
-        )
-    return points
+S_REF = 0.1512920  # closed-form s at -1.62 MHz
+
+
+def _fabricated_ratios(params, n0, n_ba, gamma_hz, rel_sigma, entropy=None, s=S_REF):
+    """Ratio series R = s (1 + 1/n) from the rate equation, optionally noisy.
+
+    sigma_R carries a relative occupation error ``rel_sigma`` into the
+    ratio: sigma_R = s rel_sigma / n.
+    """
+    gamma_opt = TWO_PI * np.asarray(gamma_hz, dtype=float)
+    n = np.array(
+        [steady_state_occupation(n0, params.gamma_0, n_ba, g) for g in gamma_opt]
+    )
+    ratio = s * (1.0 + 1.0 / n)
+    sigma = s * max(rel_sigma, 1e-9) / n
+    if entropy is not None:
+        ratio = ratio + np.random.default_rng(entropy).normal(0.0, sigma)
+    return gamma_opt, ratio, sigma
 
 
 GRID_FULL_HZ = tuple(np.geomspace(1.0, 30000.0, 20))
@@ -408,31 +422,43 @@ GRID_FULL_HZ = tuple(np.geomspace(1.0, 30000.0, 20))
 class TestFitCoolingCurve:
     def test_noiseless_round_trip(self, params, bath_occupation):
         n_ba = backaction_limit(-TWO_PI * 1.62e6, params)
-        points = _fabricated_points(params, bath_occupation, n_ba, GRID_FULL_HZ, 0.0)
-        curve = fit_cooling_curve(points, params.gamma_0, params.omega_m)
+        series = _fabricated_ratios(params, bath_occupation, n_ba, GRID_FULL_HZ, 0.0)
+        curve = fit_cooling_curve(*series, params.gamma_0, params.omega_m)
         assert curve.n0_fit == pytest.approx(bath_occupation, rel=2e-2)
         assert curve.n_ba_fit == pytest.approx(n_ba, rel=2e-2)
         assert curve.t0_fit == pytest.approx(0.36, rel=2e-2)
         assert "n_ba_unidentifiable" not in curve.flags
 
+    def test_floor_above_backaction_value_recovered(self, params, bath_occupation):
+        # an extra heating channel lifts the floor above s / (1 - s): the
+        # fit must not tie n_ba to s
+        n_ba = S_REF / (1.0 - S_REF) + 0.05
+        series = _fabricated_ratios(params, bath_occupation, n_ba, GRID_FULL_HZ, 0.0)
+        curve = fit_cooling_curve(*series, params.gamma_0, params.omega_m)
+        assert curve.s_hat == pytest.approx(S_REF, rel=1e-6)
+        assert curve.n_ba_fit == pytest.approx(n_ba, rel=1e-6)
+
     def test_noisy_recovery_within_intervals(self, params, bath_occupation):
         n_ba = backaction_limit(-TWO_PI * 1.62e6, params)
-        points = _fabricated_points(
+        series = _fabricated_ratios(
             params, bath_occupation, n_ba, GRID_FULL_HZ, 0.05, entropy=11
         )
-        curve = fit_cooling_curve(points, params.gamma_0, params.omega_m, s_hat=0.1513)
+        curve = fit_cooling_curve(*series, params.gamma_0, params.omega_m)
         assert abs(curve.n0_fit - bath_occupation) < 3 * curve.sigma_n0
         assert abs(curve.n_ba_fit - n_ba) < 3 * curve.sigma_n_ba
         assert abs(curve.t0_fit - 0.36) < 3 * curve.sigma_t0
 
     def test_fitted_curve_monotone_and_saturating(self, params, bath_occupation):
         n_ba = backaction_limit(-TWO_PI * 1.62e6, params)
-        points = _fabricated_points(
+        series = _fabricated_ratios(
             params, bath_occupation, n_ba, GRID_FULL_HZ, 0.05, entropy=3
         )
-        curve = fit_cooling_curve(points, params.gamma_0, params.omega_m, s_hat=0.1513)
+        curve = fit_cooling_curve(*series, params.gamma_0, params.omega_m)
         grid = TWO_PI * np.geomspace(1.0, 1e7, 200)
-        values = [curve.occupation_at(g) for g in grid]
+        values = [
+            steady_state_occupation(curve.n0_fit, params.gamma_0, curve.n_ba_fit, g)
+            for g in grid
+        ]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(curve.n_ba_fit, rel=1e-2)
 
@@ -442,35 +468,35 @@ class TestFitCoolingCurve:
         # all points sit where thermal motion dominates by >= 2 orders of
         # magnitude, so the saturation floor is lost in the noise
         n_ba = backaction_limit(-TWO_PI * 1.62e6, params)
-        points = _fabricated_points(
+        series = _fabricated_ratios(
             params, bath_occupation, n_ba, (1.0, 3.0, 9.0, 27.0, 81.0), 0.05,
             entropy=5,
         )
-        curve = fit_cooling_curve(points, params.gamma_0, params.omega_m)
+        curve = fit_cooling_curve(*series, params.gamma_0, params.omega_m)
         assert "n_ba_unidentifiable" in curve.flags
         assert 2.0 * curve.sigma_n_ba >= curve.n_ba_fit
 
     def test_excludes_flagged_points_but_keeps_them(self, params, bath_occupation):
         n_ba = backaction_limit(-TWO_PI * 1.62e6, params)
-        points = _fabricated_points(params, bath_occupation, n_ba, GRID_FULL_HZ, 0.0)
-        points[7] = OccupationPoint(
-            gamma_opt=points[7].gamma_opt,
-            n_bar=math.nan,
-            sigma_n=math.nan,
-            flags=("unphysical_ratio",),
+        gamma_opt, ratio, sigma = _fabricated_ratios(
+            params, bath_occupation, n_ba, GRID_FULL_HZ, 0.0
         )
-        curve = fit_cooling_curve(points, params.gamma_0, params.omega_m)
-        assert len(curve.points) == len(points)
-        assert curve.points[7].flags == ("unphysical_ratio",)
+        ratio[7] = sigma[7] = math.nan  # a point that measured no ratio
+        curve = fit_cooling_curve(
+            gamma_opt, ratio, sigma, params.gamma_0, params.omega_m
+        )
+        points = occupation_series(gamma_opt, ratio, sigma, curve.s_hat, curve.sigma_s)
+        assert len(points) == len(gamma_opt)
+        assert points[7].flags == ("unphysical_ratio",)
         assert curve.n_ba_fit == pytest.approx(n_ba, rel=2e-2)
 
     def test_requires_four_usable_points(self, params, bath_occupation):
         n_ba = 0.178
-        points = _fabricated_points(
+        series = _fabricated_ratios(
             params, bath_occupation, n_ba, (10.0, 100.0, 1000.0), 0.0
         )
         with pytest.raises(AnalysisError, match="at least 4"):
-            fit_cooling_curve(points, params.gamma_0, params.omega_m)
+            fit_cooling_curve(*series, params.gamma_0, params.omega_m)
 
 
 class TestDetuningSweepSummary:
@@ -485,15 +511,14 @@ class TestDetuningSweepSummary:
     }
 
     def _curve_for(self, params, n0, delta_hz, rel_sigma=0.0, entropy=None):
-        n_ba = backaction_limit(TWO_PI * delta_hz, params)
-        points = _fabricated_points(
-            params, n0, n_ba, GRID_FULL_HZ, rel_sigma, entropy=entropy
+        delta = TWO_PI * delta_hz
+        n_ba = backaction_limit(delta, params)
+        series = _fabricated_ratios(
+            params, n0, n_ba, GRID_FULL_HZ, rel_sigma, entropy=entropy,
+            s=sideband_ratio(delta, params),
         )
         return fit_cooling_curve(
-            points,
-            params.gamma_0,
-            params.omega_m,
-            n_ba_predicted=n_ba,
+            *series, params.gamma_0, params.omega_m, n_ba_predicted=n_ba
         )
 
     def test_five_point_sweep_tracks_closed_form(self, params, bath_occupation):

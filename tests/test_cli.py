@@ -14,7 +14,7 @@ import pytest
 from sidebandlimit import pipeline
 from sidebandlimit.cli import main
 from sidebandlimit.config import ConfigError, default_config, from_dict, load_config
-from sidebandlimit.io import read_points_csv, read_spectrum_csv, write_spectrum_csv
+from sidebandlimit.io import read_spectrum_csv, write_spectrum_csv
 from sidebandlimit.physics import (
     SystemParams,
     backaction_limit,
@@ -24,6 +24,8 @@ from sidebandlimit.physics import (
 )
 from sidebandlimit.spectra import HeterodyneSpectrum, build_model
 from sidebandlimit.synth import SynthConfig, synthesize_spectrum
+
+from points_csv import read_points_csv
 
 TWO_PI = 2.0 * math.pi
 

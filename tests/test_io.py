@@ -11,12 +11,13 @@ from sidebandlimit.io import (
     SPECTRUM_COLUMNS_V2,
     SchemaError,
     config_hash,
-    read_points_csv,
     read_spectrum_csv,
     write_points_csv,
     write_spectrum_csv,
 )
 from sidebandlimit.spectra import HeterodyneSpectrum
+
+from points_csv import read_points_csv
 
 
 @pytest.fixture

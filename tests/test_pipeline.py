@@ -1,6 +1,7 @@
 """Tests for cooling-curve planning and orchestration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from sidebandlimit.config import default_config, from_dict
 from sidebandlimit.physics import steady_state_occupation, thermal_occupation
 from sidebandlimit.pipeline import (
+    analyze_outcomes,
     plan_curve,
     run_cooling_curve,
+    run_point,
     systematics_biases,
     worker_pool,
 )
@@ -107,7 +110,7 @@ class TestRunCoolingCurve:
             two = run_cooling_curve(config, detuning_hz, master_seed=4, executor=pool)
         assert one.curve.n_ba_fit == two.curve.n_ba_fit
         assert one.curve.n0_fit == two.curve.n0_fit
-        assert one.s_est.s_hat == two.s_est.s_hat
+        assert one.curve.s_hat == two.curve.s_hat
 
     def test_reports_systematics_biases(self, config):
         detuning_hz = config.detunings_hz[0]
@@ -124,6 +127,29 @@ class TestRunCoolingCurve:
         config = default_config()
         for detuning_hz in config.detunings_hz:
             assert systematics_biases(config, detuning_hz, 30e3)[0] == 0.006
+
+
+class TestAnalyzeOutcomes:
+    def test_fit_without_a_ratio_is_flagged_not_fatal(self):
+        # a fitted amplitude at its bound of 0 measures no ratio: the point
+        # is carried flagged and the curve is fitted from the others
+        grid = [700.0, 1400.0, 2800.0, 6300.0, 15000.0, 30000.0]
+        config = from_dict({"gamma_opt_grid_hz": grid})
+        plans = plan_curve(config, -1.62e6, master_seed=1, noiseless=True)
+        outcomes = [run_point(plan) for plan in plans]
+        for i, amplitude in ((1, "amp_stokes"), (4, "amp_antistokes")):
+            fit = replace(outcomes[i].fit, **{amplitude: 0.0})
+            outcomes[i] = replace(outcomes[i], fit=fit)
+        occupation, curve, _ = analyze_outcomes(
+            outcomes, config.system_params(), -TWO_PI * 1.62e6
+        )
+        for i, point in enumerate(occupation):
+            if i in (1, 4):
+                assert point.flags == ("unphysical_ratio",)
+                assert math.isnan(point.n_bar) and math.isnan(point.sigma_n)
+            else:
+                assert not point.flags
+        assert curve.n_ba_fit == pytest.approx(0.1782615949282616, rel=1e-4)
 
 
 class TestModuleDefaults:

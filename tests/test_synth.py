@@ -165,22 +165,21 @@ class TestSimulateOscillator:
     OMEGA_M = TWO_PI * 50e3
     GAMMA = TWO_PI * 5e2
 
-    def _config(self, duration, seed=3):
-        return SynthConfig(
-            f_lo=-1.0, f_hi=1.0, resolution=0.1,
-            oracle_duration=duration, oracle_rate=5e6, seed=seed,
+    def _record(self, n_target, duration, seed=3):
+        return simulate_oscillator(
+            self.GAMMA, self.OMEGA_M, n_target, duration, sample_rate=5e6, seed=seed
         )
 
     def test_stationary_occupation(self):
         # 1e4 correlation times; sample variance of |alpha|^2 -> n_target
         tau = 2.0 / self.GAMMA
-        record = simulate_oscillator(self.GAMMA, self.OMEGA_M, 3.5, self._config(1e4 * tau))
+        record = self._record(3.5, 1e4 * tau)
         occupancy = np.mean(np.abs(record.values) ** 2)
         assert occupancy == pytest.approx(3.5, rel=0.03)
 
     def test_autocorrelation_decay_time(self):
         tau = 2.0 / self.GAMMA
-        record = simulate_oscillator(self.GAMMA, self.OMEGA_M, 1.0, self._config(5e3 * tau, seed=4))
+        record = self._record(1.0, 5e3 * tau, seed=4)
         values = record.values
         max_lag = int(1.5 * tau / record.dt)
         lags = np.linspace(1, max_lag, 24).astype(int)
@@ -192,29 +191,21 @@ class TestSimulateOscillator:
         assert -1.0 / slope == pytest.approx(tau, rel=0.05)
 
     def test_zero_target_gives_silent_record(self):
-        record = simulate_oscillator(self.GAMMA, self.OMEGA_M, 0.0, self._config(0.01))
+        record = self._record(0.0, 0.01)
         assert np.all(record.values == 0)
 
     def test_rejects_coarse_step(self):
         # above the 4x sideband floor but below 10 samples per radian
-        config = SynthConfig(
-            f_lo=-1.0, f_hi=1.0, resolution=0.1,
-            oracle_duration=0.01, oracle_rate=3e7,
-        )
         with pytest.raises(ValueError, match="too coarse"):
-            simulate_oscillator(self.GAMMA, TWO_PI * 5e6, 1.0, config)
+            simulate_oscillator(self.GAMMA, TWO_PI * 5e6, 1.0, 0.01, sample_rate=3e7)
 
     def test_rejects_low_sample_rate(self):
-        config = SynthConfig(
-            f_lo=-1.0, f_hi=1.0, resolution=0.1,
-            oracle_duration=0.01, oracle_rate=1e5,
-        )
-        with pytest.raises(ValueError, match="oracle_rate"):
-            simulate_oscillator(TWO_PI * 50.0, TWO_PI * 40e3, 1.0, config)
+        with pytest.raises(ValueError, match="sample_rate"):
+            simulate_oscillator(TWO_PI * 50.0, TWO_PI * 40e3, 1.0, 0.01, sample_rate=1e5)
 
     def test_deterministic(self):
-        a = simulate_oscillator(self.GAMMA, self.OMEGA_M, 1.0, self._config(0.05))
-        b = simulate_oscillator(self.GAMMA, self.OMEGA_M, 1.0, self._config(0.05))
+        a = self._record(1.0, 0.05)
+        b = self._record(1.0, 0.05)
         assert np.array_equal(a.values, b.values)
 
 
@@ -244,11 +235,7 @@ class TestEstimatePsd:
 
     def test_parseval_on_oscillator_record(self):
         omega_m, gamma = TWO_PI * 50e3, TWO_PI * 2e3
-        config = SynthConfig(
-            f_lo=-1.0, f_hi=1.0, resolution=0.1,
-            oracle_duration=0.5, oracle_rate=5e6, seed=6,
-        )
-        record = simulate_oscillator(gamma, omega_m, 2.0, config)
+        record = simulate_oscillator(gamma, omega_m, 2.0, 0.5, sample_rate=5e6, seed=6)
         spec = estimate_psd(record, segment_length=4096, overlap=0.5)
         integral = spec.psd.sum() * spec.resolution / TWO_PI
         variance = np.mean(np.abs(record.values) ** 2)
@@ -259,11 +246,9 @@ class TestEstimatePsd:
         omega_m, gamma = TWO_PI * 50e3, TWO_PI * 4e3
         n_target = 2.0
         tau = 2.0 / gamma
-        config = SynthConfig(
-            f_lo=-1.0, f_hi=1.0, resolution=0.1,
-            oracle_duration=1e4 * tau, oracle_rate=5e6, seed=12,
+        record = simulate_oscillator(
+            gamma, omega_m, n_target, 1e4 * tau, sample_rate=5e6, seed=12
         )
-        record = simulate_oscillator(gamma, omega_m, n_target, config)
         spec = estimate_psd(record, segment_length=16384, overlap=0.5)
 
         def shape(omega, peak, center, fwhm):
