@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.ndimage import uniform_filter1d
 from scipy.optimize import least_squares
 
 from sidebandlimit.physics import (
@@ -108,13 +109,17 @@ class SidebandFit:
             raise ValueError("covariance must be symmetric")
 
     def amplitude_ratio(self) -> float:
-        """Stokes / anti-Stokes amplitude ratio R."""
+        """Stokes / anti-Stokes amplitude ratio R; NaN if an amplitude is 0."""
+        if self.amp_stokes == 0 or self.amp_antistokes == 0:
+            return math.nan
         return self.amp_stokes / self.amp_antistokes
 
     def ratio_variance(self) -> float:
-        """First-order variance of the amplitude ratio."""
+        """First-order variance of the amplitude ratio; NaN if an amplitude is 0."""
         a_s, a_as = self.amp_stokes, self.amp_antistokes
-        r = a_s / a_as
+        r = self.amplitude_ratio()
+        if math.isnan(r):
+            return r
         c = self.covariance
         return r * r * (
             c[2, 2] / (a_s * a_s)
@@ -131,8 +136,6 @@ def _psd_projection(cov: np.ndarray) -> np.ndarray:
 
 
 def _smooth(values: np.ndarray, width: int) -> np.ndarray:
-    from scipy.ndimage import uniform_filter1d
-
     return uniform_filter1d(values, size=width, mode="nearest")
 
 
@@ -393,11 +396,10 @@ def ratio_series(fits: Sequence[SidebandFit]) -> tuple[list[float], list[float]]
     ratio = [math.nan] * len(fits)
     sigma = [math.nan] * len(fits)
     for i, fit in enumerate(fits):
-        if fit.amp_stokes > 0 and fit.amp_antistokes > 0:
-            var = fit.ratio_variance()
-            if math.isfinite(var):
-                ratio[i] = fit.amplitude_ratio()
-                sigma[i] = math.sqrt(max(var, 1e-300))
+        var = fit.ratio_variance()
+        if math.isfinite(var):
+            ratio[i] = fit.amplitude_ratio()
+            sigma[i] = math.sqrt(max(var, 1e-300))
     return ratio, sigma
 
 

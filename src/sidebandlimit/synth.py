@@ -15,11 +15,12 @@ Two independent routes produce spectra:
   effect injected at the frequency-domain model level.
 
 Determinism: a fixed seed yields bit-identical output regardless of how
-work is scheduled.  Sweeps derive one child stream per spectrum from
-(master seed, sweep index) via `numpy.random.SeedSequence` spawn keys.
-A stream yields one variate per grid bin in grid order, whichever bins
-are stored, so a record of some bins holds exactly the values the full
-record holds there.
+work is scheduled.  Sweeps derive one seed per spectrum from (master
+seed, sweep index, point index) via `numpy.random.SeedSequence` spawn
+keys.  Each bin's variate is a function of (point seed, grid bin) alone,
+drawn from a counter-based stream, so only the stored bins are drawn and
+a record of some bins holds exactly the values the full record holds
+there.
 """
 
 from __future__ import annotations
@@ -28,13 +29,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter, welch
-from scipy.signal.windows import hann
+from scipy.special import ndtri
 
 from sidebandlimit.spectra import HeterodyneSpectrum, SpectrumModel, evaluate_psd
 
-# Bins per RNG request; bounds the draw buffer and leaves the stream as is.
-_CHUNK = 1 << 18
+# Rejection attempts per bin; each is accepted with probability > 0.95.
+_MAX_ATTEMPTS = 16
 
 # Coverage demanded of a synthesis grid around each sideband.
 _MIN_SPAN_LINEWIDTHS = 3.0
@@ -68,9 +68,6 @@ class SynthConfig:
     @property
     def grid_bins(self) -> int:
         return int(math.floor((self.f_hi - self.f_lo) / self.resolution)) + 1
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ def synthesize_spectrum(model: SpectrumModel, config: SynthConfig) -> Heterodyne
     index = np.arange(grid_bins) if config.index is None else np.asarray(config.index)
     psd = evaluate_psd(model, config.f_lo + config.resolution * index)
     if not math.isinf(config.n_avg):
-        draws = _grid_draws(config.rng(), config.n_avg, index)
+        draws = _grid_draws(config.seed, config.n_avg, index)
         psd = draws * (psd / config.n_avg)
     return HeterodyneSpectrum(
         f_lo=config.f_lo,
@@ -118,22 +115,46 @@ def synthesize_spectrum(model: SpectrumModel, config: SynthConfig) -> Heterodyne
     )
 
 
-def _grid_draws(rng: np.random.Generator, shape: float, index: np.ndarray) -> np.ndarray:
-    """Gamma(shape) variates of the grid bins ``index`` (ascending).
+def _uniforms(key: np.uint64, counter: np.ndarray) -> np.ndarray:
+    """Uniforms strictly inside (0, 1) at the stream positions ``counter``.
 
-    The stream is drawn for every grid bin up to the last one asked for
-    and the others are dropped, so each bin's variate does not depend on
-    which bins are stored.
+    SplitMix64's finalizer of key + (counter + 1) * golden (Steele, Lea &
+    Flood, OOPSLA 2014), so any position reads without the ones before it.
     """
-    out = np.empty(index.size)
-    n_bins = int(index[-1]) + 1
-    buf = np.empty(min(_CHUNK, n_bins))
-    for start in range(0, n_bins, _CHUNK):
-        stop = min(start + _CHUNK, n_bins)
-        k0, k1 = np.searchsorted(index, [start, stop])
-        rng.standard_gamma(shape, out=buf[: stop - start])
-        out[k0:k1] = buf[index[k0:k1] - start]
-    return out
+    z = key + (counter + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
+
+
+def _grid_draws(seed: int | np.random.SeedSequence, shape: float, index: np.ndarray) -> np.ndarray:
+    """Gamma(shape) variates, shape >= 1, of the grid bins ``index``.
+
+    Marsaglia-Tsang rejection (ACM TOMS 26, 363 (2000)), vectorized over
+    the bins.  Attempt k at grid bin i reads the normal and the acceptance
+    uniform at counters 2 (i _MAX_ATTEMPTS + k) and the one after, so a
+    bin's variate is a function of (seed, i) alone.
+    """
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    key = seq.generate_state(1, np.uint64)[0]
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    base = np.asarray(index, dtype=np.uint64) * np.uint64(2 * _MAX_ATTEMPTS)
+    out = np.empty(base.size)
+    todo = np.arange(base.size)
+    for k in range(_MAX_ATTEMPTS):
+        counter = base[todo] + np.uint64(2 * k)
+        x = ndtri(_uniforms(key, counter))
+        u = _uniforms(key, counter + np.uint64(1))
+        v = (1.0 + c * x) ** 3
+        with np.errstate(divide="ignore", invalid="ignore"):  # v <= 0 rejects
+            accept = np.log(u) < 0.5 * x * x + d * (1.0 - v + np.log(v))
+        out[todo[accept]] = d * v[accept]
+        todo = todo[~accept]
+        if not todo.size:
+            return out
+    raise RuntimeError(f"Gamma({shape}) sampler rejected {_MAX_ATTEMPTS} attempts")
 
 
 def simulate_oscillator(
@@ -172,6 +193,8 @@ def simulate_oscillator(
     if n_target == 0.0:
         return OscillatorRecord(dt=dt, values=np.zeros(n, dtype=complex))
 
+    from scipy.signal import lfilter
+
     rng = np.random.default_rng(seed)
     phi = np.exp((1j * omega_m - 0.5 * gamma_eff) * dt)
     # stationary AR(1): var(step noise) = n_target * (1 - |phi|^2)
@@ -206,6 +229,8 @@ def estimate_psd(
             f"degenerate segmentation: segment_length={segment_length} "
             f"for a record of {n} samples"
         )
+    from scipy.signal import welch
+
     noverlap = int(round(overlap * segment_length))
     if noverlap >= segment_length:
         noverlap = segment_length - 1
@@ -239,6 +264,8 @@ def _effective_averages(nperseg: int, step: int, n_segments: int) -> float:
     """Welch's effective average count for overlapping Hann segments."""
     if n_segments <= 1:
         return float(max(n_segments, 1))
+    from scipy.signal.windows import hann
+
     w = hann(nperseg, sym=False)
     denom = float(np.sum(w * w))
     correction = 0.0

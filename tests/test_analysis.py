@@ -7,6 +7,7 @@ spectra are not needed, to keep the suite fast.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,21 @@ class TestFitSidebands:
         )
         assert fit.amp_antistokes / fit.floor_fit < clean.peak_antistokes
         assert fit.amp_stokes / fit.floor_fit < clean.peak_stokes
+
+    def test_zero_amplitude_gives_nan_ratio_without_warnings(
+        self, params, bath_occupation
+    ):
+        # an amplitude at its bound of 0 measures no ratio
+        _, _, model = make_model(params, bath_occupation, 30e3)
+        fit = fit_sidebands(synthesize(model, math.inf))
+        for amplitude in ("amp_stokes", "amp_antistokes"):
+            zeroed = replace(fit, **{amplitude: 0.0})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert math.isnan(zeroed.amplitude_ratio())
+                assert math.isnan(zeroed.ratio_variance())
+        ratio, sigma = ratio_series([replace(fit, amp_antistokes=0.0)])
+        assert math.isnan(ratio[0]) and math.isnan(sigma[0])
 
     def test_scaling_entire_spectrum_leaves_occupation_unchanged(
         self, params, bath_occupation

@@ -31,6 +31,17 @@ def config():
     )
 
 
+@pytest.fixture
+def reducible_config(config):
+    """The five-point curve averaged enough to reduce on any seed.
+
+    At n_avg_base 800 the strong-drive sidebands fail their visibility
+    check on most seeds, which leaves fewer than the 4 fits the reduction
+    needs; at 3200 every seed tried reduces.
+    """
+    return replace(config, synthesis=replace(config.synthesis, n_avg_base=3200.0))
+
+
 class TestPlanCurve:
     def test_plans_follow_the_grid(self, config):
         plans = plan_curve(config, config.detunings_hz[0], master_seed=1)
@@ -103,7 +114,8 @@ class TestPlanCurve:
 
 
 class TestRunCoolingCurve:
-    def test_results_deterministic_across_jobs(self, config):
+    def test_results_deterministic_across_jobs(self, reducible_config):
+        config = reducible_config
         detuning_hz = config.detunings_hz[0]
         one = run_cooling_curve(config, detuning_hz, master_seed=4)
         with worker_pool(2) as pool:
@@ -112,7 +124,8 @@ class TestRunCoolingCurve:
         assert one.curve.n0_fit == two.curve.n0_fit
         assert one.curve.s_hat == two.curve.s_hat
 
-    def test_reports_systematics_biases(self, config):
+    def test_reports_systematics_biases(self, reducible_config):
+        config = reducible_config
         detuning_hz = config.detunings_hz[0]
         run = run_cooling_curve(config, detuning_hz, master_seed=4)
         laser, substrate = systematics_biases(config, detuning_hz, 30e3)

@@ -6,6 +6,7 @@ are regression tests, not flaky hypothesis checks.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -87,22 +88,14 @@ class TestSynthesizeSpectrum:
         ]
         assert not np.array_equal(specs[0].psd, specs[1].psd)
 
-    @pytest.mark.parametrize("chunk", [1 << 18, 1000])
-    def test_recorded_bins_take_their_full_grid_variates(self, model, monkeypatch, chunk):
-        # one variate per grid bin in grid order, whichever bins are stored
-        # and however the stream is chunked
-        monkeypatch.setattr(synth, "_CHUNK", chunk)
+    def test_recorded_bins_take_their_full_grid_variates(self, model):
+        # a bin's variate is a function of (seed, bin), whichever bins are stored
         config = _grid_config(model, n_avg=100.0, seed=99)
         index = np.unique(np.random.default_rng(3).integers(0, config.grid_bins, 500))
-        assert config.grid_bins > 3 * 1000 and index[-1] > 3 * 1000
         part = synthesize_spectrum(model, replace(config, index=index))
         full = synthesize_spectrum(model, config)
-        draws = np.random.default_rng(99).standard_gamma(100.0, config.grid_bins)
-        freqs = config.f_lo + config.resolution * np.arange(config.grid_bins)
-        expected = draws * (evaluate_psd(model, freqs) / 100.0)
-        assert np.array_equal(full.psd, expected)
         assert np.array_equal(part.index, index)
-        assert np.array_equal(part.psd, expected[index])
+        assert np.array_equal(part.psd, full.psd[index])
 
     def test_noiseless_mode_returns_model(self, model):
         config = _grid_config(model, n_avg=math.inf)
@@ -147,6 +140,64 @@ class TestSynthesizeSpectrum:
         )
         with pytest.raises(ValueError, match="span both sidebands"):
             synthesize_spectrum(model, config)
+
+
+class TestGridDraws:
+    """The counter-based Gamma sampler behind every noisy bin."""
+
+    N = 200_000
+
+    def test_uniforms_are_splitmix64_outputs(self):
+        # the reference generator's first outputs for seed 1234567
+        reference = [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821,
+        ]
+        expected = [((z >> 11) + 0.5) * 2.0**-53 for z in reference]
+        got = synth._uniforms(np.uint64(1234567), np.arange(5, dtype=np.uint64))
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "shape, seed", [(1.0, 1), (4.0, 2), (100.0, 3), (26_296.0, 4), (4.7e7, 5)]
+    )
+    def test_follows_the_gamma_law(self, shape, seed):
+        draws = synth._grid_draws(seed, shape, np.arange(self.N))
+        assert stats.kstest(draws, "gamma", args=(shape,)).pvalue > 1e-3
+        # mean and variance of Gamma(shape) within 4 sigma of their estimates
+        sigma_mean = math.sqrt(shape / self.N)
+        assert abs(draws.mean() - shape) < 4 * sigma_mean
+        sigma_var = shape * math.sqrt((2.0 + 6.0 / shape) / self.N)
+        assert abs(draws.var(ddof=1) - shape) < 4 * sigma_var
+        # adjacent bins are uncorrelated
+        lag1 = np.corrcoef(draws[:-1], draws[1:])[0, 1]
+        assert abs(lag1) < 4 / math.sqrt(self.N)
+
+    def test_seeds_give_independent_streams(self):
+        index = np.arange(self.N)
+        a = synth._grid_draws(np.random.SeedSequence(7, spawn_key=(0, 0)), 4.0, index)
+        b = synth._grid_draws(np.random.SeedSequence(7, spawn_key=(0, 1)), 4.0, index)
+        assert abs(np.corrcoef(a, b)[0, 1]) < 4 / math.sqrt(self.N)
+
+    def test_cost_follows_recorded_bins_not_grid(self, narrow_model):
+        # 4096 bins of a 2e10-bin grid: nothing is drawn for the others
+        model = narrow_model
+        span = model.omega_m + 80 * model.gamma_eff
+        config = SynthConfig(
+            f_lo=-span, f_hi=span, resolution=span / 1e10, n_avg=1e4, seed=8
+        )
+        assert config.grid_bins >= 2 * 10**10
+        index = np.unique(
+            np.random.default_rng(8).integers(0, config.grid_bins, 4200)
+        )[:4096]
+        config = replace(config, index=index)
+        tracemalloc.start()
+        try:
+            spec = synthesize_spectrum(model, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert spec.psd.size == 4096 and np.all(spec.psd > 0)
 
 
 class TestSynthConfigValidation:
