@@ -88,10 +88,15 @@ class TestSynthesizeSpectrum:
         ]
         assert not np.array_equal(specs[0].psd, specs[1].psd)
 
-    def test_recorded_bins_take_their_full_grid_variates(self, model):
-        # a bin's variate is a function of (seed, bin), whichever bins are stored
-        config = _grid_config(model, n_avg=100.0, seed=99)
+    @pytest.mark.parametrize("bins", [1000, 1 << 18])
+    def test_recorded_bins_take_their_full_grid_variates(self, model, bins):
+        # a bin's variate is a function of (seed, bin), whichever bins are
+        # stored and however wide the grid is
+        base = _grid_config(model, n_avg=100.0, seed=99)
+        config = replace(base, resolution=(base.f_hi - base.f_lo) / (bins - 1))
+        assert abs(config.grid_bins - bins) <= 1
         index = np.unique(np.random.default_rng(3).integers(0, config.grid_bins, 500))
+        assert index[-1] > 0.9 * bins
         part = synthesize_spectrum(model, replace(config, index=index))
         full = synthesize_spectrum(model, config)
         assert np.array_equal(part.index, index)
