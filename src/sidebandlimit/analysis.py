@@ -2,10 +2,10 @@
 
 The chain mirrors how the measurement is actually reduced:
 
-1. :func:`fit_sidebands` -- weighted nonlinear least squares of the
-   two-Lorentzian model with a shared center offset and linewidth,
-   independent amplitudes and a free floor.  Weights follow the Gamma
-   bin-noise law (variance = model^2 / n_avg), iteratively reweighted.
+1. :func:`fit_sidebands` -- the two-Lorentzian model with a shared
+   center offset and linewidth, independent amplitudes and a free floor,
+   fitted by maximum likelihood under the Gamma(n_avg) bin-noise law:
+   one bounded solve on Gamma deviance residuals.
 2. :func:`ratio_series` -- each fit's amplitude ratio R and its
    uncertainty.
 3. :func:`fit_cooling_curve` -- one weighted fit of the measured ratios,
@@ -45,12 +45,9 @@ from sidebandlimit.spectra import (
     two_lorentzian,
 )
 
-# Cap applied to n_avg when building fit weights so the noiseless
-# (n_avg = inf) mode keeps finite weights.
+# Cap applied to n_avg so the noiseless (n_avg = inf) mode keeps the
+# fit residuals and the floor-noise estimate finite.
 _MAX_WEIGHT_AVERAGES = 1e12
-
-# Reweighting passes of the iterated Gamma-variance fit.
-_IRLS_ROUNDS = 3
 
 _GRADIENT_TOL = 1e-10
 _MAX_EVALS = 2000
@@ -85,7 +82,8 @@ class SidebandFit:
 
     ``covariance`` is the 5x5 parameter covariance in the order
     (omega_m, gamma_eff, amp_stokes, amp_antistokes, floor).
-    ``residual_norm`` is the reduced chi-square of the weighted fit.
+    ``residual_norm`` is the Gamma deviance per degree of freedom, which
+    reads about 1 when the bins follow the Gamma(n_avg) law.
     """
 
     omega_m_fit: float
@@ -128,11 +126,14 @@ class SidebandFit:
         )
 
 
-def _psd_projection(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize and clip the tiny negative eigenvalues pinv can leave."""
-    sym = 0.5 * (cov + cov.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    return (eigvecs * np.clip(eigvals, 0.0, None)) @ eigvecs.T
+def _covariance(jac: np.ndarray) -> np.ndarray:
+    """Gauss-Newton parameter covariance (J^T J)^+ from the residual Jacobian.
+
+    Formed as pinv(J) pinv(J)^T: forming J^T J first would square the
+    condition number and let pinv truncate the well-measured directions.
+    """
+    pinv = np.linalg.pinv(jac)
+    return pinv @ pinv.T
 
 
 def _smooth(values: np.ndarray, width: int) -> np.ndarray:
@@ -295,15 +296,16 @@ def _fit_indices(
 
 
 def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
-    """Simultaneous weighted fit of both mechanical sidebands.
+    """Simultaneous maximum-likelihood fit of both mechanical sidebands.
 
     Shared center offset and linewidth, independent amplitudes, free
     floor, always started from the data-driven :func:`_initial_guess`.
-    Bin weights follow the Gamma noise law sigma = model / sqrt(n_avg)
-    and are re-derived from the running model (:data:`_IRLS_ROUNDS`
-    passes).  Raises :class:`FitConvergenceError` (carrying the
-    best-so-far state) if the bounded optimizer stops without reaching
-    the gradient tolerance.
+    One bounded solve minimizes the Gamma(n_avg) deviance of the fitted
+    bins, so the result is the maximum-likelihood fit under the bin-noise
+    law.  Raises :class:`AnalysisError` if a fitted bin is not positive
+    (the Gamma law has no zero), and :class:`FitConvergenceError`
+    (carrying the best-so-far state) if the bounded optimizer stops
+    without reaching the gradient tolerance.
     """
     guess = _initial_guess(spectrum)
 
@@ -311,6 +313,11 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     idx = _fit_indices(spectrum, guess.omega_m, window)
     freqs = spectrum.frequencies_at(idx)
     data = spectrum.psd[idx]
+    if not np.all(data > 0):
+        raise AnalysisError(
+            "a fitted spectrum bin is not positive, and the Gamma bin-noise "
+            "law needs positive power"
+        )
     n_w = min(spectrum.n_avg, _MAX_WEIGHT_AVERAGES)
 
     x0 = np.array(
@@ -325,39 +332,26 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     lower = np.array([guess.omega_m - 2 * window, 1e-3 * guess.gamma_eff, 0.0, 0.0, 1e-12])
     upper = np.array([guess.omega_m + 2 * window, 1e3 * guess.gamma_eff, np.inf, np.inf, np.inf])
     x0 = np.clip(x0, lower, upper)
-    x_scale = np.array(
-        [
-            guess.gamma_eff,
-            guess.gamma_eff,
-            max(guess.amp_stokes, 1e-6 * guess.floor),
-            max(guess.amp_antistokes, 1e-6 * guess.floor),
-            guess.floor,
-        ]
+
+    def residual(p):
+        # Signed Gamma deviance residuals: their sum of squares is the
+        # Gamma(n_avg) deviance, minimized at the maximum-likelihood fit.
+        d = data / two_lorentzian(freqs, *p) - 1.0
+        return np.copysign(np.sqrt(2.0 * n_w * (d - np.log1p(d))), d)
+
+    result = least_squares(
+        residual,
+        x0,
+        bounds=(lower, upper),
+        x_scale="jac",
+        ftol=1e-14,
+        xtol=1e-14,
+        gtol=_GRADIENT_TOL,
+        max_nfev=_MAX_EVALS,
     )
-
-    x = x0
-    result = None
-    for _ in range(_IRLS_ROUNDS):
-        sigma = two_lorentzian(freqs, *x) / math.sqrt(n_w)
-
-        def residual(p, sigma=sigma):
-            return (two_lorentzian(freqs, *p) - data) / sigma
-
-        result = least_squares(
-            residual,
-            x,
-            bounds=(lower, upper),
-            x_scale=x_scale,
-            ftol=1e-14,
-            xtol=1e-14,
-            gtol=_GRADIENT_TOL,
-            max_nfev=_MAX_EVALS,
-        )
-        x = result.x
-
+    x = result.x
     dof = max(idx.size - 5, 1)
-    jtj = result.jac.T @ result.jac
-    covariance = _psd_projection(np.linalg.pinv(jtj))
+    covariance = _covariance(result.jac)
     fit = SidebandFit(
         omega_m_fit=float(x[0]),
         gamma_eff_fit=float(x[1]),
@@ -485,8 +479,8 @@ def fit_cooling_curve(
     if result.status == 0:
         raise AnalysisError("cooling-curve fit did not converge")
     s_hat, n0_fit, n_ba_fit = (float(v) for v in result.x)
-    cov = np.linalg.pinv(result.jac.T @ result.jac)
-    sigma_s, sigma_n0, sigma_n_ba = (math.sqrt(max(v, 0.0)) for v in np.diag(cov))
+    cov = _covariance(result.jac)
+    sigma_s, sigma_n0, sigma_n_ba = (math.sqrt(v) for v in np.diag(cov))
 
     # Classical window: ratios within the bosonic correction 1/n of s at
     # the occupation threshold (a ratio at or below s counts as classical).

@@ -22,7 +22,9 @@ from sidebandlimit.physics import (
     steady_state_occupation,
     thermal_occupation,
 )
+from sidebandlimit.config import default_config
 from sidebandlimit.io import read_spectrum_csv, write_spectrum_csv
+from sidebandlimit.pipeline import plan_curve
 from sidebandlimit.spectra import (
     HeterodyneSpectrum,
     acquisition_index,
@@ -123,6 +125,31 @@ class TestFitSidebands:
         ratio, sigma = ratio_series([replace(fit, amp_antistokes=0.0)])
         assert math.isnan(ratio[0]) and math.isnan(sigma[0])
 
+    def test_line_shape_uncertainties_match_scatter_at_strong_drive(self):
+        # the 30 kHz point of the default curve: J^T J there has a condition
+        # number near 1e16, so a covariance taken from it truncates both
+        # sigmas to nearly 0 against a scatter of about 5e3 and 1.4e4 rad/s
+        config = default_config()
+        fits = []
+        for seed in range(1, 61):
+            plan = plan_curve(config, config.detunings_hz[0], seed)[-1]
+            fits.append(fit_sidebands(synthesize_spectrum(plan.model, plan.synth)))
+        assert plan.gamma_opt_hz == 30e3
+        for k, attr in ((0, "omega_m_fit"), (1, "gamma_eff_fit")):
+            scatter = np.std([getattr(f, attr) for f in fits], ddof=1)
+            reported = np.mean([math.sqrt(f.covariance[k, k]) for f in fits])
+            assert 0.7 <= reported / scatter <= 1.3, attr
+
+    def test_zero_bin_raises_analysis_error(self, params, bath_occupation):
+        # the Gamma bin law has no zero, so a fitted bin at 0 is bad input
+        _, _, model = make_model(params, bath_occupation, 30e3)
+        # a band wide enough that its lowest bin opens the fitted floor sample
+        spectrum = synthesize(model, 5000.0, seed=3, margin=200.0)
+        psd = spectrum.psd.copy()
+        psd[0] = 0.0
+        with pytest.raises(AnalysisError, match="not positive"):
+            fit_sidebands(replace(spectrum, psd=psd))
+
     def test_scaling_entire_spectrum_leaves_occupation_unchanged(
         self, params, bath_occupation
     ):
@@ -206,15 +233,15 @@ class TestRecordLayouts:
     PINNED = {
         2100.0: (
             2.0e5, 5,
-            (9299131.3901606, 13153.80725392519, 0.0469911532200161,
-             0.11630986029284714, 1.0027808359607617, 0.9754685986414983, 8250),
-            4.291971668065222e-05,
+            (9299131.39020191, 13153.807630635696, 0.04699115237125555,
+             0.11630985867489546, 1.0027808359551105, 0.9755346067916083, 8250),
+            4.292622668037681e-05,
         ),
         30000.0: (
             2.6e4, 6,
-            (9299267.052222176, 158148.40884746888, 0.037809725937874426,
-             0.04488631188622039, 1.002915964244971, 0.9925285023272299, 3183),
-            0.003778129811151248,
+            (9299267.045958497, 158148.46572733944, 0.037809711080901476,
+             0.044886297455804657, 1.0029159642449845, 0.9923561342352879, 3183),
+            0.003778031138957393,
         ),
     }
 

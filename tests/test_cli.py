@@ -7,6 +7,7 @@ full-scale defaults are exercised by the acceptance suite.
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,28 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "truncated.csv" in err
         assert "SpectrumCoverage" in err or "sideband" in err
+
+    def test_zero_floor_bin_fails_that_input(self, small_config, tmp_path, capsys):
+        # the point is kept and flagged, and `fit` exits 1 naming the input
+        assert run_cli("cool", "--config", small_config, "--save-spectra") == 0
+        spectra = sorted((tmp_path / "out" / "cool_-1620000Hz" / "spectra").glob("*.csv"))
+        # at the weakest drive the fit reads every stored floor bin between
+        # the sidebands, the one at the beat note among them
+        spectrum, metadata = read_spectrum_csv(spectra[0])
+        psd = spectrum.psd.copy()
+        psd[np.argmin(np.abs(spectrum.frequencies_at(slice(None))))] = 0.0
+        bad = tmp_path / "zero_floor.csv"
+        write_spectrum_csv(bad, replace(spectrum, psd=psd), metadata)
+        code = run_cli(
+            "fit", "--config", small_config, "--out", tmp_path / "refit",
+            bad, *spectra[1:],
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "zero_floor.csv" in err and "not positive" in err
+        points = read_points_csv(tmp_path / "refit" / "cool_-1620000Hz" / "points.csv")
+        assert len(points) == len(SMALL_GRID_HZ)
+        assert "fit_failed" in points[0]["flags"]
 
 
 class TestSweepCommand:
