@@ -129,8 +129,9 @@ class SidebandFit:
 def _covariance(jac: np.ndarray) -> np.ndarray:
     """Gauss-Newton parameter covariance (J^T J)^+ from the residual Jacobian.
 
-    Formed as pinv(J) pinv(J)^T: forming J^T J first would square the
-    condition number and let pinv truncate the well-measured directions.
+    Formed as pinv(J) pinv(J)^T: forming J^T J first squares the
+    condition number, and pinv then drops the least-constrained
+    directions, reporting nearly zero variance where it is largest.
     """
     pinv = np.linalg.pinv(jac)
     return pinv @ pinv.T
