@@ -526,14 +526,12 @@ def fit_cooling_curve(
 class OccupationPoint:
     """One cooling-curve point: occupation inferred at a drive setting."""
 
-    gamma_opt: float  # rad/s
     n_bar: float  # phonons (NaN when flagged)
     sigma_n: float  # phonons
     flags: tuple[str, ...] = ()
 
 
 def occupation_series(
-    gamma_opt: Sequence[float],
     ratio: Sequence[float],
     sigma_ratio: Sequence[float],
     s: float,
@@ -547,16 +545,16 @@ def occupation_series(
     ``unphysical_ratio`` and carried through with NaN occupation.
     """
     points: list[OccupationPoint] = []
-    for g, r, sigma_r in zip(gamma_opt, ratio, sigma_ratio):
+    for r, sigma_r in zip(ratio, sigma_ratio):
         out = occupation_from_ratio(r, s) if r > 0 else None
         if out is None or out.unphysical:
             points.append(
-                OccupationPoint(g, math.nan, math.nan, flags=("unphysical_ratio",))
+                OccupationPoint(math.nan, math.nan, flags=("unphysical_ratio",))
             )
             continue
         n = out.n_bar
         sigma_n = math.hypot(n * n / s * sigma_r, n * (n + 1.0) / s * sigma_s)
-        points.append(OccupationPoint(g, n, sigma_n))
+        points.append(OccupationPoint(n, sigma_n))
     return points
 
 
@@ -567,7 +565,7 @@ _NEAR_DIVERGENCE_FRACTION = 0.1
 
 @dataclass(frozen=True)
 class SweepRow:
-    detuning: float  # rad/s
+    detuning: float  # the summary's key, in the unit of its omega_m
     min_n_bar: float  # fitted saturation floor
     sigma: float
     n_ba_predicted: float
@@ -586,7 +584,10 @@ class SweepSummary:
 def detuning_sweep_summary(
     results: Mapping[float, CoolingCurveResult], omega_m: float
 ) -> SweepSummary:
-    """Tabulate fitted floors against the predicted backaction limit."""
+    """Tabulate fitted floors against the predicted backaction limit.
+
+    The detuning keys and ``omega_m`` may be in any one unit; rows keep the keys.
+    """
     if not results:
         raise AnalysisError("sweep summary needs at least one detuning")
     flags: list[str] = []

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,10 +46,13 @@ from sidebandlimit.physics import (
 from sidebandlimit.pipeline import (
     CurveRun,
     analyze_spectrum_files,
+    input_label,
     plan_curve,
+    point_label,
     run_cooling_curve,
     run_points,
     save_point,
+    spectrum_metadata,
     worker_pool,
 )
 
@@ -143,11 +147,11 @@ def _detuning_label(detuning_hz: float) -> str:
     return f"{detuning_hz:.10g}Hz"
 
 
-def _curve_report(
-    run: CurveRun, config: ExperimentConfig, seed: int, command: str
-) -> dict:
-    curve = run.curve
-    points = [
+def _write_curve_outputs(
+    run: CurveRun, config: ExperimentConfig, seed: int, out_dir: Path
+) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = [
         {
             "gamma_opt_hz": o.gamma_opt_hz,
             "n_bar": p.n_bar,
@@ -156,8 +160,10 @@ def _curve_report(
         }
         for o, p in zip(run.outcomes, run.occupation)
     ]
-    report = {
-        "schema": f"sidebandlimit-{command} v1",
+    write_points_csv(out_dir / "points.csv", rows)
+    curve = run.curve
+    write_report_json(out_dir / "summary.json", {
+        "schema": "sidebandlimit-cool v1",
         "seed": seed,
         "config_hash": config_hash(config.hash_dict()),
         "parameters": {
@@ -191,31 +197,15 @@ def _curve_report(
             "delta_n_substrate": run.bias_substrate,
         },
         "flags": sorted(set(run.flags)),
-        "points": points,
-    }
-    return report
+        "points": rows,
+    })
 
 
-def _write_curve_outputs(
-    run: CurveRun, config: ExperimentConfig, seed: int, out_dir: Path, command: str
-) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [
-        {
-            "gamma_opt_hz": o.gamma_opt_hz,
-            "n_bar": p.n_bar,
-            "sigma_n": p.sigma_n,
-            "flags": p.flags,
-        }
-        for o, p in zip(run.outcomes, run.occupation)
-    ]
-    write_points_csv(out_dir / "points.csv", rows)
-    report = _curve_report(run, config, seed, command)
-    write_report_json(out_dir / "summary.json", report)
-    return report
-
-
-def _print_curve_summary(run: CurveRun, out_dir: Path) -> None:
+def _finish_curve(
+    run: CurveRun, config: ExperimentConfig, seed: int, out_dir: Path, label: Callable
+) -> int:
+    """Write and print one curve, name each failed point by ``label``; the exit code."""
+    _write_curve_outputs(run, config, seed, out_dir)
     curve = run.curve
     print(f"s_hat = {curve.s_hat:.6f} +- {curve.sigma_s:.2g}")
     print(f"n0 = {curve.n0_fit:.4g} +- {curve.sigma_n0:.2g}")
@@ -225,6 +215,10 @@ def _print_curve_summary(run: CurveRun, out_dir: Path) -> None:
     print(f"n_ba = {curve.n_ba_fit:.4f} +- {curve.sigma_n_ba:.4f}{predicted_text}")
     print(f"flags: {', '.join(sorted(set(run.flags))) or 'none'}")
     print(f"outputs in {out_dir}")
+    failed = [o for o in run.outcomes if o.fit is None]
+    for outcome in failed:
+        print(f"{label(outcome)} failed: {outcome.error}", file=sys.stderr)
+    return EXIT_FAILURE if failed else EXIT_OK
 
 
 def _cmd_model(args) -> int:
@@ -287,22 +281,12 @@ def _cmd_cool(args) -> int:
             spectra_dir=spectra_dir,
             executor=pool,
         )
-    _write_curve_outputs(run, config, seed, out_dir, "cool")
-    _print_curve_summary(run, out_dir)
-    failed = [o for o in run.outcomes if o.fit is None]
-    for outcome in failed:
-        print(
-            f"point {outcome.index} (gamma_opt = {outcome.gamma_opt_hz:.6g} Hz) "
-            f"failed: {outcome.error}",
-            file=sys.stderr,
-        )
-    return EXIT_FAILURE if failed else EXIT_OK
+    return _finish_curve(run, config, seed, out_dir, point_label)
 
 
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args)
     seed = _resolve_seed(args, config)
-    params = config.system_params()
     out_root = Path(config.output_dir) / "sweep"
     out_root.mkdir(parents=True, exist_ok=True)
 
@@ -326,28 +310,24 @@ def _cmd_sweep(args) -> int:
                 errors[detuning_hz] = f"{type(exc).__name__}: {exc}"
                 print(f"detuning {label}: failed: {exc}", file=sys.stderr)
                 continue
-            _write_curve_outputs(run, config, seed, out_dir, "cool")
+            _write_curve_outputs(run, config, seed, out_dir)
             results[detuning_hz] = run
 
     if results:
         summary = detuning_sweep_summary(
-            {TWO_PI * d_hz: run.curve for d_hz, run in results.items()},
-            params.omega_m,
+            {d_hz: run.curve for d_hz, run in results.items()},
+            config.system.omega_m_hz,
         )
-        # summary rows are sorted by detuning; map back to the exact
-        # configured Hz values through the same ordering
-        sorted_hz = sorted(results)
         rows = [
             {
-                "detuning_hz": d_hz,
+                "detuning_hz": row.detuning,
                 "min_n_bar": row.min_n_bar,
                 "sigma": row.sigma,
                 "n_ba_predicted": row.n_ba_predicted,
                 "flags": list(row.flags),
             }
-            for d_hz, row in zip(sorted_hz, summary.rows)
+            for row in summary.rows
         ]
-        best_hz = min(rows, key=lambda r: r["min_n_bar"])["detuning_hz"]
         with (out_root / "sweep_summary.csv").open("w") as handle:
             handle.write("detuning_hz,min_n_bar,sigma,n_ba_predicted,flags\n")
             for row in rows:
@@ -361,7 +341,7 @@ def _cmd_sweep(args) -> int:
                 "schema": "sidebandlimit-sweep v1",
                 "seed": seed,
                 "config_hash": config_hash(config.hash_dict()),
-                "global_min_detuning_hz": best_hz,
+                "global_min_detuning_hz": summary.global_min_detuning,
                 "flags": list(summary.flags),
                 "rows": rows,
                 "errors": {
@@ -375,24 +355,21 @@ def _cmd_sweep(args) -> int:
                 f"{row['detuning_hz'] / 1e6:12.4f} {row['min_n_bar']:9.4f} "
                 f"{row['sigma']:8.4f} {row['n_ba_predicted']:11.4f}"
             )
-        print(f"global minimum at {best_hz / 1e6:.4f} MHz; outputs in {out_root}")
+        print(
+            f"global minimum at {summary.global_min_detuning / 1e6:.4f} MHz; "
+            f"outputs in {out_root}"
+        )
     return EXIT_FAILURE if errors else EXIT_OK
 
 
 def _cmd_fit(args) -> int:
     config = _resolve_config(args)
     seed = _resolve_seed(args, config)
-    run, detuning_hz = analyze_spectrum_files(list(args.inputs), config)
-    label = _detuning_label(detuning_hz) if detuning_hz is not None else "external"
+    run = analyze_spectrum_files(list(args.inputs), config)
+    detuning_hz = run.detuning_hz
+    label = "external" if detuning_hz is None else _detuning_label(detuning_hz)
     out_dir = Path(config.output_dir) / f"cool_{label}"
-    _write_curve_outputs(run, config, seed, out_dir, "cool")
-    _print_curve_summary(run, out_dir)
-    failed = [o for o in run.outcomes if o.fit is None]
-    for outcome in failed:
-        print(
-            f"input {outcome.spectrum_file} failed: {outcome.error}", file=sys.stderr
-        )
-    return EXIT_FAILURE if failed else EXIT_OK
+    return _finish_curve(run, config, seed, out_dir, input_label)
 
 
 def _cmd_synth(args) -> int:
@@ -400,14 +377,8 @@ def _cmd_synth(args) -> int:
     seed = _resolve_seed(args, config)
     detuning_hz = _resolve_detuning_hz(args, config)
     out_dir = Path(config.output_dir) / f"synth_{_detuning_label(detuning_hz)}"
-    out_dir.mkdir(parents=True, exist_ok=True)
     plans = plan_curve(config, detuning_hz, seed, 0, noiseless=args.no_noise)
-    metadata = {
-        "detuning_hz": detuning_hz,
-        "seed": seed,
-        "detuning_index": 0,
-        "config_hash": config_hash(config.hash_dict()),
-    }
+    metadata = spectrum_metadata(config, detuning_hz, seed, 0)
     with worker_pool(args.jobs) as pool:
         written = run_points(save_point, plans, str(out_dir), metadata, executor=pool)
     print(f"wrote {len(written)} spectra to {out_dir}")

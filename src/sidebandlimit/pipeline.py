@@ -13,6 +13,13 @@ Points fan out through ``run_points``.  A command opens one pool of
 ``jobs`` workers with ``worker_pool`` and passes it down as ``executor``,
 so every curve of a sweep shares the same warm workers; without an
 executor the points run in this process.
+
+``cool``, ``fit`` and every curve of ``sweep`` share one path: a
+synthesized or a read spectrum becomes a ``PointOutcome`` in
+``fit_outcome``, and a curve's outcomes become the ``CurveRun`` that
+``run_cooling_curve`` and ``analyze_spectrum_files`` return in
+``reduce_curve``.  Records carry the configured ``gamma_opt_hz``; only
+``analyze_outcomes`` converts it to rad/s.
 """
 
 from __future__ import annotations
@@ -37,7 +44,12 @@ from sidebandlimit.analysis import (
     ratio_series,
 )
 from sidebandlimit.config import ExperimentConfig
-from sidebandlimit.io import read_spectrum_csv, write_spectrum_csv
+from sidebandlimit.io import (
+    SchemaError,
+    config_hash,
+    read_spectrum_csv,
+    write_spectrum_csv,
+)
 from sidebandlimit.physics import (
     TWO_PI,
     SystemParams,
@@ -60,15 +72,9 @@ from sidebandlimit.synth import SynthConfig, synthesize_spectrum
 
 @dataclass(frozen=True)
 class PointPlan:
-    """Everything needed to synthesize and fit one cooling-curve point.
-
-    ``gamma_opt_hz`` keeps the configured ordinary-frequency value so
-    that file metadata and reports carry the number the user wrote, not
-    its rad/s round-trip.
-    """
+    """Everything needed to synthesize and fit one cooling-curve point."""
 
     index: int
-    gamma_opt: float  # rad/s
     gamma_opt_hz: float
     n_bar_truth: float
     model: SpectrumModel
@@ -80,12 +86,28 @@ class PointOutcome:
     """Fit result (or recorded failure) for one point."""
 
     index: int
-    gamma_opt: float  # rad/s
     gamma_opt_hz: float
-    n_avg: float
     fit: SidebandFit | None = None
     error: str | None = None
     spectrum_file: str | None = None
+
+
+# How failure messages name a synthesized point and a point read from a file.
+def point_label(o: PointOutcome) -> str:
+    return f"point {o.index} (gamma_opt = {o.gamma_opt_hz:.6g} Hz)"
+
+
+def input_label(o: PointOutcome) -> str:
+    return f"input {o.spectrum_file}"
+
+
+def spectrum_metadata(
+    config: ExperimentConfig, detuning_hz: float, seed: int, detuning_index: int
+) -> dict:
+    """File metadata shared by every spectrum of one curve."""
+    config_id = config_hash(config.hash_dict())
+    return dict(detuning_hz=detuning_hz, seed=seed, detuning_index=detuning_index,
+                config_hash=config_id)
 
 
 def plan_curve(
@@ -131,7 +153,6 @@ def plan_curve(
         plans.append(
             PointPlan(
                 index=i,
-                gamma_opt=gamma_opt,
                 gamma_opt_hz=gamma_opt_hz,
                 n_bar_truth=n_bar,
                 model=model,
@@ -154,9 +175,9 @@ def record_point(
     if spectra_dir is None:
         return spectrum, None
     path = Path(spectra_dir) / f"point_{plan.index:02d}.csv"
-    metadata = dict(file_metadata or {})
-    metadata["gamma_opt_hz"] = plan.gamma_opt_hz
-    metadata["point_index"] = plan.index
+    path.parent.mkdir(parents=True, exist_ok=True)
+    metadata = {**(file_metadata or {}), "gamma_opt_hz": plan.gamma_opt_hz,
+                "point_index": plan.index}
     write_spectrum_csv(path, spectrum, metadata)
     return spectrum, str(path)
 
@@ -178,19 +199,18 @@ def run_point(
 ) -> PointOutcome:
     """Synthesize one point, optionally persist it, and fit it."""
     spectrum, spectrum_file = record_point(plan, spectra_dir, file_metadata)
+    return fit_outcome(spectrum, plan.index, plan.gamma_opt_hz, spectrum_file)
+
+
+def fit_outcome(
+    spectrum: HeterodyneSpectrum, index: int, gamma_opt_hz: float, spectrum_file: str | None
+) -> PointOutcome:
+    """Fit one spectrum; a failed fit is recorded, not raised."""
     try:
         fit, error = fit_sidebands(spectrum), None
     except AnalysisError as exc:
         fit, error = None, f"{type(exc).__name__}: {exc}"
-    return PointOutcome(
-        index=plan.index,
-        gamma_opt=plan.gamma_opt,
-        gamma_opt_hz=plan.gamma_opt_hz,
-        n_avg=plan.synth.n_avg,
-        fit=fit,
-        error=error,
-        spectrum_file=spectrum_file,
-    )
+    return PointOutcome(index, gamma_opt_hz, fit, error, spectrum_file)
 
 
 def worker_pool(jobs: int):
@@ -237,7 +257,7 @@ def analyze_outcomes(
 ) -> tuple[list[OccupationPoint], CoolingCurveResult, tuple[str, ...]]:
     """Reduce per-point fits to a cooling curve; failures stay flagged."""
     fitted = [o for o in outcomes if o.fit is not None]
-    gamma_opt = [o.gamma_opt for o in fitted]
+    gamma_opt = [TWO_PI * o.gamma_opt_hz for o in fitted]
     ratio, sigma_ratio = ratio_series([o.fit for o in fitted])
     n_ba_predicted = (
         float(backaction_limit(detuning, params)) if detuning is not None else None
@@ -250,18 +270,16 @@ def analyze_outcomes(
         params.omega_m,
         n_ba_predicted=n_ba_predicted,
     )
-    points = iter(
-        occupation_series(gamma_opt, ratio, sigma_ratio, curve.s_hat, curve.sigma_s)
-    )
+    points = iter(occupation_series(ratio, sigma_ratio, curve.s_hat, curve.sigma_s))
     occupation = [
         next(points)
         if o.fit is not None
-        else OccupationPoint(o.gamma_opt, math.nan, math.nan, flags=("fit_failed",))
+        else OccupationPoint(math.nan, math.nan, flags=("fit_failed",))
         for o in outcomes
     ]
 
     flags = list(curve.flags)
-    top = max(o.gamma_opt for o in outcomes)
+    top = TWO_PI * max(o.gamma_opt_hz for o in outcomes)
     bounds = regime_boundaries(curve.n0_fit, curve.n_ba_fit, params.gamma_0)
     if top < bounds.ground_state:
         flags.append("classical_regime_only")
@@ -297,6 +315,33 @@ def systematics_biases(
     )
 
 
+def reduce_curve(
+    outcomes: list[PointOutcome],
+    config: ExperimentConfig,
+    detuning_hz: float | None,
+    label: Callable[[PointOutcome], str],
+) -> CurveRun:
+    """Reduce one curve's outcomes; the systematics need a detuning.
+
+    An error that stops the reduction names each failed point by ``label``.
+    """
+    detuning = TWO_PI * detuning_hz if detuning_hz is not None else None
+    try:
+        occupation, curve, flags = analyze_outcomes(outcomes, config.system_params(), detuning)
+    except AnalysisError as exc:
+        failed = "".join(
+            f"\n  {label(o)} failed: {o.error}" for o in outcomes if o.fit is None
+        )
+        raise AnalysisError(f"{exc}{failed}") from exc
+    bias_laser = bias_substrate = None
+    if detuning_hz is not None:
+        bias_laser, bias_substrate = systematics_biases(
+            config, detuning_hz, max(o.gamma_opt_hz for o in outcomes)
+        )
+    return CurveRun(detuning_hz, tuple(outcomes), tuple(occupation), curve, flags,
+                    bias_laser, bias_substrate)
+
+
 def run_cooling_curve(
     config: ExperimentConfig,
     detuning_hz: float,
@@ -311,47 +356,18 @@ def run_cooling_curve(
     Points run on ``executor`` when given, else in this process.
     """
     plans = plan_curve(config, detuning_hz, master_seed, detuning_index, noiseless)
-    if spectra_dir is not None:
-        Path(spectra_dir).mkdir(parents=True, exist_ok=True)
-    from sidebandlimit.io import config_hash
-
-    metadata = {
-        "detuning_hz": detuning_hz,
-        "seed": master_seed,
-        "detuning_index": detuning_index,
-        "config_hash": config_hash(config.hash_dict()),
-    }
+    metadata = spectrum_metadata(config, detuning_hz, master_seed, detuning_index)
     outcomes = run_points(run_point, plans, spectra_dir, metadata, executor=executor)
-
-    params = config.system_params()
-    occupation, curve, flags = analyze_outcomes(
-        outcomes, params, TWO_PI * detuning_hz
-    )
-    bias_laser, bias_substrate = systematics_biases(
-        config, detuning_hz, max(p.gamma_opt_hz for p in plans)
-    )
-    return CurveRun(
-        detuning_hz=detuning_hz,
-        outcomes=tuple(outcomes),
-        occupation=tuple(occupation),
-        curve=curve,
-        flags=flags,
-        bias_laser=bias_laser,
-        bias_substrate=bias_substrate,
-    )
+    return reduce_curve(outcomes, config, detuning_hz, point_label)
 
 
-def analyze_spectrum_files(
-    files: list, config: ExperimentConfig
-) -> tuple[CurveRun, float | None]:
+def analyze_spectrum_files(files: list, config: ExperimentConfig) -> CurveRun:
     """Run the reduction chain on externally provided spectrum files.
 
     Files must follow the spectra CSV schema and carry ``gamma_opt_hz``
     metadata; ``detuning_hz`` is optional and only feeds the closed-form
     comparison value.
     """
-    from sidebandlimit.io import SchemaError
-
     outcomes = []
     detunings_hz = set()
     for path in files:
@@ -364,43 +380,8 @@ def analyze_spectrum_files(
                 detunings_hz.add(float(metadata["detuning_hz"]))
         except ValueError as exc:
             raise SchemaError(path, 1, f"malformed metadata value: {exc}") from exc
-        try:
-            fit = fit_sidebands(spectrum)
-            error = None
-        except AnalysisError as exc:
-            fit = None
-            error = f"{type(exc).__name__}: {exc}"
-        outcomes.append(
-            PointOutcome(
-                index=len(outcomes),
-                gamma_opt=TWO_PI * gamma_opt_hz,
-                gamma_opt_hz=gamma_opt_hz,
-                n_avg=spectrum.n_avg,
-                fit=fit,
-                error=error,
-                spectrum_file=str(path),
-            )
-        )
+        outcomes.append(fit_outcome(spectrum, len(outcomes), gamma_opt_hz, str(path)))
     outcomes.sort(key=lambda o: o.gamma_opt_hz)
     outcomes = [replace(o, index=i) for i, o in enumerate(outcomes)]
-
     detuning_hz = detunings_hz.pop() if len(detunings_hz) == 1 else None
-    params = config.system_params()
-    occupation, curve, flags = analyze_outcomes(
-        outcomes, params, TWO_PI * detuning_hz if detuning_hz is not None else None
-    )
-    bias_laser = bias_substrate = None
-    if detuning_hz is not None:
-        bias_laser, bias_substrate = systematics_biases(
-            config, detuning_hz, max(o.gamma_opt_hz for o in outcomes)
-        )
-    run = CurveRun(
-        detuning_hz=detuning_hz,
-        outcomes=tuple(outcomes),
-        occupation=tuple(occupation),
-        curve=curve,
-        flags=flags,
-        bias_laser=bias_laser,
-        bias_substrate=bias_substrate,
-    )
-    return run, detuning_hz
+    return reduce_curve(outcomes, config, detuning_hz, input_label)

@@ -365,9 +365,7 @@ class TestOccupationSeries:
         curve = _reduce(params, series)
         gamma_opt = [g for g, _ in series]
         ratio, sigma_ratio = ratio_series([f for _, f in series])
-        points = occupation_series(
-            gamma_opt, ratio, sigma_ratio, curve.s_hat, curve.sigma_s
-        )
+        points = occupation_series(ratio, sigma_ratio, curve.s_hat, curve.sigma_s)
         for g, point in zip(gamma_opt, points):
             n_truth = steady_state_occupation(
                 bath_occupation,
@@ -386,9 +384,7 @@ class TestOccupationSeries:
         bad = replace(good, amp_stokes=good.amp_antistokes * curve.s_hat * 0.9)
         series = series + [(series[-1][0], bad)]
         ratio, sigma_ratio = ratio_series([f for _, f in series])
-        points = occupation_series(
-            [g for g, _ in series], ratio, sigma_ratio, curve.s_hat, curve.sigma_s
-        )
+        points = occupation_series(ratio, sigma_ratio, curve.s_hat, curve.sigma_s)
         assert points[-1].flags == ("unphysical_ratio",)
         assert math.isnan(points[-1].n_bar)
         assert math.isnan(points[-1].sigma_n)
@@ -528,7 +524,7 @@ class TestFitCoolingCurve:
         curve = fit_cooling_curve(
             gamma_opt, ratio, sigma, params.gamma_0, params.omega_m
         )
-        points = occupation_series(gamma_opt, ratio, sigma, curve.s_hat, curve.sigma_s)
+        points = occupation_series(ratio, sigma, curve.s_hat, curve.sigma_s)
         assert len(points) == len(gamma_opt)
         assert points[7].flags == ("unphysical_ratio",)
         assert curve.n_ba_fit == pytest.approx(n_ba, rel=2e-2)

@@ -285,6 +285,57 @@ class TestFitCommand:
         assert "fit_failed" in points[0]["flags"]
 
 
+class TestUnreducibleCurve:
+    @pytest.fixture
+    def thin_config(self, tmp_path):
+        # averaged so little that at seed 1 the three strongest drives at
+        # -1.62 MHz fail their visibility check, leaving 2 of the 4 ratios
+        # the reduction needs; the -1 MHz curve still reduces
+        path = tmp_path / "thin.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "detunings_hz": [-1.62e6, -1.0e6],
+                    "gamma_opt_grid_hz": SMALL_GRID_HZ,
+                    "synthesis": {"n_avg_base": 300.0},
+                    "output_dir": str(tmp_path / "out"),
+                    "seed": 1,
+                }
+            )
+        )
+        return path
+
+    def test_error_names_each_failed_point(self, thin_config, tmp_path, capsys):
+        assert run_cli("cool", "--config", thin_config, "--save-spectra") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: AnalysisError: need at least 4")
+        expected = [
+            f"  point {i} (gamma_opt = {SMALL_GRID_HZ[i]:.6g} Hz) failed: "
+            "InsufficientVisibilityError"
+            for i in (2, 3, 4)
+        ]
+        named = [line for line in err.splitlines() if " failed: " in line]
+        assert [line.split(": no ")[0] for line in named] == expected
+
+        # `fit` on the spectra the failed `cool` wrote names the input files
+        spectra = sorted((tmp_path / "out" / "cool_-1620000Hz" / "spectra").glob("*.csv"))
+        assert len(spectra) == len(SMALL_GRID_HZ)
+        assert run_cli("fit", "--config", thin_config, "--out", tmp_path / "b", *spectra) == 1
+        err = capsys.readouterr().err
+        named = [line for line in err.splitlines() if " failed: " in line]
+        assert [line.split(" failed: ")[0] for line in named] == [
+            f"  input {path}" for path in spectra[2:]
+        ]
+
+        # `sweep` keeps the other curve and records the same text
+        assert run_cli("sweep", "--config", thin_config) == 1
+        sweep = json.loads((tmp_path / "out" / "sweep" / "sweep.json").read_text())
+        assert [row["detuning_hz"] for row in sweep["rows"]] == [-1.0e6]
+        error = sweep["errors"]["-1620000Hz"]
+        assert error.startswith("AnalysisError: need at least 4")
+        assert [line.split(": no ")[0] for line in error.splitlines()[1:]] == expected
+
+
 class TestSweepCommand:
     def test_two_detuning_sweep(self, small_config, tmp_path, capsys):
         assert run_cli("sweep", "--config", small_config) == 0

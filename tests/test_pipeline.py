@@ -45,13 +45,15 @@ def reducible_config(config):
 class TestPlanCurve:
     def test_plans_follow_the_grid(self, config):
         plans = plan_curve(config, config.detunings_hz[0], master_seed=1)
-        assert [p.gamma_opt for p in plans] == [TWO_PI * g for g in config.gamma_opt_grid_hz]
+        assert [p.gamma_opt_hz for p in plans] == list(config.gamma_opt_grid_hz)
         params = config.system_params()
         n0 = thermal_occupation(0.36, params.omega_m)
         n_ba = 0.1782615949282616  # closed form at -1.62 MHz
         for plan in plans:
             assert plan.n_bar_truth == pytest.approx(
-                steady_state_occupation(n0, params.gamma_0, n_ba, plan.gamma_opt),
+                steady_state_occupation(
+                    n0, params.gamma_0, n_ba, TWO_PI * plan.gamma_opt_hz
+                ),
                 rel=1e-9,
             )
 
