@@ -67,7 +67,11 @@ class SynthConfig:
 
     @property
     def grid_bins(self) -> int:
-        return int(math.floor((self.f_hi - self.f_lo) / self.resolution)) + 1
+        # A span within rounding of a whole number of bins ends on f_hi;
+        # any other span stops at the last bin below f_hi.
+        span = (self.f_hi - self.f_lo) / self.resolution
+        whole = round(span)
+        return (whole if math.isclose(span, whole, rel_tol=1e-12) else math.floor(span)) + 1
 
 
 @dataclass(frozen=True)

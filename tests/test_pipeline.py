@@ -75,6 +75,7 @@ class TestPlanCurve:
             margin = config.synthesis.grid_margin_linewidths * plan.model.gamma_eff
             assert plan.synth.f_hi >= plan.model.omega_m + 0.99 * margin
             assert plan.synth.f_lo == -plan.synth.f_hi
+            assert plan.synth.grid_bins == 2 * round(plan.synth.f_hi / plan.synth.resolution) + 1
 
     def test_recorded_bins_do_not_grow_as_lines_narrow(self):
         # weakest (1 Hz) and strongest (30 kHz) drive of the default curve
