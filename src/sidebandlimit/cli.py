@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from sidebandlimit import __version__
@@ -168,12 +168,7 @@ def _write_curve_outputs(
         "config_hash": config_hash(config.hash_dict()),
         "parameters": {
             "detuning_hz": run.detuning_hz,
-            "system": {
-                "kappa_hz": config.system.kappa_hz,
-                "omega_m_hz": config.system.omega_m_hz,
-                "gamma_0_hz": config.system.gamma_0_hz,
-                "efficiency": config.system.efficiency,
-            },
+            "system": asdict(config.system),
             "bath_temperature_k": config.bath_temperature_k,
             "power_scale_hz_per_uw": config.power_scale_hz_per_uw,
         },

@@ -105,9 +105,12 @@ def spectrum_metadata(
     config: ExperimentConfig, detuning_hz: float, seed: int, detuning_index: int
 ) -> dict:
     """File metadata shared by every spectrum of one curve."""
-    config_id = config_hash(config.hash_dict())
-    return dict(detuning_hz=detuning_hz, seed=seed, detuning_index=detuning_index,
-                config_hash=config_id)
+    return {
+        "detuning_hz": detuning_hz,
+        "seed": seed,
+        "detuning_index": detuning_index,
+        "config_hash": config_hash(config.hash_dict()),
+    }
 
 
 def plan_curve(
@@ -176,8 +179,9 @@ def record_point(
         return spectrum, None
     path = Path(spectra_dir) / f"point_{plan.index:02d}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    metadata = {**(file_metadata or {}), "gamma_opt_hz": plan.gamma_opt_hz,
-                "point_index": plan.index}
+    metadata = dict(file_metadata or {})
+    metadata["gamma_opt_hz"] = plan.gamma_opt_hz
+    metadata["point_index"] = plan.index
     write_spectrum_csv(path, spectrum, metadata)
     return spectrum, str(path)
 
@@ -338,8 +342,15 @@ def reduce_curve(
         bias_laser, bias_substrate = systematics_biases(
             config, detuning_hz, max(o.gamma_opt_hz for o in outcomes)
         )
-    return CurveRun(detuning_hz, tuple(outcomes), tuple(occupation), curve, flags,
-                    bias_laser, bias_substrate)
+    return CurveRun(
+        detuning_hz=detuning_hz,
+        outcomes=tuple(outcomes),
+        occupation=tuple(occupation),
+        curve=curve,
+        flags=flags,
+        bias_laser=bias_laser,
+        bias_substrate=bias_substrate,
+    )
 
 
 def run_cooling_curve(
