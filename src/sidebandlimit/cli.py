@@ -162,7 +162,7 @@ def _write_curve_outputs(
     ]
     write_points_csv(out_dir / "points.csv", rows)
     curve = run.curve
-    write_report_json(out_dir / "summary.json", {
+    report = {
         "schema": "sidebandlimit-cool v1",
         "seed": seed,
         "config_hash": config_hash(config.hash_dict()),
@@ -193,13 +193,14 @@ def _write_curve_outputs(
         },
         "flags": sorted(set(run.flags)),
         "points": rows,
-    })
+    }
+    write_report_json(out_dir / "summary.json", report)
 
 
 def _finish_curve(
     run: CurveRun, config: ExperimentConfig, seed: int, out_dir: Path, label: Callable
 ) -> int:
-    """Write and print one curve, name each failed point by ``label``; the exit code."""
+    """Write and print one curve, naming each failed point by ``label``; returns the exit code."""
     _write_curve_outputs(run, config, seed, out_dir)
     curve = run.curve
     print(f"s_hat = {curve.s_hat:.6f} +- {curve.sigma_s:.2g}")
