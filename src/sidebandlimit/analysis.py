@@ -5,7 +5,8 @@ The chain mirrors how the measurement is actually reduced:
 1. :func:`fit_sidebands` -- the two-Lorentzian model with a shared
    center offset and linewidth, independent amplitudes and a free floor,
    fitted by maximum likelihood under the Gamma(n_avg) bin-noise law:
-   one bounded solve on Gamma deviance residuals.
+   one bounded solve on Gamma deviance residuals, with their Jacobian in
+   closed form (:func:`_deviance_jacobian`).
 2. :func:`ratio_series` -- each fit's amplitude ratio R and its
    uncertainty.
 3. :func:`fit_cooling_curve` -- one weighted fit of the measured ratios,
@@ -43,6 +44,7 @@ from sidebandlimit.spectra import (
     HeterodyneSpectrum,
     floor_sample,
     two_lorentzian,
+    two_lorentzian_gradient,
 )
 
 # Cap applied to n_avg so the noiseless (n_avg = inf) mode keeps the
@@ -51,6 +53,11 @@ _MAX_WEIGHT_AVERAGES = 1e12
 
 _GRADIENT_TOL = 1e-10
 _MAX_EVALS = 2000
+
+# Where |d| = |data/model - 1| is below this, the Jacobian takes d/r, the
+# ratio of d to its deviance residual, from its series (1 + d/3)/sqrt(n):
+# the direct quotient is 0/0 at d = 0 and loses digits near it.
+_SERIES_BELOW = 1e-4
 
 
 class AnalysisError(RuntimeError):
@@ -285,15 +292,44 @@ def _fit_indices(
     """
     sl_pos = spectrum.index_range(omega_m - window, omega_m + window)
     sl_neg = spectrum.index_range(-omega_m - window, -omega_m + window)
-    window_idx = np.concatenate(
-        [np.arange(sl_neg.start, sl_neg.stop), np.arange(sl_pos.start, sl_pos.stop)]
-    )
-    if window_idx.size < 20:
+    if (sl_neg.stop - sl_neg.start) + (sl_pos.stop - sl_pos.start) < 20:
         raise SpectrumCoverageError("sideband windows contain too few bins")
     floor_idx = floor_sample(
         spectrum.index_range, spectrum.f_lo, spectrum.f_hi, omega_m, window
     )
-    return np.unique(np.concatenate([window_idx, floor_idx]))
+    # the windows overlap once 2 * window > 2 * omega_m; a mask merges them
+    keep = np.zeros(spectrum.n_bins, dtype=bool)
+    keep[sl_neg] = True
+    keep[sl_pos] = True
+    keep[floor_idx] = True
+    return np.flatnonzero(keep)
+
+
+def _deviance_residual(p, freqs, data, n_w):
+    """Signed Gamma deviance residuals of the model ``p`` at the fitted bins.
+
+    Their sum of squares is the Gamma(n_w) deviance, minimized at the
+    maximum-likelihood fit.
+    """
+    d = data / two_lorentzian(freqs, *p) - 1.0
+    return np.copysign(np.sqrt(2.0 * n_w * (d - np.log1p(d))), d)
+
+
+def _deviance_jacobian(p, freqs, data, n_w):
+    """Analytic Jacobian of :func:`_deviance_residual`, shape (m, 5).
+
+    With d = data/mu - 1 and r the residual, dr/dmu = -n_w (d/r) / mu;
+    the chain rule through :func:`two_lorentzian_gradient` gives the rest.
+    Built as a (5, m) array and returned transposed.
+    """
+    grad = two_lorentzian_gradient(freqs, *p)
+    mu = p[4] + p[2] * grad[2] + p[3] * grad[3]
+    d = data / mu - 1.0
+    r = np.copysign(np.sqrt(2.0 * n_w * (d - np.log1p(d))), d)
+    series = np.abs(d) < _SERIES_BELOW
+    d_over_r = np.divide(d, r, out=(1.0 + d / 3.0) / math.sqrt(n_w), where=~series)
+    grad *= (-n_w / mu) * d_over_r
+    return grad.T
 
 
 def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
@@ -303,8 +339,10 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     floor, always started from the data-driven :func:`_initial_guess`.
     One bounded solve minimizes the Gamma(n_avg) deviance of the fitted
     bins, so the result is the maximum-likelihood fit under the bin-noise
-    law.  Raises :class:`AnalysisError` if a fitted bin is not positive
-    (the Gamma law has no zero), and :class:`FitConvergenceError`
+    law.  The solver takes the analytic Jacobian of those residuals, and
+    the covariance comes from it at the optimum.  Raises
+    :class:`AnalysisError` if a fitted bin is not positive (the Gamma law
+    has no zero), and :class:`FitConvergenceError`
     (carrying the best-so-far state) if the bounded optimizer stops
     without reaching the gradient tolerance.
     """
@@ -334,21 +372,17 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     upper = np.array([guess.omega_m + 2 * window, 1e3 * guess.gamma_eff, np.inf, np.inf, np.inf])
     x0 = np.clip(x0, lower, upper)
 
-    def residual(p):
-        # Signed Gamma deviance residuals: their sum of squares is the
-        # Gamma(n_avg) deviance, minimized at the maximum-likelihood fit.
-        d = data / two_lorentzian(freqs, *p) - 1.0
-        return np.copysign(np.sqrt(2.0 * n_w * (d - np.log1p(d))), d)
-
     result = least_squares(
-        residual,
+        _deviance_residual,
         x0,
+        jac=_deviance_jacobian,
         bounds=(lower, upper),
         x_scale="jac",
         ftol=1e-14,
         xtol=1e-14,
         gtol=_GRADIENT_TOL,
         max_nfev=_MAX_EVALS,
+        args=(freqs, data, n_w),
     )
     x = result.x
     dof = max(idx.size - 5, 1)

@@ -361,7 +361,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_fit(args) -> int:
     config = _resolve_config(args)
     seed = _resolve_seed(args, config)
-    run = analyze_spectrum_files(list(args.inputs), config)
+    with worker_pool(args.jobs) as pool:
+        run = analyze_spectrum_files(list(args.inputs), config, executor=pool)
     detuning_hz = run.detuning_hz
     label = "external" if detuning_hz is None else _detuning_label(detuning_hz)
     out_dir = Path(config.output_dir) / f"cool_{label}"

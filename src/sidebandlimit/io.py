@@ -55,6 +55,11 @@ class SchemaError(ValueError):
         super().__init__(f"{where}: {message}")
         self.path = str(path)
         self.line = line
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from its parts when a worker process raises it
+        return type(self), (self.path, self.line, self.message)
 
 
 def _format_value(value: Any) -> str:

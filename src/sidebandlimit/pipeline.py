@@ -9,10 +9,10 @@ independent RNG streams derived from ``(master seed, detuning index,
 point index)``, so any execution order -- including process pools --
 reproduces identical data.
 
-Points fan out through ``run_points``.  A command opens one pool of
-``jobs`` workers with ``worker_pool`` and passes it down as ``executor``,
-so every curve of a sweep shares the same warm workers; without an
-executor the points run in this process.
+Points, and the files ``fit`` reads, fan out through ``run_points``.  A
+command opens one pool of ``jobs`` workers with ``worker_pool`` and passes
+it down as ``executor``, so every curve of a sweep shares the same warm
+workers; without an executor the points run in this process.
 
 ``cool``, ``fit`` and every curve of ``sweep`` share one path: a
 synthesized or a read spectrum becomes a ``PointOutcome`` in
@@ -227,17 +227,18 @@ def worker_pool(jobs: int):
 
 def run_points(
     task: Callable,
-    plans: list[PointPlan],
+    items: list,
     *args,
     executor: Executor | None = None,
 ) -> list:
-    """``task(plan, *args)`` for every plan, results in plan order.
+    """``task(item, *args)`` for every item (a plan or a file), results in order.
 
     Tasks go to ``executor`` when one is given, else run in this process.
+    The first task to raise, in item order, raises here.
     """
     if executor is None:
-        return [task(plan, *args) for plan in plans]
-    futures = [executor.submit(task, plan, *args) for plan in plans]
+        return [task(item, *args) for item in items]
+    futures = [executor.submit(task, item, *args) for item in items]
     return [f.result() for f in futures]
 
 
@@ -372,27 +373,49 @@ def run_cooling_curve(
     return reduce_curve(outcomes, config, detuning_hz, point_label)
 
 
-def analyze_spectrum_files(files: list, config: ExperimentConfig) -> CurveRun:
+def read_and_fit(path) -> tuple[PointOutcome, float | None]:
+    """Read one spectrum file and fit it; returns the outcome and its detuning.
+
+    The outcome's index is a placeholder until the curve is sorted.
+    """
+    spectrum, metadata = read_spectrum_csv(path)
+    if "gamma_opt_hz" not in metadata:
+        raise SchemaError(path, 1, "missing required metadata key 'gamma_opt_hz'")
+    try:
+        gamma_opt_hz = float(metadata["gamma_opt_hz"])
+        detuning_hz = (
+            float(metadata["detuning_hz"]) if "detuning_hz" in metadata else None
+        )
+    except ValueError as exc:
+        raise SchemaError(path, 1, f"malformed metadata value: {exc}") from exc
+    return fit_outcome(spectrum, 0, gamma_opt_hz, str(path)), detuning_hz
+
+
+def analyze_spectrum_files(
+    files: list, config: ExperimentConfig, executor: Executor | None = None
+) -> CurveRun:
     """Run the reduction chain on externally provided spectrum files.
 
     Files must follow the spectra CSV schema and carry ``gamma_opt_hz``
     metadata; ``detuning_hz`` is optional and only feeds the closed-form
-    comparison value.
+    comparison value, but files naming two detunings are not one curve.
+    Files are read and fitted on ``executor`` when given, else in this
+    process; a schema error names the first bad file in input order.
     """
-    outcomes = []
-    detunings_hz = set()
-    for path in files:
-        spectrum, metadata = read_spectrum_csv(path)
-        if "gamma_opt_hz" not in metadata:
-            raise SchemaError(path, 1, "missing required metadata key 'gamma_opt_hz'")
-        try:
-            gamma_opt_hz = float(metadata["gamma_opt_hz"])
-            if "detuning_hz" in metadata:
-                detunings_hz.add(float(metadata["detuning_hz"]))
-        except ValueError as exc:
-            raise SchemaError(path, 1, f"malformed metadata value: {exc}") from exc
-        outcomes.append(fit_outcome(spectrum, len(outcomes), gamma_opt_hz, str(path)))
-    outcomes.sort(key=lambda o: o.gamma_opt_hz)
+    results = run_points(read_and_fit, list(files), executor=executor)
+    first_at: dict[float, str] = {}
+    for outcome, detuning_hz in results:
+        if detuning_hz is not None:
+            first_at.setdefault(detuning_hz, outcome.spectrum_file)
+    if len(first_at) > 1:
+        (d_a, file_a), (d_b, file_b) = list(first_at.items())[:2]
+        raise SchemaError(
+            file_b,
+            None,
+            f"detuning_hz {d_b!r} differs from {d_a!r} in {file_a}; "
+            "spectra of one curve must share one detuning",
+        )
+    outcomes = sorted((o for o, _ in results), key=lambda o: o.gamma_opt_hz)
     outcomes = [replace(o, index=i) for i, o in enumerate(outcomes)]
-    detuning_hz = detunings_hz.pop() if len(detunings_hz) == 1 else None
+    detuning_hz = next(iter(first_at), None)
     return reduce_curve(outcomes, config, detuning_hz, input_label)

@@ -26,15 +26,20 @@ from sidebandlimit.config import default_config
 from sidebandlimit.io import read_spectrum_csv, write_spectrum_csv
 from sidebandlimit.pipeline import plan_curve
 from sidebandlimit.spectra import (
+    WINDOW_LINEWIDTHS,
     HeterodyneSpectrum,
     acquisition_index,
     build_model,
     evaluate_psd,
+    floor_sample,
 )
 from sidebandlimit.synth import SynthConfig, synthesize_spectrum
 from sidebandlimit.analysis import (
     AnalysisError,
     InsufficientVisibilityError,
+    _deviance_jacobian,
+    _deviance_residual,
+    _fit_indices,
     SpectrumCoverageError,
     detuning_sweep_summary,
     fit_cooling_curve,
@@ -212,6 +217,83 @@ class TestFitSidebands:
         assert best.n_bins_used > 0
 
 
+class TestDevianceJacobian:
+    """The analytic residual Jacobian against central differences."""
+
+    @staticmethod
+    def _check(spectrum, p):
+        window = WINDOW_LINEWIDTHS * p[1]
+        idx = _fit_indices(spectrum, p[0], window)
+        args = (spectrum.frequencies_at(idx), spectrum.psd[idx], min(spectrum.n_avg, 1e12))
+        jac = _deviance_jacobian(p, *args)
+        assert jac.shape == (idx.size, 5)
+        steps = 1e-5 * np.array([p[1], p[1], p[4], p[4], p[4]])
+        for k, h in enumerate(steps):
+            up, down = p.copy(), p.copy()
+            up[k] += h
+            down[k] -= h
+            numeric = (_deviance_residual(up, *args) - _deviance_residual(down, *args)) / (
+                2 * h
+            )
+            scale = np.abs(numeric).max()
+            assert np.abs(jac[:, k] - numeric).max() <= 1e-6 * scale, k
+        return args
+
+    @staticmethod
+    def _truth(model):
+        return np.array(
+            [model.omega_m, model.gamma_eff, model.peak_stokes, model.peak_antistokes,
+             model.floor]
+        )
+
+    def test_noisy_record(self, params, bath_occupation):
+        _, _, model = make_model(params, bath_occupation, 30e3)
+        p = self._truth(model) * np.array([1.0 + 1e-4, 1.02, 0.97, 1.03, 1.001])
+        self._check(synthesize(model, 5000.0, seed=3), p)
+
+    def test_noiseless_record_takes_the_series_branch(self, params, bath_occupation):
+        # at the truth every bin has data/model - 1 near 0, where d/r is 0/0
+        _, _, model = make_model(params, bath_occupation, 30e3)
+        p = self._truth(model)
+        freqs, data, n_w = self._check(synthesize(model, math.inf), p)
+        d = data / evaluate_psd(model, freqs) - 1.0
+        assert np.all(np.abs(d) < 1e-4)
+        assert np.all(np.isfinite(_deviance_jacobian(p, freqs, data, n_w)))
+
+    def test_amplitude_at_its_bound(self, params, bath_occupation):
+        _, _, model = make_model(params, bath_occupation, 30e3)
+        p = self._truth(model)
+        p[3] = 0.0
+        self._check(synthesize(model, 5000.0, seed=4), p)
+
+
+def test_fit_indices_merge_matches_unique_on_every_default_plan():
+    # at the strongest drives the window, 60 gamma_eff, exceeds omega_m, so
+    # the two sideband windows overlap and share positions
+    config = default_config()
+    overlapping = 0
+    for index, detuning_hz in enumerate(config.detunings_hz):
+        for plan in plan_curve(config, detuning_hz, 1, index):
+            spectrum = synthesize_spectrum(plan.model, plan.synth)
+            omega_m, window = plan.model.omega_m, WINDOW_LINEWIDTHS * plan.model.gamma_eff
+            sl_pos = spectrum.index_range(omega_m - window, omega_m + window)
+            sl_neg = spectrum.index_range(-omega_m - window, -omega_m + window)
+            floor_idx = floor_sample(
+                spectrum.index_range, spectrum.f_lo, spectrum.f_hi, omega_m, window
+            )
+            parts = np.concatenate([
+                np.arange(sl_neg.start, sl_neg.stop),
+                np.arange(sl_pos.start, sl_pos.stop),
+                floor_idx,
+            ])
+            expected = np.unique(parts)
+            overlapping += expected.size < parts.size
+            np.testing.assert_array_equal(
+                _fit_indices(spectrum, omega_m, window), expected
+            )
+    assert overlapping > 0
+
+
 def _full_grid_record(params, n0, gamma_opt_hz, n_avg, seed):
     """Noisy full-grid record built without the synthesis module."""
     _, _, model = make_model(params, n0, gamma_opt_hz, background_fraction=0.002775)
@@ -233,15 +315,15 @@ class TestRecordLayouts:
     PINNED = {
         2100.0: (
             2.0e5, 5,
-            (9299131.39020191, 13153.807630635696, 0.04699115237125555,
-             0.11630985867489546, 1.0027808359551105, 0.9755346067916083, 8250),
-            4.292622668037681e-05,
+            (9299131.390268369, 13153.807963073521, 0.04699115156666634,
+             0.11630985717891079, 1.0027808359501524, 0.9755346067916072, 8250),
+            4.292622629576422e-05,
         ),
         30000.0: (
             2.6e4, 6,
-            (9299267.045958497, 158148.46572733944, 0.037809711080901476,
-             0.044886297455804657, 1.0029159642449845, 0.9923561342352879, 3183),
-            0.003778031138957393,
+            (9299267.050265474, 158148.38484456742, 0.037809721860952814,
+             0.04488630784487914, 1.0029159643605734, 0.992356134235271, 3183),
+            0.003778031504211695,
         ),
     }
 

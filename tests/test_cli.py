@@ -285,6 +285,59 @@ class TestFitCommand:
         assert "fit_failed" in points[0]["flags"]
 
 
+    def test_spectra_of_two_detunings_are_a_schema_error(
+        self, small_config, tmp_path, capsys
+    ):
+        # two curves' spectra are not one curve: exit 2, nothing written
+        for detuning in (-1.62e6, -1.0e6):
+            assert run_cli("synth", "--config", small_config, "--detuning", detuning) == 0
+        first = sorted((tmp_path / "out" / "synth_-1620000Hz").glob("*.csv"))
+        second = sorted((tmp_path / "out" / "synth_-1000000Hz").glob("*.csv"))
+        refit = tmp_path / "refit"
+        assert run_cli("fit", "--config", small_config, "--out", refit, *first, *second) == 2
+        err = capsys.readouterr().err
+        assert "-1620000.0" in err and "-1000000.0" in err
+        assert str(first[0]) in err and str(second[0]) in err
+        assert not refit.exists()
+
+    def test_output_independent_of_jobs(self, small_config, tmp_path, monkeypatch):
+        pools = []
+        init = ProcessPoolExecutor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            pools.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        assert run_cli("synth", "--config", small_config) == 0
+        spectra = sorted((tmp_path / "out" / "synth_-1620000Hz").glob("*.csv"))
+        pools.clear()
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run_cli("fit", "--config", small_config, "--out", out, "--jobs", jobs,
+                           *spectra) == 0
+        assert len(pools) == 1
+        for name in ("points.csv", "summary.json"):
+            one = (tmp_path / "jobs1" / "cool_-1620000Hz" / name).read_bytes()
+            two = (tmp_path / "jobs2" / "cool_-1620000Hz" / name).read_bytes()
+            assert one == two
+
+    def test_first_bad_input_is_named_across_jobs(self, small_config, tmp_path, capsys):
+        assert run_cli("synth", "--config", small_config) == 0
+        spectra = sorted((tmp_path / "out" / "synth_-1620000Hz").glob("*.csv"))
+        orphan = tmp_path / "orphan.csv"
+        spectrum, _ = read_spectrum_csv(spectra[0])
+        write_spectrum_csv(orphan, spectrum, {"detuning_hz": -1.62e6})
+        garbled = tmp_path / "garbled.csv"
+        garbled.write_text("not a spectrum\n")
+        capsys.readouterr()
+        for jobs in (1, 2):
+            argv = ["fit", "--config", small_config, "--jobs", jobs]
+            assert run_cli(*argv, spectra[0], orphan, spectra[1], garbled) == 2
+            err = capsys.readouterr().err
+            assert "orphan.csv" in err and "garbled.csv" not in err
+
+
 class TestUnreducibleCurve:
     @pytest.fixture
     def thin_config(self, tmp_path):
