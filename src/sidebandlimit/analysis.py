@@ -6,7 +6,8 @@ The chain mirrors how the measurement is actually reduced:
    center offset and linewidth, independent amplitudes and a free floor,
    fitted by maximum likelihood under the Gamma(n_avg) bin-noise law:
    one bounded solve on Gamma deviance residuals, with their Jacobian in
-   closed form (:func:`_deviance_jacobian`).
+   closed form (:func:`_deviance_jacobian`).  Both fits here use the one
+   bounded least-squares solver, :func:`_solve_bounded`.
 2. :func:`ratio_series` -- each fit's amplitude ratio R and its
    uncertainty.
 3. :func:`fit_cooling_curve` -- one weighted fit of the measured ratios,
@@ -31,8 +32,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
-from scipy.optimize import least_squares
 
 from sidebandlimit.physics import (
     CLASSICAL_OCCUPATION,
@@ -145,7 +144,18 @@ def _covariance(jac: np.ndarray) -> np.ndarray:
 
 
 def _smooth(values: np.ndarray, width: int) -> np.ndarray:
-    return uniform_filter1d(values, size=width, mode="nearest")
+    """Running mean over ``width`` bins, the ends extended with the end values.
+
+    Summed as scipy.ndimage.uniform_filter1d(mode="nearest") sums, the
+    first window from the left and then one bin in and one out per step,
+    so the two agree bit for bit.
+    """
+    half = width // 2
+    padded = np.concatenate(
+        [np.full(half, values[0]), values, np.full(width - 1 - half, values[-1])]
+    )
+    steps = np.concatenate([padded[:width], padded[width:] - padded[:-width]])
+    return np.cumsum(steps)[width - 1 :] / width
 
 
 def _smooth_runs(spectrum: HeterodyneSpectrum, width: int) -> np.ndarray:
@@ -332,6 +342,61 @@ def _deviance_jacobian(p, freqs, data, n_w):
     return grad.T
 
 
+def _solve_bounded(fun, jac, x0, lower, upper, args=()):
+    """Minimize ||fun(x)||^2 over the box lower <= x <= upper.
+
+    Projected Levenberg-Marquardt (More, LNM 630 (1978); Kanzow, Yamashita
+    & Fukushima, J. Comput. Appl. Math. 172, 375 (2004)) in the units of
+    the Jacobian's current column norms.  Each step solves
+    (J^T J + lam I) dx = -J^T r over the free parameters -- those not
+    held on a bound by a gradient pushing outward -- and is clipped to
+    the box; it is kept if the sum of squares falls, and lam then falls
+    by 3, else lam rises by 4 and the step is retried.  The solve stops
+    once the scaled projected gradient is at most _GRADIENT_TOL ||r||,
+    once a kept step lowers the sum of squares by at most 1e-14 of it, or
+    once lam exceeds 1e16.
+
+    Returns (x, r, J, converged) at the best point reached; converged is
+    False only when _MAX_EVALS residual evaluations ran out first.
+    """
+    max_evals = _MAX_EVALS  # read per call, so a patched budget applies
+    x = x0
+    r = fun(x, *args)
+    cost = r @ r
+    evals = 1
+    lam = 1e-3
+    stalled = False
+    while True:
+        J = jac(x, *args)
+        g = J.T @ r
+        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+        norms = np.linalg.norm(J[:, free], axis=0)
+        norms[norms == 0] = 1.0
+        g_free = g[free] / norms
+        if stalled or np.max(np.abs(g_free), initial=0.0) <= _GRADIENT_TOL * math.sqrt(cost):
+            return x, r, J, True
+        J_free = J[:, free] / norms
+        normal = J_free.T @ J_free
+        while True:
+            if evals >= max_evals:
+                return x, r, J, False
+            step = np.linalg.solve(normal + lam * np.eye(normal.shape[0]), -g_free)
+            trial = x.copy()
+            trial[free] += step / norms
+            trial = np.clip(trial, lower, upper)
+            r_trial = fun(trial, *args)
+            evals += 1
+            cost_trial = r_trial @ r_trial
+            if cost_trial < cost:
+                break
+            lam *= 4.0
+            if lam > 1e16:
+                return x, r, J, True
+        lam /= 3.0
+        stalled = cost - cost_trial <= 1e-14 * cost
+        x, r, cost = trial, r_trial, cost_trial
+
+
 def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     """Simultaneous maximum-likelihood fit of both mechanical sidebands.
 
@@ -343,8 +408,8 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     the covariance comes from it at the optimum.  Raises
     :class:`AnalysisError` if a fitted bin is not positive (the Gamma law
     has no zero), and :class:`FitConvergenceError`
-    (carrying the best-so-far state) if the bounded optimizer stops
-    without reaching the gradient tolerance.
+    (carrying the best-so-far state) if the solve runs out of evaluations
+    before it converges.
     """
     guess = _initial_guess(spectrum)
 
@@ -372,21 +437,11 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     upper = np.array([guess.omega_m + 2 * window, 1e3 * guess.gamma_eff, np.inf, np.inf, np.inf])
     x0 = np.clip(x0, lower, upper)
 
-    result = least_squares(
-        _deviance_residual,
-        x0,
-        jac=_deviance_jacobian,
-        bounds=(lower, upper),
-        x_scale="jac",
-        ftol=1e-14,
-        xtol=1e-14,
-        gtol=_GRADIENT_TOL,
-        max_nfev=_MAX_EVALS,
-        args=(freqs, data, n_w),
+    x, r, jac, converged = _solve_bounded(
+        _deviance_residual, _deviance_jacobian, x0, lower, upper, (freqs, data, n_w)
     )
-    x = result.x
     dof = max(idx.size - 5, 1)
-    covariance = _covariance(result.jac)
+    covariance = _covariance(jac)
     fit = SidebandFit(
         omega_m_fit=float(x[0]),
         gamma_eff_fit=float(x[1]),
@@ -394,10 +449,10 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
         amp_antistokes=float(x[3]),
         floor_fit=float(x[4]),
         covariance=covariance,
-        residual_norm=float(2.0 * result.cost / dof),
+        residual_norm=float(r @ r / dof),
         n_bins_used=int(idx.size),
     )
-    if result.status == 0:
+    if not converged:
         raise FitConvergenceError(
             f"sideband fit stopped after {_MAX_EVALS} evaluations without "
             f"reaching gradient tolerance {_GRADIENT_TOL:g}",
@@ -455,6 +510,11 @@ class CoolingCurveResult:
     flags: tuple[str, ...] = ()
 
 
+# Bounds on (s, n0, n_ba) in the cooling-curve fit.
+_CURVE_LOWER = np.array([1e-9, 1e-12, 1e-12])
+_CURVE_UPPER = np.array([1.0 - 1e-9, np.inf, np.inf])
+
+
 def fit_cooling_curve(
     gamma_opt: Sequence[float],
     ratio: Sequence[float],
@@ -471,8 +531,9 @@ def fit_cooling_curve(
     ringdown).  Weights are the measured sigma_R.  Points without a
     positive, finite ratio and uncertainty are left out.  s, n0, n_ba and
     their uncertainties all come from this one fit.  A degenerate drive
-    span, an unconstrained floor or a classical-window mean at odds with
-    s are reported through flags rather than a failure.
+    span, an unconstrained floor, a parameter held on its bound or a
+    classical-window mean at odds with s are reported through flags
+    rather than a failure.
     """
     gamma_opt = np.asarray(gamma_opt, dtype=float)
     ratio = np.asarray(ratio, dtype=float)
@@ -488,10 +549,20 @@ def fit_cooling_curve(
     if gamma_opt.max() < 10.0 * gamma_opt.min():
         flags.append("narrow_drive_span")
 
+    damping = gamma_0 + gamma_opt
+
     def residual(x):
         s, n0, n_ba = x
-        n_bar = (n0 * gamma_0 + n_ba * gamma_opt) / (gamma_0 + gamma_opt)
+        n_bar = (n0 * gamma_0 + n_ba * gamma_opt) / damping
         return (s * (1.0 + 1.0 / n_bar) - ratio) / sigma
+
+    def jacobian(x):
+        s, n0, n_ba = x
+        n_bar = (n0 * gamma_0 + n_ba * gamma_opt) / damping
+        slope = -s / (damping * n_bar * n_bar * sigma)  # (dr/dn_bar) / damping
+        return np.column_stack(
+            [(1.0 + 1.0 / n_bar) / sigma, slope * gamma_0, slope * gamma_opt]
+        )
 
     # Start just below the smallest ratio, with n0 from the weakest drive
     # and the floor where the mode meets the optical bath (R = 1).
@@ -501,20 +572,11 @@ def fit_cooling_curve(
         gamma_0 * max(ratio[weakest] / s0 - 1.0, 1e-9)
     )
     x0 = np.array([s0, max(n0_start, 1.0), s0 / (1.0 - s0)])
-    result = least_squares(
-        residual,
-        x0,
-        bounds=([1e-9, 1e-12, 1e-12], [1.0 - 1e-9, np.inf, np.inf]),
-        x_scale=x0,
-        ftol=1e-14,
-        xtol=1e-14,
-        gtol=1e-10,
-        max_nfev=_MAX_EVALS,
-    )
-    if result.status == 0:
+    x, _, jac, converged = _solve_bounded(residual, jacobian, x0, _CURVE_LOWER, _CURVE_UPPER)
+    if not converged:
         raise AnalysisError("cooling-curve fit did not converge")
-    s_hat, n0_fit, n_ba_fit = (float(v) for v in result.x)
-    cov = _covariance(result.jac)
+    s_hat, n0_fit, n_ba_fit = (float(v) for v in x)
+    cov = _covariance(jac)
     sigma_s, sigma_n0, sigma_n_ba = (math.sqrt(v) for v in np.diag(cov))
 
     # Classical window: ratios within the bosonic correction 1/n of s at
@@ -534,7 +596,14 @@ def fit_cooling_curve(
             flags.append("s_estimators_disagree")
     else:
         flags.append("no_classical_points")
-    if 2.0 * sigma_n_ba >= n_ba_fit:
+    # A parameter held on a bound has no sigma that means anything: the
+    # Jacobian there can report nearly none.  Compare with the bound itself.
+    on_bound = (x == _CURVE_LOWER) | (x == _CURVE_UPPER)
+    if on_bound[0]:
+        flags.append("s_unidentifiable")
+    if on_bound[1]:
+        flags.append("n0_unidentifiable")
+    if on_bound[2] or 2.0 * sigma_n_ba >= n_ba_fit:
         flags.append("n_ba_unidentifiable")
     if n0_fit <= n_ba_fit:
         flags.append("not_a_cooling_dataset")

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter1d
 
 from sidebandlimit.physics import (
     SystemParams,
@@ -35,11 +36,13 @@ from sidebandlimit.spectra import (
 )
 from sidebandlimit.synth import SynthConfig, synthesize_spectrum
 from sidebandlimit.analysis import (
+    _SMOOTH_WIDTH,
     AnalysisError,
     InsufficientVisibilityError,
     _deviance_jacobian,
     _deviance_residual,
     _fit_indices,
+    _smooth,
     SpectrumCoverageError,
     detuning_sweep_summary,
     fit_cooling_curve,
@@ -102,6 +105,35 @@ class TestFitSidebands:
         ratios = np.array(ratios)
         sigma = ratios.std(ddof=1)
         assert abs(ratios.mean() - truth) < 0.2 * sigma
+
+    @pytest.mark.parametrize("gamma_opt_hz", [227.0, 2100.0, 30e3])
+    def test_noiseless_fit_reaches_the_truth_to_round_off(
+        self, params, bath_occupation, gamma_opt_hz
+    ):
+        _, _, model = make_model(params, bath_occupation, gamma_opt_hz)
+        fit = fit_sidebands(synthesize(model, math.inf))
+        for got, truth in (
+            (fit.omega_m_fit, model.omega_m),
+            (fit.gamma_eff_fit, model.gamma_eff),
+            (fit.amp_stokes, model.peak_stokes),
+            (fit.amp_antistokes, model.peak_antistokes),
+            (fit.floor_fit, model.floor),
+        ):
+            assert got == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+    def test_amplitude_on_its_bound(self, params, bath_occupation):
+        # no anti-Stokes line: the fit holds that amplitude at its bound of
+        # 0 and still fits the rest
+        _, _, model = make_model(params, bath_occupation, 227.0)
+        model = replace(model, peak_antistokes=0.0)
+        fit = fit_sidebands(synthesize(model, 5000.0, seed=3))
+        assert fit.amp_antistokes == 0.0
+        got = (fit.omega_m_fit, fit.gamma_eff_fit, fit.amp_stokes, fit.floor_fit)
+        truth = (model.omega_m, model.gamma_eff, model.peak_stokes, model.floor)
+        sigma = np.sqrt(np.diag(fit.covariance))[[0, 1, 2, 4]]
+        assert np.all(np.abs(np.subtract(got, truth)) < 4 * sigma)
+        ratio, sigma_ratio = ratio_series([fit])
+        assert math.isnan(ratio[0]) and math.isnan(sigma_ratio[0])
 
     def test_free_floor_absorbs_substrate_background(self, params, bath_occupation):
         # elevated floor: ratio unbiased, normalized amplitudes sit low
@@ -294,6 +326,16 @@ def test_fit_indices_merge_matches_unique_on_every_default_plan():
     assert overlapping > 0
 
 
+@pytest.mark.parametrize("size", [1, 2, 6, 7, 8, 7411])
+def test_smooth_matches_uniform_filter1d_bit_for_bit(size):
+    # the stored runs the initial guess smooths, shorter than the width too
+    rng = np.random.default_rng(size)
+    for scale in (1e-6, 1.0, 1e4):
+        values = scale * rng.standard_gamma(30.0, size) / 30.0
+        got = _smooth(values, _SMOOTH_WIDTH)
+        assert got.tolist() == uniform_filter1d(values, _SMOOTH_WIDTH, mode="nearest").tolist()
+
+
 def _full_grid_record(params, n0, gamma_opt_hz, n_avg, seed):
     """Noisy full-grid record built without the synthesis module."""
     _, _, model = make_model(params, n0, gamma_opt_hz, background_fraction=0.002775)
@@ -315,15 +357,15 @@ class TestRecordLayouts:
     PINNED = {
         2100.0: (
             2.0e5, 5,
-            (9299131.390268369, 13153.807963073521, 0.04699115156666634,
-             0.11630985717891079, 1.0027808359501524, 0.9755346067916072, 8250),
-            4.292622629576422e-05,
+            (9299131.39026165, 13153.807942272264, 0.04699115173951723,
+             0.11630985725412286, 1.0027808359501873, 0.9755346067916064, 8250),
+            4.292622635904205e-05,
         ),
         30000.0: (
             2.6e4, 6,
-            (9299267.050265474, 158148.38484456742, 0.037809721860952814,
-             0.04488630784487914, 1.0029159643605734, 0.992356134235271, 3183),
-            0.003778031504211695,
+            (9299267.050149838, 158148.38400024458, 0.037809721976933774,
+             0.044886307949920184, 1.0029159643618404, 0.9923561342352711, 3183),
+            0.003778031509636978,
         ),
     }
 
@@ -596,6 +638,35 @@ class TestFitCoolingCurve:
         curve = fit_cooling_curve(*series, params.gamma_0, params.omega_m)
         assert "n_ba_unidentifiable" in curve.flags
         assert 2.0 * curve.sigma_n_ba >= curve.n_ba_fit
+
+    def test_floor_on_its_bound_is_flagged(self, params, bath_occupation):
+        # ratios of a floor below the bound of 1e-12, measured to 1e-12 of
+        # their size: the fit pins n_ba to the bound, where its sigma says
+        # nothing, and must flag it
+        gamma_opt = TWO_PI * np.asarray(GRID_FULL_HZ)
+        n = (bath_occupation * params.gamma_0 - 0.02 * gamma_opt) / (
+            params.gamma_0 + gamma_opt
+        )
+        ratio = S_REF * (1.0 + 1.0 / n)
+        curve = fit_cooling_curve(
+            gamma_opt, ratio, S_REF * 1e-12 / n, params.gamma_0, params.omega_m
+        )
+        assert curve.n_ba_fit == 1e-12
+        assert 2.0 * curve.sigma_n_ba < curve.n_ba_fit
+        assert "n_ba_unidentifiable" in curve.flags
+        assert "s_unidentifiable" not in curve.flags
+        assert "n0_unidentifiable" not in curve.flags
+
+    @pytest.mark.parametrize("n_ba", [0.0, 1e-6])
+    @pytest.mark.parametrize("n0", [1e6, 1e8, 1e10])
+    def test_runaway_bath_returns_and_flags_unresolved_floor(self, params, n0, n_ba):
+        # so hot a bath that n_bar >> n_ba at every drive: the n_ba column
+        # of the Jacobian is nearly 0, and the solve must still end
+        series = _fabricated_ratios(params, n0, n_ba, GRID_FULL_HZ, 0.0)
+        curve = fit_cooling_curve(*series, params.gamma_0, params.omega_m)
+        assert abs(curve.n_ba_fit - n_ba) <= 3.0 * curve.sigma_n_ba + 1e-12
+        if 2.0 * curve.sigma_n_ba >= n_ba:
+            assert "n_ba_unidentifiable" in curve.flags
 
     def test_excludes_flagged_points_but_keeps_them(self, params, bath_occupation):
         n_ba = backaction_limit(-TWO_PI * 1.62e6, params)

@@ -6,12 +6,17 @@ full-scale defaults are exercised by the acceptance suite.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sidebandlimit
 from sidebandlimit import pipeline
 from sidebandlimit.cli import main
 from sidebandlimit.config import ConfigError, default_config, from_dict, load_config
@@ -203,6 +208,34 @@ class TestComposition:
             assert direct == refit
         points = read_points_csv(tmp_path / "a" / "cool_-1620000Hz" / "points.csv")
         assert points[0]["gamma_opt_hz"] == 1.0
+
+
+# A fresh interpreter runs cool, fit and sweep and prints every scipy
+# module loaded: importing scipy would cost most of a short run's start-up.
+_NO_SCIPY_SCRIPT = """
+import glob, sys
+from sidebandlimit.cli import main
+config, out = sys.argv[1:]
+codes = [
+    main(["cool", "--config", config, "--out", out, "--save-spectra"]),
+    main(["fit", "--config", config, "--out", out + "/refit",
+          *sorted(glob.glob(out + "/cool_*/spectra/*.csv"))]),
+    main(["sweep", "--config", config, "--out", out]),
+]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_load_no_scipy(small_config, tmp_path):
+    src = Path(sidebandlimit.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(small_config), str(tmp_path / "run")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 class TestFitCommand:

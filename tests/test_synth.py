@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.optimize import curve_fit
 
 from sidebandlimit.physics import (
@@ -161,6 +161,20 @@ class TestGridDraws:
         expected = [((z >> 11) + 0.5) * 2.0**-53 for z in reference]
         got = synth._uniforms(np.uint64(1234567), np.arange(5, dtype=np.uint64))
         assert got.tolist() == expected
+
+    def test_ndtri_matches_scipy_bit_for_bit(self):
+        # the sampler's own uniforms, then the deep tails past z = 8
+        # (y < exp(-32)), which uniforms reach once in 4e13 draws, down to
+        # the smallest uniform and the interval ends
+        u = synth._uniforms(np.uint64(20251019), np.arange(1 << 20, dtype=np.uint64))
+        smallest = 0.5 * 2.0**-53
+        deep = np.geomspace(smallest, 1e-12, 20_000)
+        y = np.concatenate([u, deep, 1.0 - deep[deep > 2.0**-53], [0.0, 1.0]])
+        tail = np.minimum(y, 1.0 - y)
+        assert (u < math.exp(-2)).any() and (u > 1.0 - math.exp(-2)).any()
+        assert (tail[tail > 0] < math.exp(-32)).sum() > 1000
+        got = synth.ndtri(y)
+        assert got.tolist() == special.ndtri(y).tolist()
 
     @pytest.mark.parametrize(
         "shape, seed", [(1.0, 1), (4.0, 2), (100.0, 3), (26_296.0, 4), (4.7e7, 5)]
