@@ -123,14 +123,17 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _resolve_seed(args, config: ExperimentConfig) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+        source, seed = "--seed", args.seed
+    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
         try:
-            return int(env)
+            source, seed = SEED_ENV_VAR, int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR}: not an integer ({env!r})") from exc
-    return config.seed
+    else:
+        return config.seed  # validated with the configuration
+    if seed < 0:
+        raise ConfigError(f"{source}: must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _resolve_detuning_hz(args, config: ExperimentConfig) -> float:
@@ -267,7 +270,7 @@ def _cmd_cool(args) -> int:
     detuning_hz = _resolve_detuning_hz(args, config)
     out_dir = Path(config.output_dir) / f"cool_{_detuning_label(detuning_hz)}"
     spectra_dir = str(out_dir / "spectra") if args.save_spectra else None
-    with worker_pool(args.jobs) as pool:
+    with worker_pool(args.jobs, len(config.gamma_opt_grid_hz)) as pool:
         run = run_cooling_curve(
             config,
             detuning_hz,
@@ -288,7 +291,7 @@ def _cmd_sweep(args) -> int:
 
     results = {}
     errors = {}
-    with worker_pool(args.jobs) as pool:
+    with worker_pool(args.jobs, len(config.gamma_opt_grid_hz)) as pool:
         for index, detuning_hz in enumerate(config.detunings_hz):
             label = _detuning_label(detuning_hz)
             out_dir = out_root / f"d{index:02d}_{label}"
@@ -361,7 +364,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_fit(args) -> int:
     config = _resolve_config(args)
     seed = _resolve_seed(args, config)
-    with worker_pool(args.jobs) as pool:
+    with worker_pool(args.jobs, len(args.inputs)) as pool:
         run = analyze_spectrum_files(list(args.inputs), config, executor=pool)
     detuning_hz = run.detuning_hz
     label = "external" if detuning_hz is None else _detuning_label(detuning_hz)
@@ -376,7 +379,7 @@ def _cmd_synth(args) -> int:
     out_dir = Path(config.output_dir) / f"synth_{_detuning_label(detuning_hz)}"
     plans = plan_curve(config, detuning_hz, seed, 0, noiseless=args.no_noise)
     metadata = spectrum_metadata(config, detuning_hz, seed, 0)
-    with worker_pool(args.jobs) as pool:
+    with worker_pool(args.jobs, len(plans)) as pool:
         written = run_points(save_point, plans, str(out_dir), metadata, executor=pool)
     print(f"wrote {len(written)} spectra to {out_dir}")
     return EXIT_OK
@@ -401,6 +404,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"argument --jobs: must be a positive integer, got {args.jobs}")
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, SchemaError) as exc:

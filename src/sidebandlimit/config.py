@@ -214,6 +214,7 @@ def validate(config: ExperimentConfig) -> None:
         "must be >= 0",
     )
     _require(isinstance(config.seed, int), "config.seed", "must be an integer")
+    _require(config.seed >= 0, "config.seed", f"must be >= 0, got {config.seed}")
 
 
 def load_config(path) -> ExperimentConfig:

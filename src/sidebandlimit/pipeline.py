@@ -10,7 +10,7 @@ point index)``, so any execution order -- including process pools --
 reproduces identical data.
 
 Points, and the files ``fit`` reads, fan out through ``run_points``.  A
-command opens one pool of ``jobs`` workers with ``worker_pool`` and passes
+command opens one pool of up to ``jobs`` workers with ``worker_pool`` and passes
 it down as ``executor``, so every curve of a sweep shares the same warm
 workers; without an executor the points run in this process.
 
@@ -217,12 +217,15 @@ def fit_outcome(
     return PointOutcome(index, gamma_opt_hz, fit, error, spectrum_file)
 
 
-def worker_pool(jobs: int):
-    """A pool of ``jobs`` worker processes to share across a command.
+def worker_pool(jobs: int, tasks: int | None = None):
+    """A pool of up to ``jobs`` worker processes to share across a command.
 
-    Serial runs (``jobs <= 1``) get a context that yields ``None``.
+    A forking pool starts every worker at its first submit, so it opens no
+    more than ``tasks``, the most the command submits at once, when given.
+    With one worker or none, the context yields ``None``.
     """
-    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+    workers = jobs if tasks is None else min(jobs, tasks)
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
 def run_points(

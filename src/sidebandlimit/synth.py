@@ -128,95 +128,30 @@ def _uniforms(key: np.uint64, counter: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
-    return ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53
-
-
-# Cephes ndtri (Moshier, netlib cephes/cprob/ndtri.c), the inverse normal
-# CDF behind scipy.special.ndtri: a rational function of y - 1/2 for
-# exp(-2) < y < 1 - exp(-2), else of 1/z with z = sqrt(-2 log y), with
-# separate coefficients above z = 8.  Q* omit their leading 1.
-_EXP_M2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-       1.39312609387279679503e1, -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-       1.59056225126211695515e1, -1.18331621121330003142e0)
-_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _rational(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
-    """x p(x) / q(x) by Horner's rule, q monic (its leading 1 left out of ``q``)."""
-    num = np.full_like(x, p[0])
-    for c in p[1:]:
-        num = num * x + c
-    den = x + q[0]
-    for c in q[1:]:
-        den = den * x + c
-    return x * num / den
-
-
-def _libm_log(x: np.ndarray) -> np.ndarray:
-    # numpy's SIMD log differs from the C library's in the last bit of a
-    # few values in a thousand; ndtri's tails take the C library's
-    return np.fromiter(map(math.log, x.tolist()), float, count=x.size)
-
-
-def ndtri(y: np.ndarray) -> np.ndarray:
-    """Inverse standard-normal CDF of each y in [0, 1].
-
-    Cephes' algorithm, operation for operation, so each value equals
-    scipy.special.ndtri's bit for bit.
-    """
-    y = np.asarray(y, dtype=float)
-    upper = y > 1.0 - _EXP_M2
-    out = np.where(upper, np.inf, -np.inf)  # the values at y = 1 and y = 0
-    y = np.where(upper, 1.0 - y, y)
-    central = y > _EXP_M2
-    t = y[central] - 0.5
-    t2 = t * t
-    out[central] = (t + t * _rational(t2, _P0, _Q0)) * _SQRT_2PI
-    tail = ~central & (y > 0.0)
-    z = np.sqrt(-2.0 * _libm_log(y[tail]))
-    far = z >= 8.0
-    x = z - _libm_log(z) / z
-    inv = 1.0 / z
-    x[~far] -= _rational(inv[~far], _P1, _Q1)
-    x[far] -= _rational(inv[far], _P2, _Q2)
-    out[tail] = np.where(upper[tail], x, -x)
-    return out
+    return ((z >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
 
 
 def _grid_draws(seed: int | np.random.SeedSequence, shape: float, index: np.ndarray) -> np.ndarray:
     """Gamma(shape) variates, shape >= 1, of the grid bins ``index``.
 
     Marsaglia-Tsang rejection (ACM TOMS 26, 363 (2000)), vectorized over
-    the bins.  Attempt k at grid bin i reads the normal and the acceptance
-    uniform at counters 2 (i _MAX_ATTEMPTS + k) and the one after, so a
-    bin's variate is a function of (seed, i) alone.
+    the bins.  Attempt k at grid bin i reads uniforms at counters
+    3 (i _MAX_ATTEMPTS + k) + {0, 1, 2}: two for a Box-Muller normal (Ann.
+    Math. Stat. 29, 610 (1958)), then the acceptance uniform, so a bin's
+    variate is a function of (seed, i) alone.
     """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     key = seq.generate_state(1, np.uint64)[0]
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    base = np.asarray(index, dtype=np.uint64) * np.uint64(2 * _MAX_ATTEMPTS)
+    base = np.asarray(index, dtype=np.uint64) * np.uint64(3 * _MAX_ATTEMPTS)
     out = np.empty(base.size)
     todo = np.arange(base.size)
     for k in range(_MAX_ATTEMPTS):
-        counter = base[todo] + np.uint64(2 * k)
-        x = ndtri(_uniforms(key, counter))
-        u = _uniforms(key, counter + np.uint64(1))
+        counter = base[todo] + np.uint64(3 * k)
+        radius = np.sqrt(-2.0 * np.log(_uniforms(key, counter)))
+        x = radius * np.cos(2.0 * math.pi * _uniforms(key, counter + np.uint64(1)))
+        u = _uniforms(key, counter + np.uint64(2))
         v = (1.0 + c * x) ** 3
         with np.errstate(divide="ignore", invalid="ignore"):  # v <= 0 rejects
             accept = np.log(u) < 0.5 * x * x + d * (1.0 - v + np.log(v))

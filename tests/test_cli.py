@@ -9,7 +9,7 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -543,6 +543,8 @@ class TestConfigHandling:
             (["model"], {"system": {"kappa_hz": [2.6e6]}}),
             (["model"], {"detunings_hz": [-math.inf]}),
             (["model"], {"gamma_opt_grid_hz": [math.inf]}),
+            (["cool", "--seed", "-1"], {}),
+            (["cool"], {"seed": -4}),
         ],
     )
     def test_malformed_or_non_finite_input_is_a_usage_error(
@@ -553,7 +555,50 @@ class TestConfigHandling:
         assert run_cli(*argv, "--config", path) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_invalid_env_seed_rejected(self, small_config, monkeypatch, capsys):
-        monkeypatch.setenv("SIDEBAND_LIMIT_SEED", "not-a-number")
-        assert run_cli("cool", "--config", small_config) == 2
+    @pytest.mark.parametrize(
+        "command, value", [("cool", "not-a-number"), ("synth", "-2")]
+    )
+    def test_invalid_env_seed_rejected(
+        self, command, value, small_config, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("SIDEBAND_LIMIT_SEED", value)
+        assert run_cli(command, "--config", small_config) == 2
         assert "SIDEBAND_LIMIT_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, small_config, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("cool", "--config", small_config, "--jobs", jobs)
+        assert exit_.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+class _InlinePool:
+    """A synchronous stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, task, *args):
+        future = Future()
+        future.set_result(task(*args))
+        return future
+
+
+def test_pool_opens_no_more_workers_than_tasks(small_config, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    for command in ("cool", "sweep", "synth"):
+        assert run_cli(command, "--config", small_config, "--jobs", 64) == 0
+    spectra = sorted((tmp_path / "out" / "synth_-1620000Hz").glob("*.csv"))[:4]
+    assert run_cli("fit", "--config", small_config, "--jobs", 64, *spectra) == 0
+    grid = len(SMALL_GRID_HZ)
+    assert _InlinePool.sizes == [grid, grid, grid, 4]
