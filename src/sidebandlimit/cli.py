@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -34,7 +33,13 @@ from sidebandlimit.config import (
     load_config,
     save_config,
 )
-from sidebandlimit.io import SchemaError, config_hash, write_points_csv, write_report_json
+from sidebandlimit.io import (
+    SWEEP_COLUMNS,
+    SchemaError,
+    config_hash,
+    write_points_csv,
+    write_report_json,
+)
 from sidebandlimit.physics import (
     TWO_PI,
     backaction_limit,
@@ -46,9 +51,7 @@ from sidebandlimit.physics import (
 from sidebandlimit.pipeline import (
     CurveRun,
     analyze_spectrum_files,
-    input_label,
     plan_curve,
-    point_label,
     run_cooling_curve,
     run_points,
     save_point,
@@ -77,15 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, help="output directory")
         p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
+    # argparse reads "-1.62e6" after a space as an option, so the value is joined by "="
+    detuning_help = "override detuning, negative, in Hz: --detuning=HZ"
+
     p_model = sub.add_parser("model", help="print derived quantities")
-    common(p_model)
+    p_model.add_argument("--config", type=Path, help="JSON configuration file")
     p_model.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
     p_cool = sub.add_parser("cool", help="run one cooling curve")
     common(p_cool)
-    p_cool.add_argument(
-        "--detuning", type=float, help="override detuning (Hz, negative)"
-    )
+    p_cool.add_argument("--detuning", type=float, help=detuning_help)
     p_cool.add_argument(
         "--no-noise", action="store_true", help="noiseless analytic synthesis"
     )
@@ -106,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="synthesize spectra without analysis")
     common(p_synth)
-    p_synth.add_argument("--detuning", type=float, help="override detuning (Hz)")
+    p_synth.add_argument("--detuning", type=float, help=detuning_help)
     p_synth.add_argument("--no-noise", action="store_true")
 
     p_init = sub.add_parser("init-config", help="write the default configuration")
@@ -151,8 +155,9 @@ def _detuning_label(detuning_hz: float) -> str:
 
 
 def _write_curve_outputs(
-    run: CurveRun, config: ExperimentConfig, seed: int, out_dir: Path
-) -> None:
+    run: CurveRun, config: ExperimentConfig, seed: int, out_dir: Path, prefix: str = ""
+) -> bool:
+    """Write one curve's files and name each failed point on stderr; True if none failed."""
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
         {
@@ -198,13 +203,15 @@ def _write_curve_outputs(
         "points": rows,
     }
     write_report_json(out_dir / "summary.json", report)
+    failed = [o for o in run.outcomes if o.fit is None]
+    for outcome in failed:
+        print(f"{prefix}{outcome.name} failed: {outcome.error}", file=sys.stderr)
+    return not failed
 
 
-def _finish_curve(
-    run: CurveRun, config: ExperimentConfig, seed: int, out_dir: Path, label: Callable
-) -> int:
-    """Write and print one curve, naming each failed point by ``label``; returns the exit code."""
-    _write_curve_outputs(run, config, seed, out_dir)
+def _finish_curve(run: CurveRun, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
+    """Write and print one curve; returns the exit code."""
+    clean = _write_curve_outputs(run, config, seed, out_dir)
     curve = run.curve
     print(f"s_hat = {curve.s_hat:.6f} +- {curve.sigma_s:.2g}")
     print(f"n0 = {curve.n0_fit:.4g} +- {curve.sigma_n0:.2g}")
@@ -214,10 +221,7 @@ def _finish_curve(
     print(f"n_ba = {curve.n_ba_fit:.4f} +- {curve.sigma_n_ba:.4f}{predicted_text}")
     print(f"flags: {', '.join(sorted(set(run.flags))) or 'none'}")
     print(f"outputs in {out_dir}")
-    failed = [o for o in run.outcomes if o.fit is None]
-    for outcome in failed:
-        print(f"{label(outcome)} failed: {outcome.error}", file=sys.stderr)
-    return EXIT_FAILURE if failed else EXIT_OK
+    return EXIT_OK if clean else EXIT_FAILURE
 
 
 def _cmd_model(args) -> int:
@@ -280,7 +284,7 @@ def _cmd_cool(args) -> int:
             spectra_dir=spectra_dir,
             executor=pool,
         )
-    return _finish_curve(run, config, seed, out_dir, point_label)
+    return _finish_curve(run, config, seed, out_dir)
 
 
 def _cmd_sweep(args) -> int:
@@ -291,6 +295,7 @@ def _cmd_sweep(args) -> int:
 
     results = {}
     errors = {}
+    clean = True
     with worker_pool(args.jobs, len(config.gamma_opt_grid_hz)) as pool:
         for index, detuning_hz in enumerate(config.detunings_hz):
             label = _detuning_label(detuning_hz)
@@ -309,7 +314,7 @@ def _cmd_sweep(args) -> int:
                 errors[detuning_hz] = f"{type(exc).__name__}: {exc}"
                 print(f"detuning {label}: failed: {exc}", file=sys.stderr)
                 continue
-            _write_curve_outputs(run, config, seed, out_dir)
+            clean &= _write_curve_outputs(run, config, seed, out_dir, f"detuning {label}: ")
             results[detuning_hz] = run
 
     if results:
@@ -327,13 +332,7 @@ def _cmd_sweep(args) -> int:
             }
             for row in summary.rows
         ]
-        with (out_root / "sweep_summary.csv").open("w") as handle:
-            handle.write("detuning_hz,min_n_bar,sigma,n_ba_predicted,flags\n")
-            for row in rows:
-                handle.write(
-                    f"{row['detuning_hz']!r},{row['min_n_bar']!r},{row['sigma']!r},"
-                    f"{row['n_ba_predicted']!r},{';'.join(row['flags'])}\n"
-                )
+        write_points_csv(out_root / "sweep_summary.csv", rows, SWEEP_COLUMNS)
         write_report_json(
             out_root / "sweep.json",
             {
@@ -358,7 +357,7 @@ def _cmd_sweep(args) -> int:
             f"global minimum at {summary.global_min_detuning / 1e6:.4f} MHz; "
             f"outputs in {out_root}"
         )
-    return EXIT_FAILURE if errors else EXIT_OK
+    return EXIT_OK if clean and not errors else EXIT_FAILURE
 
 
 def _cmd_fit(args) -> int:
@@ -369,7 +368,7 @@ def _cmd_fit(args) -> int:
     detuning_hz = run.detuning_hz
     label = "external" if detuning_hz is None else _detuning_label(detuning_hz)
     out_dir = Path(config.output_dir) / f"cool_{label}"
-    return _finish_curve(run, config, seed, out_dir, input_label)
+    return _finish_curve(run, config, seed, out_dir)
 
 
 def _cmd_synth(args) -> int:
@@ -380,8 +379,8 @@ def _cmd_synth(args) -> int:
     plans = plan_curve(config, detuning_hz, seed, 0, noiseless=args.no_noise)
     metadata = spectrum_metadata(config, detuning_hz, seed, 0)
     with worker_pool(args.jobs, len(plans)) as pool:
-        written = run_points(save_point, plans, str(out_dir), metadata, executor=pool)
-    print(f"wrote {len(written)} spectra to {out_dir}")
+        run_points(save_point, plans, str(out_dir), metadata, executor=pool)
+    print(f"wrote {len(plans)} spectra to {out_dir}")
     return EXIT_OK
 
 

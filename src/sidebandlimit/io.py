@@ -45,6 +45,7 @@ SPECTRUM_MAGIC_V2 = "sidebandlimit-spectrum v2"
 SPECTRUM_COLUMNS = "frequency_hz,psd_sn"
 SPECTRUM_COLUMNS_V2 = "bin,frequency_hz,psd_sn"
 POINTS_COLUMNS = "gamma_opt_hz,n_bar,sigma_n,flags"
+SWEEP_COLUMNS = "detuning_hz,min_n_bar,sigma,n_ba_predicted,flags"
 
 
 class SchemaError(ValueError):
@@ -187,20 +188,20 @@ def read_spectrum_csv(path) -> tuple[HeterodyneSpectrum, dict[str, str]]:
     return spectrum, metadata
 
 
-def write_points_csv(path, rows: Iterable[Mapping[str, Any]]) -> None:
-    """Write per-point thermometry results.
+def write_points_csv(
+    path, rows: Iterable[Mapping[str, Any]], columns: str = POINTS_COLUMNS
+) -> None:
+    """Write a results table: per-point thermometry, or a sweep's per-curve rows.
 
-    Each row carries ``gamma_opt_hz``, ``n_bar``, ``sigma_n`` and a
-    semicolon-joined ``flags`` string (empty when clean).
+    Each row carries the named ``columns``: values with round-trip
+    ``repr``, and ``flags`` as a semicolon-joined string (empty when clean).
     """
-    path = Path(path)
-    with path.open("w") as handle:
-        handle.write(POINTS_COLUMNS + "\n")
+    names = columns.split(",")
+    with Path(path).open("w") as handle:
+        handle.write(columns + "\n")
         for row in rows:
-            flags = ";".join(row.get("flags", ()))
-            handle.write(
-                f"{row['gamma_opt_hz']!r},{row['n_bar']!r},{row['sigma_n']!r},{flags}\n"
-            )
+            cells = (";".join(row.get(n, ())) if n == "flags" else repr(row[n]) for n in names)
+            handle.write(",".join(cells) + "\n")
 
 
 def write_report_json(path, report: Mapping[str, Any]) -> None:

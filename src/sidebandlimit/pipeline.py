@@ -70,6 +70,20 @@ from sidebandlimit.spectra import (
 from sidebandlimit.synth import SynthConfig, synthesize_spectrum
 
 
+def _point_model(
+    config: ExperimentConfig, detuning_hz: float, gamma_opt_hz: float
+) -> SpectrumModel:
+    """Noiseless spectrum of one drive setting at its steady-state occupation."""
+    params = config.system_params()
+    gamma_opt = TWO_PI * gamma_opt_hz
+    n0 = thermal_occupation(config.bath_temperature_k, params.omega_m)
+    point = cooling_point(params, TWO_PI * detuning_hz, gamma_opt)
+    n_bar = steady_state_occupation(n0, params.gamma_0, point.n_ba, gamma_opt)
+    return build_model(
+        params, point, n_bar, background_fraction=config.systematics.background_fraction
+    )
+
+
 @dataclass(frozen=True)
 class PointPlan:
     """Everything needed to synthesize and fit one cooling-curve point."""
@@ -83,22 +97,12 @@ class PointPlan:
 
 @dataclass(frozen=True)
 class PointOutcome:
-    """Fit result (or recorded failure) for one point."""
+    """Fit result (or recorded failure) for one point, and the name errors give it."""
 
-    index: int
+    name: str
     gamma_opt_hz: float
     fit: SidebandFit | None = None
     error: str | None = None
-    spectrum_file: str | None = None
-
-
-# How failure messages name a synthesized point and a point read from a file.
-def point_label(o: PointOutcome) -> str:
-    return f"point {o.index} (gamma_opt = {o.gamma_opt_hz:.6g} Hz)"
-
-
-def input_label(o: PointOutcome) -> str:
-    return f"input {o.spectrum_file}"
 
 
 def spectrum_metadata(
@@ -122,21 +126,11 @@ def plan_curve(
 ) -> list[PointPlan]:
     """Lay out synthesis plans for every drive setting of one curve."""
     params = config.system_params()
-    detuning = TWO_PI * detuning_hz
-    n0 = thermal_occupation(config.bath_temperature_k, params.omega_m)
     syn = config.synthesis
     plans = []
     for i, gamma_opt_hz in enumerate(config.gamma_opt_grid_hz):
-        gamma_opt = TWO_PI * gamma_opt_hz
-        point = cooling_point(params, detuning, gamma_opt)
-        n_bar = steady_state_occupation(n0, params.gamma_0, point.n_ba, gamma_opt)
-        model = build_model(
-            params,
-            point,
-            n_bar,
-            background_fraction=config.systematics.background_fraction,
-        )
-        factor = min(n_bar + 1.0, syn.n_avg_occupation_cap + 1.0) ** 2
+        model = _point_model(config, detuning_hz, gamma_opt_hz)
+        factor = min(model.n_bar + 1.0, syn.n_avg_occupation_cap + 1.0) ** 2
         n_avg = math.inf if noiseless else float(math.ceil(syn.n_avg_base * factor))
         resolution = model.gamma_eff / syn.bins_per_linewidth
         span = params.omega_m + syn.grid_margin_linewidths * model.gamma_eff
@@ -157,7 +151,7 @@ def plan_curve(
             PointPlan(
                 index=i,
                 gamma_opt_hz=gamma_opt_hz,
-                n_bar_truth=n_bar,
+                n_bar_truth=model.n_bar,
                 model=model,
                 synth=replace(grid, index=recorded),
             )
@@ -169,31 +163,28 @@ def record_point(
     plan: PointPlan,
     spectra_dir: str | None = None,
     file_metadata: dict | None = None,
-) -> tuple[HeterodyneSpectrum, str | None]:
-    """Synthesize one point and, given a directory, write it there.
-
-    Returns the spectrum and the path of the file written, if any.
-    """
+) -> HeterodyneSpectrum:
+    """Synthesize one point and, given a directory, write it there."""
     spectrum = synthesize_spectrum(plan.model, plan.synth)
     if spectra_dir is None:
-        return spectrum, None
+        return spectrum
     path = Path(spectra_dir) / f"point_{plan.index:02d}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     metadata = dict(file_metadata or {})
     metadata["gamma_opt_hz"] = plan.gamma_opt_hz
     metadata["point_index"] = plan.index
     write_spectrum_csv(path, spectrum, metadata)
-    return spectrum, str(path)
+    return spectrum
 
 
 def save_point(
     plan: PointPlan, spectra_dir: str, file_metadata: dict | None = None
-) -> str:
-    """Synthesize one point into ``spectra_dir``; returns only the path.
+) -> None:
+    """Synthesize one point into ``spectra_dir``.
 
-    The spectrum stays where it was made, so a pool ships back a string.
+    The spectrum stays where it was made, so a pool ships nothing back.
     """
-    return record_point(plan, spectra_dir, file_metadata)[1]
+    record_point(plan, spectra_dir, file_metadata)
 
 
 def run_point(
@@ -202,19 +193,20 @@ def run_point(
     file_metadata: dict | None = None,
 ) -> PointOutcome:
     """Synthesize one point, optionally persist it, and fit it."""
-    spectrum, spectrum_file = record_point(plan, spectra_dir, file_metadata)
-    return fit_outcome(spectrum, plan.index, plan.gamma_opt_hz, spectrum_file)
+    spectrum = record_point(plan, spectra_dir, file_metadata)
+    name = f"point {plan.index} (gamma_opt = {plan.gamma_opt_hz:.6g} Hz)"
+    return fit_outcome(spectrum, name, plan.gamma_opt_hz)
 
 
 def fit_outcome(
-    spectrum: HeterodyneSpectrum, index: int, gamma_opt_hz: float, spectrum_file: str | None
+    spectrum: HeterodyneSpectrum, name: str, gamma_opt_hz: float
 ) -> PointOutcome:
     """Fit one spectrum; a failed fit is recorded, not raised."""
     try:
         fit, error = fit_sidebands(spectrum), None
     except AnalysisError as exc:
         fit, error = None, f"{type(exc).__name__}: {exc}"
-    return PointOutcome(index, gamma_opt_hz, fit, error, spectrum_file)
+    return PointOutcome(name, gamma_opt_hz, fit, error)
 
 
 def worker_pool(jobs: int, tasks: int | None = None):
@@ -308,15 +300,8 @@ def systematics_biases(
     the noise levels only, the substrate channel at the strongest drive
     setting.
     """
-    params = config.system_params()
-    gamma_opt = TWO_PI * gamma_opt_top_hz
-    n0 = thermal_occupation(config.bath_temperature_k, params.omega_m)
-    point = cooling_point(params, TWO_PI * detuning_hz, gamma_opt)
-    n_bar = steady_state_occupation(n0, params.gamma_0, point.n_ba, gamma_opt)
     sysc = config.systematics
-    model = build_model(
-        params, point, n_bar, background_fraction=sysc.background_fraction
-    )
+    model = _point_model(config, detuning_hz, gamma_opt_top_hz)
     return (
         laser_noise_bias(sysc.amp_noise, sysc.phase_noise),
         apparent_sideband_bias(model, sysc.background_fraction),
@@ -324,22 +309,17 @@ def systematics_biases(
 
 
 def reduce_curve(
-    outcomes: list[PointOutcome],
-    config: ExperimentConfig,
-    detuning_hz: float | None,
-    label: Callable[[PointOutcome], str],
+    outcomes: list[PointOutcome], config: ExperimentConfig, detuning_hz: float | None
 ) -> CurveRun:
     """Reduce one curve's outcomes; the systematics need a detuning.
 
-    An error that stops the reduction names each failed point by ``label``.
+    An error that stops the reduction names each failed point.
     """
     detuning = TWO_PI * detuning_hz if detuning_hz is not None else None
     try:
         occupation, curve, flags = analyze_outcomes(outcomes, config.system_params(), detuning)
     except AnalysisError as exc:
-        failed = "".join(
-            f"\n  {label(o)} failed: {o.error}" for o in outcomes if o.fit is None
-        )
+        failed = "".join(f"\n  {o.name} failed: {o.error}" for o in outcomes if o.fit is None)
         raise AnalysisError(f"{exc}{failed}") from exc
     bias_laser = bias_substrate = None
     if detuning_hz is not None:
@@ -373,14 +353,11 @@ def run_cooling_curve(
     plans = plan_curve(config, detuning_hz, master_seed, detuning_index, noiseless)
     metadata = spectrum_metadata(config, detuning_hz, master_seed, detuning_index)
     outcomes = run_points(run_point, plans, spectra_dir, metadata, executor=executor)
-    return reduce_curve(outcomes, config, detuning_hz, point_label)
+    return reduce_curve(outcomes, config, detuning_hz)
 
 
 def read_and_fit(path) -> tuple[PointOutcome, float | None]:
-    """Read one spectrum file and fit it; returns the outcome and its detuning.
-
-    The outcome's index is a placeholder until the curve is sorted.
-    """
+    """Read one spectrum file and fit it; returns the outcome and its detuning."""
     spectrum, metadata = read_spectrum_csv(path)
     if "gamma_opt_hz" not in metadata:
         raise SchemaError(path, 1, "missing required metadata key 'gamma_opt_hz'")
@@ -391,7 +368,7 @@ def read_and_fit(path) -> tuple[PointOutcome, float | None]:
         )
     except ValueError as exc:
         raise SchemaError(path, 1, f"malformed metadata value: {exc}") from exc
-    return fit_outcome(spectrum, 0, gamma_opt_hz, str(path)), detuning_hz
+    return fit_outcome(spectrum, f"input {path}", gamma_opt_hz), detuning_hz
 
 
 def analyze_spectrum_files(
@@ -407,9 +384,9 @@ def analyze_spectrum_files(
     """
     results = run_points(read_and_fit, list(files), executor=executor)
     first_at: dict[float, str] = {}
-    for outcome, detuning_hz in results:
+    for path, (_, detuning_hz) in zip(files, results):
         if detuning_hz is not None:
-            first_at.setdefault(detuning_hz, outcome.spectrum_file)
+            first_at.setdefault(detuning_hz, str(path))
     if len(first_at) > 1:
         (d_a, file_a), (d_b, file_b) = list(first_at.items())[:2]
         raise SchemaError(
@@ -419,6 +396,5 @@ def analyze_spectrum_files(
             "spectra of one curve must share one detuning",
         )
     outcomes = sorted((o for o, _ in results), key=lambda o: o.gamma_opt_hz)
-    outcomes = [replace(o, index=i) for i, o in enumerate(outcomes)]
     detuning_hz = next(iter(first_at), None)
-    return reduce_curve(outcomes, config, detuning_hz, input_label)
+    return reduce_curve(outcomes, config, detuning_hz)

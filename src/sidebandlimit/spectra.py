@@ -313,12 +313,18 @@ def acquisition_index(
     return bins[np.concatenate([[True], np.diff(bins) > 0])]
 
 
-def _sideband_windows(model: SpectrumModel) -> np.ndarray:
-    """Analysis-band grid: one window around each sideband."""
-    half = WINDOW_LINEWIDTHS * model.gamma_eff
-    step = model.gamma_eff / BINS_PER_LINEWIDTH
+def _window_fit_inputs(model: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:
+    """The model on a unit floor over both sideband windows, and the amplitude design."""
+    omega_m, gamma = model.omega_m, model.gamma_eff
+    half = WINDOW_LINEWIDTHS * gamma
+    step = gamma / BINS_PER_LINEWIDTH
     offsets = np.arange(-half, half + 0.5 * step, step)
-    return np.concatenate([offsets - model.omega_m, offsets + model.omega_m])
+    omega = np.concatenate([offsets - omega_m, offsets + omega_m])
+    local = two_lorentzian(omega, omega_m, gamma, model.peak_stokes, model.peak_antistokes, 1.0)
+    design = np.column_stack(
+        [lorentzian(omega, -omega_m, gamma), lorentzian(omega, +omega_m, gamma)]
+    )
+    return local, design
 
 
 def _require_physics_metadata(model: SpectrumModel) -> tuple[float, float]:
@@ -350,23 +356,8 @@ def apparent_sideband_bias(model: SpectrumModel, background_fraction: float) -> 
     if background_fraction == 0.0:
         return 0.0
 
-    omega = _sideband_windows(model)
-    local = two_lorentzian(
-        omega,
-        model.omega_m,
-        model.gamma_eff,
-        model.peak_stokes,
-        model.peak_antistokes,
-        1.0,
-    )
+    local, design = _window_fit_inputs(model)
     normalized = local / (1.0 + background_fraction)
-
-    design = np.column_stack(
-        [
-            lorentzian(omega, -model.omega_m, model.gamma_eff),
-            lorentzian(omega, +model.omega_m, model.gamma_eff),
-        ]
-    )
     amp_stokes, amp_antistokes = np.linalg.lstsq(
         design, normalized - 1.0, rcond=None
     )[0]
@@ -379,27 +370,23 @@ def apparent_sideband_bias(model: SpectrumModel, background_fraction: float) -> 
 
 
 def solve_background_for_bias(model: SpectrumModel, target: float) -> float:
-    """Background fraction whose apparent-sideband bias magnitude is ``target``."""
+    """Background fraction whose apparent-sideband bias is ``target`` phonons.
+
+    The amplitudes of :func:`apparent_sideband_bias` are ``P / (1 + b) - c``,
+    with ``P`` and ``c`` the fits of the undivided spectrum and of a unit
+    floor; setting their ratio to ``s (1 + 1 / (n_bar + target))`` fixes ``b``.
+    """
     if not target > 0:
         raise ValueError("target bias magnitude must be positive")
-    from scipy.optimize import brentq
-
-    def gap(b: float) -> float:
-        bias = apparent_sideband_bias(model, b)
-        # Past the point where the leak swallows an amplitude the chain
-        # returns NaN; treat that as far beyond any finite target.
-        return math.inf if math.isnan(bias) else abs(bias) - target
-
-    def bracketed_gap(b: float) -> float:
-        value = gap(b)
-        return value if math.isfinite(value) else 1.0
-
-    lo, hi = 0.0, 1e-4
-    while gap(hi) < 0:
-        lo, hi = hi, hi * 2.0
-        if hi > 1.0:
-            raise ValueError("target bias not reachable for background_fraction <= 1")
-    return brentq(bracketed_gap, lo, hi, xtol=1e-12, rtol=1e-12)
+    s, n_bar = _require_physics_metadata(model)
+    local, design = _window_fit_inputs(model)
+    fits = np.linalg.lstsq(design, np.column_stack([local, np.ones_like(local)]), rcond=None)
+    (p_stokes, p_antistokes), (c_stokes, c_antistokes) = fits[0].T
+    ratio = s * (1.0 + 1.0 / (n_bar + target))
+    b = (p_stokes - ratio * p_antistokes) / (c_stokes - ratio * c_antistokes) - 1.0
+    if not 0.0 < b <= 1.0:
+        raise ValueError("target bias not reachable for background_fraction <= 1")
+    return float(b)
 
 
 def laser_noise_bias(amp_noise: float, phase_noise: float) -> float:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sidebandlimit.physics import TWO_PI
 from sidebandlimit.spectra import HeterodyneSpectrum, SpectrumModel, evaluate_psd
 
 # Rejection attempts per bin; each is accepted with probability > 0.95.
@@ -150,7 +151,7 @@ def _grid_draws(seed: int | np.random.SeedSequence, shape: float, index: np.ndar
     for k in range(_MAX_ATTEMPTS):
         counter = base[todo] + np.uint64(3 * k)
         radius = np.sqrt(-2.0 * np.log(_uniforms(key, counter)))
-        x = radius * np.cos(2.0 * math.pi * _uniforms(key, counter + np.uint64(1)))
+        x = radius * np.cos(TWO_PI * _uniforms(key, counter + np.uint64(1)))
         u = _uniforms(key, counter + np.uint64(2))
         v = (1.0 + c * x) ** 3
         with np.errstate(divide="ignore", invalid="ignore"):  # v <= 0 rejects
@@ -185,7 +186,7 @@ def simulate_oscillator(
         )
     if n_target < 0:
         raise ValueError(f"n_target must be >= 0, got {n_target}")
-    if sample_rate <= 4.0 * omega_m / (2.0 * math.pi):
+    if sample_rate <= 4.0 * omega_m / TWO_PI:
         raise ValueError("sample_rate must exceed four times the sideband frequency")
     dt = 1.0 / sample_rate
     if dt > 0.1 / omega_m:
@@ -258,8 +259,8 @@ def estimate_psd(
     n_segments = 1 + (n - segment_length) // step
     n_avg_eff = _effective_averages(segment_length, step, n_segments)
     return HeterodyneSpectrum(
-        f_lo=2.0 * math.pi * float(freqs_hz[0]),
-        resolution=2.0 * math.pi * fs / segment_length,
+        f_lo=TWO_PI * float(freqs_hz[0]),
+        resolution=TWO_PI * fs / segment_length,
         psd=psd,
         n_avg=max(1.0, n_avg_eff),
     )

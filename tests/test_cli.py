@@ -83,6 +83,14 @@ class TestModelCommand:
         assert "optimal detuning" in out
         assert "-1.6200" in out
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--out", "dir"), ("--jobs", "2")])
+    def test_takes_no_run_options(self, flag, value, capsys):
+        # model draws nothing, writes nothing and runs no workers
+        with pytest.raises(SystemExit) as exit_:
+            run_cli("model", flag, value)
+        assert exit_.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestCoolCommand:
     def test_reduced_curve_recovers_floor(self, small_config, tmp_path, capsys):
@@ -146,13 +154,13 @@ class TestCoolCommand:
         assert a == b
 
     def test_detuning_override(self, small_config, tmp_path):
-        assert (
-            run_cli("cool", "--config", small_config, "--detuning", "-500000") == 0
-        )
-        report = json.loads(
-            (tmp_path / "out" / "cool_-500000Hz" / "summary.json").read_text()
-        )
-        assert report["estimates"]["n_ba_predicted"] == pytest.approx(0.89541, rel=1e-4)
+        # argparse takes "-5e5" after a space for an option; joined by "=" it is a value
+        for detuning in (["--detuning", "-500000"], ["--detuning=-5e5"]):
+            assert run_cli("cool", "--config", small_config, *detuning) == 0
+            report = json.loads(
+                (tmp_path / "out" / "cool_-500000Hz" / "summary.json").read_text()
+            )
+            assert report["estimates"]["n_ba_predicted"] == pytest.approx(0.89541, rel=1e-4)
 
     def test_rejects_blue_detuning_override(self, small_config):
         assert run_cli("cool", "--config", small_config, "--detuning", "500000") == 2
@@ -423,6 +431,38 @@ class TestUnreducibleCurve:
 
 
 class TestSweepCommand:
+    def test_failed_points_are_named_and_fail_the_run(self, tmp_path, capsys):
+        # averaged so little that at seed 1 every curve reduces but keeps
+        # four fit_failed points
+        config = tmp_path / "thin.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "detunings_hz": [-1.62e6, -1.0e6, -2.0e6],
+                    "gamma_opt_grid_hz": [1.0, 10.0, 100.0, *SMALL_GRID_HZ],
+                    "synthesis": {"n_avg_base": 40.0},
+                    "output_dir": str(tmp_path / "out"),
+                    "seed": 1,
+                }
+            )
+        )
+        assert run_cli("sweep", "--config", config) == 1
+        named = [line.split(" failed: ")[0] for line in capsys.readouterr().err.splitlines()]
+        sweep = tmp_path / "out" / "sweep"
+        assert len(json.loads((sweep / "sweep.json").read_text())["rows"]) == 3
+        expected = []
+        for curve in sorted(sweep.glob("d*_*Hz")):
+            label = curve.name.split("_", 1)[1]
+            points = read_points_csv(curve / "points.csv")
+            failed = [i for i, p in enumerate(points) if "fit_failed" in p["flags"]]
+            assert len(failed) == 4
+            expected += [
+                f"detuning {label}: point {i} "
+                f"(gamma_opt = {points[i]['gamma_opt_hz']:.6g} Hz)"
+                for i in failed
+            ]
+        assert named == expected
+
     def test_two_detuning_sweep(self, small_config, tmp_path, capsys):
         assert run_cli("sweep", "--config", small_config) == 0
         sweep = json.loads((tmp_path / "out" / "sweep" / "sweep.json").read_text())

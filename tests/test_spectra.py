@@ -220,18 +220,19 @@ class TestApparentSidebandBias:
         assert 0 < biases[0] < biases[1] < biases[2]
 
     def test_calibrated_background_reproduces_reference_bias(self, reference):
-        # numeric inversion through the chain: the background fraction
-        # reproducing a 0.006-phonon shift at the final operating point
+        # inversion through the chain: the background fraction reproducing
+        # a 0.006-phonon shift (and larger ones) at the final operating point
         params, point, n_bar = reference
         model = build_model(params, point, n_bar)
-        b = solve_background_for_bias(model, 0.006)
-        assert b == pytest.approx(2.7754e-3, rel=1e-4)
-        assert abs(apparent_sideband_bias(model, b)) == pytest.approx(0.006, abs=1e-9)
+        for target, expected_b in [(0.006, 2.7754e-3), (0.02, 6.6820e-3), (5.0, 1.6740e-2)]:
+            b = solve_background_for_bias(model, target)
+            assert b == pytest.approx(expected_b, rel=1e-4)
+            assert abs(apparent_sideband_bias(model, b)) == pytest.approx(target, abs=1e-9)
 
     def test_calibration_root_is_pinned(self, reference):
         params, point, n_bar = reference
         model = build_model(params, point, n_bar)
-        assert solve_background_for_bias(model, 0.006) == 0.0027753948876887676
+        assert solve_background_for_bias(model, 0.006) == 0.002775394887682081
 
     def test_requires_physics_metadata(self):
         bare = SpectrumModel(
