@@ -5,9 +5,9 @@ The chain mirrors how the measurement is actually reduced:
 1. :func:`fit_sidebands` -- the two-Lorentzian model with a shared
    center offset and linewidth, independent amplitudes and a free floor,
    fitted by maximum likelihood under the Gamma(n_avg) bin-noise law:
-   one bounded solve on Gamma deviance residuals, with their Jacobian in
-   closed form (:func:`_deviance_jacobian`).  Both fits here use the one
-   bounded least-squares solver, :func:`_solve_bounded`.
+   one bounded solve on Gamma deviance residuals, which
+   :func:`_deviance` returns with their Jacobian in closed form.  Both fits
+   here use the one bounded least-squares solver, :func:`_solve_bounded`.
 2. :func:`ratio_series` -- each fit's amplitude ratio R and its
    uncertainty.
 3. :func:`fit_cooling_curve` -- one weighted fit of the measured ratios,
@@ -42,7 +42,6 @@ from sidebandlimit.spectra import (
     WINDOW_LINEWIDTHS,
     HeterodyneSpectrum,
     floor_sample,
-    two_lorentzian,
     two_lorentzian_gradient,
 )
 
@@ -191,20 +190,12 @@ def _half_max_width(
     return max(bins[right] - bins[left], 2) * step
 
 
-@dataclass(frozen=True)
-class _InitGuess:
-    omega_m: float
-    gamma_eff: float
-    amp_stokes: float
-    amp_antistokes: float
-    floor: float
-
-
 _SMOOTH_WIDTH = 7
 
 
-def _initial_guess(spectrum: HeterodyneSpectrum) -> _InitGuess:
-    """Deterministic data-driven starting point.
+def _initial_guess(spectrum: HeterodyneSpectrum) -> np.ndarray:
+    """Deterministic data-driven starting point, in the sideband fit's
+    parameter order (omega_m, gamma_eff, amp_stokes, amp_antistokes, floor).
 
     Floor from the median of the stored bins in the outer frequency
     quartiles of the grid.  The sideband offset comes from the maximum of
@@ -284,12 +275,8 @@ def _initial_guess(spectrum: HeterodyneSpectrum) -> _InitGuess:
             "sideband under-resolved: need >= 10 bins per linewidth, "
             f"estimated width {gamma0:.6g} rad/s at resolution {res:.6g} rad/s"
         )
-    return _InitGuess(
-        omega_m=omega_m0,
-        gamma_eff=gamma0,
-        amp_stokes=max(peak_neg, 1e-12 * floor0),
-        amp_antistokes=max(peak_pos, 1e-12 * floor0),
-        floor=floor0,
+    return np.array(
+        [omega_m0, gamma0, max(peak_neg, 1e-12 * floor0), max(peak_pos, 1e-12 * floor0), floor0]
     )
 
 
@@ -315,22 +302,15 @@ def _fit_indices(
     return np.flatnonzero(keep)
 
 
-def _deviance_residual(p, freqs, data, n_w):
-    """Signed Gamma deviance residuals of the model ``p`` at the fitted bins.
+def _deviance(p, freqs, data, n_w):
+    """Signed Gamma deviance residuals r of the model ``p`` at the fitted
+    bins, and their analytic Jacobian, shape (m, 5).
 
-    Their sum of squares is the Gamma(n_w) deviance, minimized at the
-    maximum-likelihood fit.
-    """
-    d = data / two_lorentzian(freqs, *p) - 1.0
-    return np.copysign(np.sqrt(2.0 * n_w * (d - np.log1p(d))), d)
-
-
-def _deviance_jacobian(p, freqs, data, n_w):
-    """Analytic Jacobian of :func:`_deviance_residual`, shape (m, 5).
-
-    With d = data/mu - 1 and r the residual, dr/dmu = -n_w (d/r) / mu;
+    The sum of squares of r is the Gamma(n_w) deviance, minimized at the
+    maximum-likelihood fit.  With d = data/mu - 1, dr/dmu = -n_w (d/r) / mu;
     the chain rule through :func:`two_lorentzian_gradient` gives the rest.
-    Built as a (5, m) array and returned transposed.
+    The model mu is summed as :func:`two_lorentzian` sums it.  The Jacobian
+    is built as a (5, m) array and returned transposed.
     """
     grad = two_lorentzian_gradient(freqs, *p)
     mu = p[4] + p[2] * grad[2] + p[3] * grad[3]
@@ -339,11 +319,12 @@ def _deviance_jacobian(p, freqs, data, n_w):
     series = np.abs(d) < _SERIES_BELOW
     d_over_r = np.divide(d, r, out=(1.0 + d / 3.0) / math.sqrt(n_w), where=~series)
     grad *= (-n_w / mu) * d_over_r
-    return grad.T
+    return r, grad.T
 
 
-def _solve_bounded(fun, jac, x0, lower, upper, args=()):
-    """Minimize ||fun(x)||^2 over the box lower <= x <= upper.
+def _solve_bounded(fun, x0, lower, upper):
+    """Minimize ||r||^2 over the box lower <= x <= upper, where
+    ``fun(x)`` returns the residuals r and their Jacobian J.
 
     Projected Levenberg-Marquardt (More, LNM 630 (1978); Kanzow, Yamashita
     & Fukushima, J. Comput. Appl. Math. 172, 375 (2004)) in the units of
@@ -356,18 +337,18 @@ def _solve_bounded(fun, jac, x0, lower, upper, args=()):
     once a kept step lowers the sum of squares by at most 1e-14 of it, or
     once lam exceeds 1e16.
 
-    Returns (x, r, J, converged) at the best point reached; converged is
-    False only when _MAX_EVALS residual evaluations ran out first.
+    Returns (x, r, J, converged) at the best point reached, with the r and
+    J that ``fun`` gave there; converged is False only when _MAX_EVALS
+    calls of ``fun`` ran out first.
     """
     max_evals = _MAX_EVALS  # read per call, so a patched budget applies
     x = x0
-    r = fun(x, *args)
+    r, J = fun(x)
     cost = r @ r
     evals = 1
     lam = 1e-3
     stalled = False
     while True:
-        J = jac(x, *args)
         g = J.T @ r
         free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
         norms = np.linalg.norm(J[:, free], axis=0)
@@ -384,7 +365,7 @@ def _solve_bounded(fun, jac, x0, lower, upper, args=()):
             trial = x.copy()
             trial[free] += step / norms
             trial = np.clip(trial, lower, upper)
-            r_trial = fun(trial, *args)
+            r_trial, J_trial = fun(trial)
             evals += 1
             cost_trial = r_trial @ r_trial
             if cost_trial < cost:
@@ -394,7 +375,7 @@ def _solve_bounded(fun, jac, x0, lower, upper, args=()):
                 return x, r, J, True
         lam /= 3.0
         stalled = cost - cost_trial <= 1e-14 * cost
-        x, r, cost = trial, r_trial, cost_trial
+        x, r, J, cost = trial, r_trial, J_trial, cost_trial
 
 
 def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
@@ -411,10 +392,10 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     (carrying the best-so-far state) if the solve runs out of evaluations
     before it converges.
     """
-    guess = _initial_guess(spectrum)
-
-    window = WINDOW_LINEWIDTHS * guess.gamma_eff
-    idx = _fit_indices(spectrum, guess.omega_m, window)
+    x0 = _initial_guess(spectrum)
+    omega_m0, gamma0 = x0[0], x0[1]
+    window = WINDOW_LINEWIDTHS * gamma0
+    idx = _fit_indices(spectrum, omega_m0, window)
     freqs = spectrum.frequencies_at(idx)
     data = spectrum.psd[idx]
     if not np.all(data > 0):
@@ -424,21 +405,10 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
         )
     n_w = min(spectrum.n_avg, _MAX_WEIGHT_AVERAGES)
 
-    x0 = np.array(
-        [
-            guess.omega_m,
-            guess.gamma_eff,
-            guess.amp_stokes,
-            guess.amp_antistokes,
-            guess.floor,
-        ]
-    )
-    lower = np.array([guess.omega_m - 2 * window, 1e-3 * guess.gamma_eff, 0.0, 0.0, 1e-12])
-    upper = np.array([guess.omega_m + 2 * window, 1e3 * guess.gamma_eff, np.inf, np.inf, np.inf])
-    x0 = np.clip(x0, lower, upper)
-
+    lower = np.array([omega_m0 - 2 * window, 1e-3 * gamma0, 0.0, 0.0, 1e-12])
+    upper = np.array([omega_m0 + 2 * window, 1e3 * gamma0, np.inf, np.inf, np.inf])
     x, r, jac, converged = _solve_bounded(
-        _deviance_residual, _deviance_jacobian, x0, lower, upper, (freqs, data, n_w)
+        lambda p: _deviance(p, freqs, data, n_w), np.clip(x0, lower, upper), lower, upper
     )
     dof = max(idx.size - 5, 1)
     covariance = _covariance(jac)
@@ -552,15 +522,11 @@ def fit_cooling_curve(
     damping = gamma_0 + gamma_opt
 
     def residual(x):
-        s, n0, n_ba = x
-        n_bar = (n0 * gamma_0 + n_ba * gamma_opt) / damping
-        return (s * (1.0 + 1.0 / n_bar) - ratio) / sigma
-
-    def jacobian(x):
+        """Weighted residuals and their Jacobian in (s, n0, n_ba)."""
         s, n0, n_ba = x
         n_bar = (n0 * gamma_0 + n_ba * gamma_opt) / damping
         slope = -s / (damping * n_bar * n_bar * sigma)  # (dr/dn_bar) / damping
-        return np.column_stack(
+        return (s * (1.0 + 1.0 / n_bar) - ratio) / sigma, np.column_stack(
             [(1.0 + 1.0 / n_bar) / sigma, slope * gamma_0, slope * gamma_opt]
         )
 
@@ -572,7 +538,7 @@ def fit_cooling_curve(
         gamma_0 * max(ratio[weakest] / s0 - 1.0, 1e-9)
     )
     x0 = np.array([s0, max(n0_start, 1.0), s0 / (1.0 - s0)])
-    x, _, jac, converged = _solve_bounded(residual, jacobian, x0, _CURVE_LOWER, _CURVE_UPPER)
+    x, _, jac, converged = _solve_bounded(residual, x0, _CURVE_LOWER, _CURVE_UPPER)
     if not converged:
         raise AnalysisError("cooling-curve fit did not converge")
     s_hat, n0_fit, n_ba_fit = (float(v) for v in x)

@@ -90,7 +90,6 @@ class PointPlan:
 
     index: int
     gamma_opt_hz: float
-    n_bar_truth: float
     model: SpectrumModel
     synth: SynthConfig
 
@@ -151,7 +150,6 @@ def plan_curve(
             PointPlan(
                 index=i,
                 gamma_opt_hz=gamma_opt_hz,
-                n_bar_truth=model.n_bar,
                 model=model,
                 synth=replace(grid, index=recorded),
             )
@@ -368,6 +366,10 @@ def read_and_fit(path) -> tuple[PointOutcome, float | None]:
         )
     except ValueError as exc:
         raise SchemaError(path, 1, f"malformed metadata value: {exc}") from exc
+    if not 0 < gamma_opt_hz < math.inf:
+        raise SchemaError(path, 1, f"gamma_opt_hz must be finite and positive, got {gamma_opt_hz}")
+    if detuning_hz is not None and not -math.inf < detuning_hz < 0:
+        raise SchemaError(path, 1, f"detuning_hz must be finite and negative, got {detuning_hz}")
     return fit_outcome(spectrum, f"input {path}", gamma_opt_hz), detuning_hz
 
 
@@ -376,9 +378,10 @@ def analyze_spectrum_files(
 ) -> CurveRun:
     """Run the reduction chain on externally provided spectrum files.
 
-    Files must follow the spectra CSV schema and carry ``gamma_opt_hz``
-    metadata; ``detuning_hz`` is optional and only feeds the closed-form
-    comparison value, but files naming two detunings are not one curve.
+    Files must follow the spectra CSV schema and carry a finite, positive
+    ``gamma_opt_hz``; a finite, negative ``detuning_hz`` is optional and only
+    feeds the closed-form comparison value, but files naming two detunings
+    are not one curve.
     Files are read and fitted on ``executor`` when given, else in this
     process; a schema error names the first bad file in input order.
     """

@@ -39,10 +39,10 @@ from sidebandlimit.analysis import (
     _SMOOTH_WIDTH,
     AnalysisError,
     InsufficientVisibilityError,
-    _deviance_jacobian,
-    _deviance_residual,
+    _deviance,
     _fit_indices,
     _smooth,
+    _solve_bounded,
     SpectrumCoverageError,
     detuning_sweep_summary,
     fit_cooling_curve,
@@ -257,16 +257,14 @@ class TestDevianceJacobian:
         window = WINDOW_LINEWIDTHS * p[1]
         idx = _fit_indices(spectrum, p[0], window)
         args = (spectrum.frequencies_at(idx), spectrum.psd[idx], min(spectrum.n_avg, 1e12))
-        jac = _deviance_jacobian(p, *args)
+        jac = _deviance(p, *args)[1]
         assert jac.shape == (idx.size, 5)
         steps = 1e-5 * np.array([p[1], p[1], p[4], p[4], p[4]])
         for k, h in enumerate(steps):
             up, down = p.copy(), p.copy()
             up[k] += h
             down[k] -= h
-            numeric = (_deviance_residual(up, *args) - _deviance_residual(down, *args)) / (
-                2 * h
-            )
+            numeric = (_deviance(up, *args)[0] - _deviance(down, *args)[0]) / (2 * h)
             scale = np.abs(numeric).max()
             assert np.abs(jac[:, k] - numeric).max() <= 1e-6 * scale, k
         return args
@@ -290,13 +288,39 @@ class TestDevianceJacobian:
         freqs, data, n_w = self._check(synthesize(model, math.inf), p)
         d = data / evaluate_psd(model, freqs) - 1.0
         assert np.all(np.abs(d) < 1e-4)
-        assert np.all(np.isfinite(_deviance_jacobian(p, freqs, data, n_w)))
+        assert np.all(np.isfinite(_deviance(p, freqs, data, n_w)[1]))
 
     def test_amplitude_at_its_bound(self, params, bath_occupation):
         _, _, model = make_model(params, bath_occupation, 30e3)
         p = self._truth(model)
         p[3] = 0.0
         self._check(synthesize(model, 5000.0, seed=4), p)
+
+
+def test_solver_returns_the_residuals_and_jacobian_of_its_point():
+    # Rosenbrock's valley with the minimum (1, 1) cut off by x[0] <= 0.5:
+    # the solve must reject trials on the way and end on the bound.
+    best = [math.inf]
+    rejected = [0]
+
+    def fun(x):
+        r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        cost = r @ r
+        if cost < best[0]:
+            best[0] = cost
+        else:
+            rejected[0] += 1
+        return r, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    x, r, jac, converged = _solve_bounded(
+        fun, np.array([-1.2, 1.0]), np.array([-2.0, -2.0]), np.array([0.5, 2.0])
+    )
+    assert converged
+    assert rejected[0] >= 1
+    assert x[0] == 0.5
+    r_at_x, jac_at_x = fun(x)
+    assert np.array_equal(r, r_at_x)
+    assert np.array_equal(jac, jac_at_x)
 
 
 def test_fit_indices_merge_matches_unique_on_every_default_plan():

@@ -256,14 +256,41 @@ class TestFitCommand:
         assert run_cli("fit", "--config", small_config, path) == 2
         assert "gamma_opt_hz" in capsys.readouterr().err
 
-    def test_malformed_metadata_value_is_a_schema_error(self, small_config, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "metadata, message",
+        [
+            pytest.param({"gamma_opt_hz": "np.float64(1.0)"}, "malformed", id="repr"),
+            # a drive must be finite and positive, a detuning finite and red
+            pytest.param({"gamma_opt_hz": -44.6}, "gamma_opt_hz", id="negative-drive"),
+            pytest.param({"gamma_opt_hz": 0.0}, "gamma_opt_hz", id="zero-drive"),
+            pytest.param({"gamma_opt_hz": math.nan}, "gamma_opt_hz", id="nan-drive"),
+            pytest.param({"gamma_opt_hz": math.inf}, "gamma_opt_hz", id="inf-drive"),
+            pytest.param(
+                {"gamma_opt_hz": 300.0, "detuning_hz": 1.62e6}, "detuning_hz", id="blue-detuning"
+            ),
+            pytest.param(
+                {"gamma_opt_hz": 300.0, "detuning_hz": 0.0}, "detuning_hz", id="zero-detuning"
+            ),
+            pytest.param(
+                {"gamma_opt_hz": 300.0, "detuning_hz": math.inf}, "detuning_hz", id="inf-detuning"
+            ),
+            pytest.param(
+                {"gamma_opt_hz": 300.0, "detuning_hz": math.nan}, "detuning_hz", id="nan-detuning"
+            ),
+        ],
+    )
+    def test_malformed_metadata_value_is_a_schema_error(
+        self, small_config, tmp_path, capsys, metadata, message
+    ):
         spectrum = HeterodyneSpectrum(
             f_lo=-1e7, resolution=1e4, psd=np.ones(2001), n_avg=10.0
         )
         path = tmp_path / "repr.csv"
-        write_spectrum_csv(path, spectrum, {"gamma_opt_hz": "np.float64(1.0)"})
-        assert run_cli("fit", "--config", small_config, path) == 2
-        assert "repr.csv" in capsys.readouterr().err
+        write_spectrum_csv(path, spectrum, metadata)
+        assert run_cli("fit", "--config", small_config, "--out", tmp_path / "refit", path) == 2
+        err = capsys.readouterr().err
+        assert "repr.csv" in err and message in err
+        assert not (tmp_path / "refit").exists()
 
     def test_truncated_spectrum_reports_coverage_failure(
         self, small_config, tmp_path, capsys

@@ -50,7 +50,7 @@ class TestPlanCurve:
         n0 = thermal_occupation(0.36, params.omega_m)
         n_ba = 0.1782615949282616  # closed form at -1.62 MHz
         for plan in plans:
-            assert plan.n_bar_truth == pytest.approx(
+            assert plan.model.n_bar == pytest.approx(
                 steady_state_occupation(
                     n0, params.gamma_0, n_ba, TWO_PI * plan.gamma_opt_hz
                 ),
@@ -61,7 +61,7 @@ class TestPlanCurve:
         plans = plan_curve(config, config.detunings_hz[0], master_seed=1)
         base = config.synthesis.n_avg_base
         for plan in plans:
-            factor = min(plan.n_bar_truth + 1.0, 51.0) ** 2
+            factor = min(plan.model.n_bar + 1.0, 51.0) ** 2
             assert plan.synth.n_avg == math.ceil(base * factor)
         # stronger drive -> lower occupation -> less averaging
         assert plans[-1].synth.n_avg < plans[0].synth.n_avg
