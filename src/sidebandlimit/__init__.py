@@ -8,7 +8,6 @@ recovers phonon occupation, bath temperature and the backaction limit.
 
 from sidebandlimit.physics import (
     CoolingPoint,
-    RatioOccupation,
     RedDetuningError,
     RegimeBoundaries,
     SystemParams,
@@ -30,7 +29,6 @@ from sidebandlimit.spectra import (
     evaluate_psd,
     laser_noise_bias,
     lorentzian,
-    solve_background_for_bias,
 )
 from sidebandlimit.synth import (
     OscillatorRecord,

@@ -615,13 +615,12 @@ def occupation_series(
     """
     points: list[OccupationPoint] = []
     for r, sigma_r in zip(ratio, sigma_ratio):
-        out = occupation_from_ratio(r, s) if r > 0 else None
-        if out is None or out.unphysical:
+        n = occupation_from_ratio(r, s) if r > 0 else math.nan
+        if math.isnan(n):
             points.append(
                 OccupationPoint(math.nan, math.nan, flags=("unphysical_ratio",))
             )
             continue
-        n = out.n_bar
         sigma_n = math.hypot(n * n / s * sigma_r, n * (n + 1.0) / s * sigma_s)
         points.append(OccupationPoint(n, sigma_n))
     return points

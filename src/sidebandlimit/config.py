@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from sidebandlimit.physics import SystemParams
+from sidebandlimit.synth import _MIN_SPAN_LINEWIDTHS
 
 
 class ConfigError(ValueError):
@@ -198,9 +199,9 @@ def validate(config: ExperimentConfig) -> None:
         "must be >= 10 (fit precondition)",
     )
     _require(
-        syn.grid_margin_linewidths > 0,
+        syn.grid_margin_linewidths >= _MIN_SPAN_LINEWIDTHS,
         "config.synthesis.grid_margin_linewidths",
-        "must be positive",
+        f"must be >= {_MIN_SPAN_LINEWIDTHS} (the synthesis grid spans both sidebands)",
     )
     sys_ = config.systematics
     _require(

@@ -91,6 +91,16 @@ def _parse_metadata(path, line: str) -> tuple[str, dict[str, str]]:
     return magic, metadata
 
 
+def metadata_number(path, metadata: Mapping[str, str], key: str, kind: type = float):
+    """Header value ``key`` as a ``kind``; a missing or malformed value names its key."""
+    if key not in metadata:
+        raise SchemaError(path, 1, f"missing required metadata key {key!r}")
+    try:
+        return kind(metadata[key])
+    except ValueError as exc:
+        raise SchemaError(path, 1, f"malformed metadata value for {key!r}: {exc}") from exc
+
+
 def write_spectrum_csv(
     path, spectrum: HeterodyneSpectrum, metadata: Mapping[str, Any] | None = None
 ) -> None:
@@ -142,20 +152,11 @@ def read_spectrum_csv(path) -> tuple[HeterodyneSpectrum, dict[str, str]]:
         except ValueError as exc:
             raise SchemaError(path, None, f"malformed data row: {exc}") from exc
 
-    required = ["f_lo_rad", "resolution_rad", "n_avg", "n_bins"]
-    if v2:
-        required.append("grid_bins")
-    for key in required:
-        if key not in metadata:
-            raise SchemaError(path, 1, f"missing required metadata key {key!r}")
-    try:
-        n_bins = int(metadata["n_bins"])
-        grid_bins = int(metadata["grid_bins"]) if v2 else None
-        f_lo = float(metadata["f_lo_rad"])
-        resolution = float(metadata["resolution_rad"])
-        n_avg = float(metadata["n_avg"])
-    except ValueError as exc:
-        raise SchemaError(path, 1, f"malformed metadata value: {exc}") from exc
+    f_lo = metadata_number(path, metadata, "f_lo_rad")
+    resolution = metadata_number(path, metadata, "resolution_rad")
+    n_avg = metadata_number(path, metadata, "n_avg")
+    n_bins = metadata_number(path, metadata, "n_bins", int)
+    grid_bins = metadata_number(path, metadata, "grid_bins", int) if v2 else None
     if table.shape[0] != n_bins:
         raise SchemaError(
             path,
@@ -184,7 +185,7 @@ def read_spectrum_csv(path) -> tuple[HeterodyneSpectrum, dict[str, str]]:
     # The frequency column is displayed in Hz; verify it matches the grid.
     expected_hz = spectrum.frequencies / TWO_PI
     if not np.allclose(table[:, -2], expected_hz, rtol=1e-9, atol=0.0):
-        raise SchemaError(path, 3, "frequency column inconsistent with header grid")
+        raise SchemaError(path, 3, "frequency column does not match the header grid")
     return spectrum, metadata
 
 

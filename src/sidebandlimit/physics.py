@@ -92,15 +92,13 @@ class CoolingPoint:
     ``rate_antistokes_per_quantum`` (A-) and ``rate_stokes_per_quantum``
     (A+) are the per-phonon scattering rates; the physical rates at
     occupation ``n`` are ``A- * n`` (anti-Stokes) and ``A+ * (n + 1)``
-    (Stokes).  Their difference is the optical damping ``gamma_opt``.
+    (Stokes).  A- = gamma_opt / (1 - s) and A+ = s * A-, so that
+    A- - A+ = gamma_opt exactly and detailed balance holds at n_ba.
     """
 
     detuning: float  # rad/s, < 0
     gamma_opt: float  # rad/s
     s_ratio: float  # Stokes/anti-Stokes susceptibility weight ratio
-    n_ba: float  # backaction-limited occupation (phonons)
-    rate_stokes_per_quantum: float  # A+ (rad/s)
-    rate_antistokes_per_quantum: float  # A- (rad/s)
 
     def __post_init__(self) -> None:
         if not self.detuning < 0:
@@ -111,17 +109,21 @@ class CoolingPoint:
             raise ValueError(f"gamma_opt must be >= 0, got {self.gamma_opt}")
         if not 0 < self.s_ratio < 1:
             raise ValueError(f"s_ratio must be in (0, 1), got {self.s_ratio}")
-        diff = self.rate_antistokes_per_quantum - self.rate_stokes_per_quantum
-        scale = max(self.gamma_opt, 1e-300)
-        if abs(diff - self.gamma_opt) > 1e-9 * scale:
-            raise ValueError(
-                "inconsistent per-quantum rates: A- - A+ must equal gamma_opt"
-            )
-        identity = self.s_ratio / (1.0 - self.s_ratio)
-        if abs(self.n_ba - identity) > 1e-9 * identity:
-            raise ValueError(
-                "inconsistent n_ba: must equal s_ratio / (1 - s_ratio)"
-            )
+
+    @property
+    def n_ba(self) -> float:
+        """Backaction-limited occupation s / (1 - s) (phonons)."""
+        return self.s_ratio / (1.0 - self.s_ratio)
+
+    @property
+    def rate_antistokes_per_quantum(self) -> float:
+        """A- (rad/s)."""
+        return self.gamma_opt / (1.0 - self.s_ratio)
+
+    @property
+    def rate_stokes_per_quantum(self) -> float:
+        """A+ (rad/s)."""
+        return self.s_ratio * self.rate_antistokes_per_quantum
 
 
 def _check_red_detuned(delta) -> None:
@@ -194,30 +196,18 @@ def steady_state_occupation(
     return (n0 * gamma_0 + n_ba * gamma_opt) / (gamma_0 + gamma_opt)
 
 
-class RatioOccupation(NamedTuple):
-    """Occupation inferred from a sideband amplitude ratio.
-
-    ``unphysical`` is set when the measured ratio fell at or below the
-    susceptibility floor ``s`` (a statistical fluctuation); ``n_bar`` is
-    NaN in that case and the caller decides how to treat the point.
-    """
-
-    n_bar: float
-    unphysical: bool
-
-
-def occupation_from_ratio(r: float, s: float) -> RatioOccupation:
+def occupation_from_ratio(r: float, s: float) -> float:
     """Invert the sideband amplitude ratio into an occupation.
 
-    1 / n_bar = r / s - 1, valid for r > s.
+    1 / n_bar = r / s - 1, valid for r > s.  A ratio at or below the
+    susceptibility floor ``s`` (a statistical fluctuation) gives NaN, and
+    the caller decides how to treat the point.
     """
     if not 0 < s < 1:
         raise ValueError(f"s must be in (0, 1), got {s}")
     if not r > 0:
         raise ValueError(f"ratio must be positive, got {r}")
-    if r <= s:
-        return RatioOccupation(n_bar=math.nan, unphysical=True)
-    return RatioOccupation(n_bar=1.0 / (r / s - 1.0), unphysical=False)
+    return 1.0 / (r / s - 1.0) if r > s else math.nan
 
 
 def thermal_occupation(t: float, omega_m: float) -> float:
@@ -241,13 +231,11 @@ class RegimeBoundaries(NamedTuple):
     ground_state : mode approaches the ground state (gamma_opt ~ n0 gamma_0)
     backaction : backaction and thermal motion contribute equally
                  (gamma_opt ~ (n0 / n_ba) gamma_0)
-    degenerate : True when n_ba >= n0 collapses the ordering
     """
 
     onset: float
     ground_state: float
     backaction: float
-    degenerate: bool
 
 
 def regime_boundaries(
@@ -260,25 +248,11 @@ def regime_boundaries(
         onset=gamma_0,
         ground_state=n0 * gamma_0,
         backaction=(n0 / n_ba) * gamma_0,
-        degenerate=n_ba >= n0,
     )
 
 
 def cooling_point(
     params: SystemParams, detuning: float, gamma_opt: float
 ) -> CoolingPoint:
-    """Derive the per-quantum scattering rates for one drive setting.
-
-    A- = gamma_opt / (1 - s) and A+ = s * gamma_opt / (1 - s), so that
-    A- - A+ = gamma_opt exactly and detailed balance holds at n_ba.
-    """
-    s = sideband_ratio(detuning, params)
-    a_minus = gamma_opt / (1.0 - s)
-    return CoolingPoint(
-        detuning=detuning,
-        gamma_opt=gamma_opt,
-        s_ratio=s,
-        n_ba=s / (1.0 - s),
-        rate_stokes_per_quantum=s * a_minus,
-        rate_antistokes_per_quantum=a_minus,
-    )
+    """The drive setting at ``detuning``, with its susceptibility ratio."""
+    return CoolingPoint(detuning, gamma_opt, sideband_ratio(detuning, params))

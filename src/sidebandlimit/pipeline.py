@@ -28,7 +28,7 @@ import math
 from collections.abc import Callable
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,7 @@ from sidebandlimit.config import ExperimentConfig
 from sidebandlimit.io import (
     SchemaError,
     config_hash,
+    metadata_number,
     read_spectrum_csv,
     write_spectrum_csv,
 )
@@ -134,26 +135,20 @@ def plan_curve(
         resolution = model.gamma_eff / syn.bins_per_linewidth
         span = params.omega_m + syn.grid_margin_linewidths * model.gamma_eff
         half_bins = int(math.ceil(span / resolution))
-        grid = SynthConfig(
-            f_lo=-half_bins * resolution,
-            f_hi=half_bins * resolution,
+        f_lo, grid_bins = -half_bins * resolution, 2 * half_bins + 1
+        synth = SynthConfig(
+            f_lo=f_lo,
             resolution=resolution,
+            grid_bins=grid_bins,
             n_avg=n_avg,
             seed=np.random.SeedSequence(
                 entropy=master_seed, spawn_key=(detuning_index, i)
             ),
+            index=acquisition_index(
+                model, f_lo, resolution, grid_bins, syn.grid_margin_linewidths
+            ),
         )
-        recorded = acquisition_index(
-            model, grid.f_lo, resolution, grid.grid_bins, syn.grid_margin_linewidths
-        )
-        plans.append(
-            PointPlan(
-                index=i,
-                gamma_opt_hz=gamma_opt_hz,
-                model=model,
-                synth=replace(grid, index=recorded),
-            )
-        )
+        plans.append(PointPlan(index=i, gamma_opt_hz=gamma_opt_hz, model=model, synth=synth))
     return plans
 
 
@@ -357,15 +352,10 @@ def run_cooling_curve(
 def read_and_fit(path) -> tuple[PointOutcome, float | None]:
     """Read one spectrum file and fit it; returns the outcome and its detuning."""
     spectrum, metadata = read_spectrum_csv(path)
-    if "gamma_opt_hz" not in metadata:
-        raise SchemaError(path, 1, "missing required metadata key 'gamma_opt_hz'")
-    try:
-        gamma_opt_hz = float(metadata["gamma_opt_hz"])
-        detuning_hz = (
-            float(metadata["detuning_hz"]) if "detuning_hz" in metadata else None
-        )
-    except ValueError as exc:
-        raise SchemaError(path, 1, f"malformed metadata value: {exc}") from exc
+    gamma_opt_hz = metadata_number(path, metadata, "gamma_opt_hz")
+    detuning_hz = (
+        metadata_number(path, metadata, "detuning_hz") if "detuning_hz" in metadata else None
+    )
     if not 0 < gamma_opt_hz < math.inf:
         raise SchemaError(path, 1, f"gamma_opt_hz must be finite and positive, got {gamma_opt_hz}")
     if detuning_hz is not None and not -math.inf < detuning_hz < 0:

@@ -69,8 +69,7 @@ class SpectrumModel:
     gamma_eff: float  # effective mechanical linewidth gamma_0 + gamma_opt (rad/s)
     peak_stokes: float  # Stokes peak height (shot-noise units)
     peak_antistokes: float  # anti-Stokes peak height (shot-noise units)
-    floor: float  # off-resonant level, 1 + background_fraction
-    background_fraction: float  # substrate-mode excess floor, >= 0
+    floor: float  # off-resonant level: 1 plus any substrate-mode excess
     s_ratio: float | None = None
     n_bar: float | None = None
 
@@ -79,12 +78,8 @@ class SpectrumModel:
             raise ValueError(f"gamma_eff must be positive, got {self.gamma_eff}")
         if self.peak_stokes < 0 or self.peak_antistokes < 0:
             raise ValueError("peak heights must be non-negative")
-        if self.background_fraction < 0:
-            raise ValueError(
-                f"background_fraction must be >= 0, got {self.background_fraction}"
-            )
-        if abs(self.floor - (1.0 + self.background_fraction)) > 1e-12:
-            raise ValueError("floor must equal 1 + background_fraction")
+        if not self.floor >= 1:
+            raise ValueError(f"floor must be >= 1, got {self.floor}")
 
 
 def _grid_slice(f_lo: float, resolution: float, n_bins: int, lo: float, hi: float) -> slice:
@@ -183,7 +178,6 @@ def build_model(
         peak_stokes=scale * point.rate_stokes_per_quantum * (n_bar + 1.0),
         peak_antistokes=scale * point.rate_antistokes_per_quantum * n_bar,
         floor=1.0 + background_fraction,
-        background_fraction=background_fraction,
         s_ratio=point.s_ratio,
         n_bar=n_bar,
     )
@@ -327,15 +321,6 @@ def _window_fit_inputs(model: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:
     return local, design
 
 
-def _require_physics_metadata(model: SpectrumModel) -> tuple[float, float]:
-    if model.s_ratio is None or model.n_bar is None:
-        raise ValueError(
-            "model carries no generating-physics metadata (s_ratio, n_bar); "
-            "build it with build_model to use the systematics diagnostics"
-        )
-    return model.s_ratio, model.n_bar
-
-
 def apparent_sideband_bias(model: SpectrumModel, background_fraction: float) -> float:
     """Occupation shift from normalizing to a substrate-elevated floor.
 
@@ -352,7 +337,11 @@ def apparent_sideband_bias(model: SpectrumModel, background_fraction: float) -> 
     """
     if background_fraction < 0:
         raise ValueError("background_fraction must be >= 0")
-    s, n_bar = _require_physics_metadata(model)
+    if model.s_ratio is None or model.n_bar is None:
+        raise ValueError(
+            "model carries no generating-physics metadata (s_ratio, n_bar); "
+            "build it with build_model to use the systematics diagnostics"
+        )
     if background_fraction == 0.0:
         return 0.0
 
@@ -363,30 +352,7 @@ def apparent_sideband_bias(model: SpectrumModel, background_fraction: float) -> 
     )[0]
     if amp_stokes <= 0 or amp_antistokes <= 0:
         return math.nan
-    biased = occupation_from_ratio(amp_stokes / amp_antistokes, s)
-    if biased.unphysical:
-        return math.nan
-    return biased.n_bar - n_bar
-
-
-def solve_background_for_bias(model: SpectrumModel, target: float) -> float:
-    """Background fraction whose apparent-sideband bias is ``target`` phonons.
-
-    The amplitudes of :func:`apparent_sideband_bias` are ``P / (1 + b) - c``,
-    with ``P`` and ``c`` the fits of the undivided spectrum and of a unit
-    floor; setting their ratio to ``s (1 + 1 / (n_bar + target))`` fixes ``b``.
-    """
-    if not target > 0:
-        raise ValueError("target bias magnitude must be positive")
-    s, n_bar = _require_physics_metadata(model)
-    local, design = _window_fit_inputs(model)
-    fits = np.linalg.lstsq(design, np.column_stack([local, np.ones_like(local)]), rcond=None)
-    (p_stokes, p_antistokes), (c_stokes, c_antistokes) = fits[0].T
-    ratio = s * (1.0 + 1.0 / (n_bar + target))
-    b = (p_stokes - ratio * p_antistokes) / (c_stokes - ratio * c_antistokes) - 1.0
-    if not 0.0 < b <= 1.0:
-        raise ValueError("target bias not reachable for background_fraction <= 1")
-    return float(b)
+    return occupation_from_ratio(amp_stokes / amp_antistokes, model.s_ratio) - model.n_bar
 
 
 def laser_noise_bias(amp_noise: float, phase_noise: float) -> float:

@@ -44,34 +44,28 @@ _MIN_SPAN_LINEWIDTHS = 3.0
 class SynthConfig:
     """Synthesis settings for one spectrum.
 
-    ``n_avg`` may be ``math.inf`` to request the noiseless analytic limit.
-    ``seed`` accepts an integer or a `numpy.random.SeedSequence` (the
-    pipeline passes per-point children of the master seed).  ``index``
-    names the grid bins to synthesize, ascending; ``None`` means all.
+    The grid is ``f_lo + i * resolution`` for ``0 <= i < grid_bins``, as
+    in :class:`HeterodyneSpectrum`.  ``n_avg`` may be ``math.inf`` to
+    request the noiseless analytic limit.  ``seed`` accepts an integer or
+    a `numpy.random.SeedSequence` (the pipeline passes per-point children
+    of the master seed).  ``index`` names the grid bins to synthesize,
+    ascending; ``None`` means all.
     """
 
-    f_lo: float  # grid start (rad/s, relative to beat note)
-    f_hi: float  # grid end (rad/s)
+    f_lo: float  # grid bin 0 (rad/s, relative to beat note)
     resolution: float  # bin spacing (rad/s)
+    grid_bins: int  # grid extent
     n_avg: float = 1000.0
     seed: int | np.random.SeedSequence = 0
     index: np.ndarray | None = None  # grid bins to synthesize (default: all)
 
     def __post_init__(self) -> None:
-        if not self.f_hi > self.f_lo:
-            raise ValueError("f_hi must exceed f_lo")
         if not self.resolution > 0:
             raise ValueError("resolution must be positive")
+        if not self.grid_bins >= 2:
+            raise ValueError(f"grid_bins must be >= 2, got {self.grid_bins}")
         if not self.n_avg >= 1:
             raise ValueError(f"n_avg must be >= 1, got {self.n_avg}")
-
-    @property
-    def grid_bins(self) -> int:
-        # A span within rounding of a whole number of bins ends on f_hi;
-        # any other span stops at the last bin below f_hi.
-        span = (self.f_hi - self.f_lo) / self.resolution
-        whole = round(span)
-        return (whole if math.isclose(span, whole, rel_tol=1e-12) else math.floor(span)) + 1
 
 
 @dataclass(frozen=True)
@@ -97,14 +91,14 @@ def synthesize_spectrum(model: SpectrumModel, config: SynthConfig) -> Heterodyne
     evaluated at the bins.
     """
     margin = _MIN_SPAN_LINEWIDTHS * model.gamma_eff
-    if config.f_lo > -(model.omega_m + margin) or config.f_hi < model.omega_m + margin:
+    f_hi = config.f_lo + (config.grid_bins - 1) * config.resolution
+    if config.f_lo > -(model.omega_m + margin) or f_hi < model.omega_m + margin:
         raise ValueError(
             "synthesis grid must span both sidebands: need at least "
             f"[{-(model.omega_m + margin):.6g}, {model.omega_m + margin:.6g}] rad/s, "
-            f"got [{config.f_lo:.6g}, {config.f_hi:.6g}]"
+            f"got [{config.f_lo:.6g}, {f_hi:.6g}]"
         )
-    grid_bins = config.grid_bins
-    index = np.arange(grid_bins) if config.index is None else np.asarray(config.index)
+    index = np.arange(config.grid_bins) if config.index is None else np.asarray(config.index)
     psd = evaluate_psd(model, config.f_lo + config.resolution * index)
     if not math.isinf(config.n_avg):
         draws = _grid_draws(config.seed, config.n_avg, index)
@@ -115,7 +109,7 @@ def synthesize_spectrum(model: SpectrumModel, config: SynthConfig) -> Heterodyne
         psd=psd,
         n_avg=config.n_avg,
         index=index,
-        grid_bins=grid_bins,
+        grid_bins=config.grid_bins,
     )
 
 

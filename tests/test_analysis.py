@@ -72,10 +72,12 @@ def make_model(params, n0, gamma_opt_hz, background_fraction=0.0, delta_hz=-1.62
 
 def synthesize(model, n_avg, seed=0, bins_per_linewidth=14.0, margin=80.0):
     span = model.omega_m + margin * model.gamma_eff
+    resolution = model.gamma_eff / bins_per_linewidth
     config = SynthConfig(
         f_lo=-span,
-        f_hi=span,
-        resolution=model.gamma_eff / bins_per_linewidth,
+        resolution=resolution,
+        # through +span, or the bin within rounding of it
+        grid_bins=math.floor(2 * span / resolution * (1 + 1e-12)) + 1,
         n_avg=n_avg,
         seed=seed,
     )
@@ -195,7 +197,7 @@ class TestFitSidebands:
         spectrum = synthesize(model, 5000.0, seed=77)
         n_ref = occupation_from_ratio(
             fit_sidebands(spectrum).amplitude_ratio(), point.s_ratio
-        ).n_bar
+        )
         for k in (0.37, 12.0):
             scaled = HeterodyneSpectrum(
                 f_lo=spectrum.f_lo,
@@ -205,7 +207,7 @@ class TestFitSidebands:
             )
             n_scaled = occupation_from_ratio(
                 fit_sidebands(scaled).amplitude_ratio(), point.s_ratio
-            ).n_bar
+            )
             assert n_scaled == pytest.approx(n_ref, rel=1e-6)
 
     def test_insufficient_visibility_raises(self, params, bath_occupation):
@@ -416,7 +418,7 @@ class TestRecordLayouts:
         _, _, model = make_model(params, bath_occupation, gamma_opt_hz)
         res = model.gamma_eff / 14
         half = math.ceil((model.omega_m + 80 * model.gamma_eff) / res)
-        config = SynthConfig(f_lo=-half * res, f_hi=half * res, resolution=res, n_avg=math.inf)
+        config = SynthConfig(f_lo=-half * res, resolution=res, grid_bins=2 * half + 1, n_avg=math.inf)
         index = acquisition_index(model, config.f_lo, res, config.grid_bins, 80.0)
         sparse = fit_sidebands(synthesize_spectrum(model, replace(config, index=index)))
         assert index.size < 10_000
@@ -553,7 +555,7 @@ class TestOccupationSeries:
                         )
                     ).amplitude_ratio(),
                     point.s_ratio,
-                ).n_bar
+                )
                 for s in range(36)
             ]
             sigmas.append(np.std(values, ddof=1))
@@ -575,11 +577,9 @@ class TestOccupationSeries:
                     seed=np.random.SeedSequence(entropy=20250810, spawn_key=(seed,)),
                 )
             )
-            out = occupation_from_ratio(fit.amplitude_ratio(), point.s_ratio)
-            sigma_n = (
-                math.sqrt(fit.ratio_variance()) * out.n_bar**2 / point.s_ratio
-            )
-            covered += abs(out.n_bar - n_bar) <= sigma_n
+            n_fit = occupation_from_ratio(fit.amplitude_ratio(), point.s_ratio)
+            sigma_n = math.sqrt(fit.ratio_variance()) * n_fit**2 / point.s_ratio
+            covered += abs(n_fit - n_bar) <= sigma_n
         assert 0.63 <= covered / 500 <= 0.73
 
 

@@ -259,7 +259,11 @@ class TestFitCommand:
     @pytest.mark.parametrize(
         "metadata, message",
         [
-            pytest.param({"gamma_opt_hz": "np.float64(1.0)"}, "malformed", id="repr"),
+            pytest.param(
+                {"gamma_opt_hz": "np.float64(1.0)"},
+                "malformed metadata value for 'gamma_opt_hz'",
+                id="repr",
+            ),
             # a drive must be finite and positive, a detuning finite and red
             pytest.param({"gamma_opt_hz": -44.6}, "gamma_opt_hz", id="negative-drive"),
             pytest.param({"gamma_opt_hz": 0.0}, "gamma_opt_hz", id="zero-drive"),
@@ -301,12 +305,14 @@ class TestFitCommand:
         params = SystemParams.from_hz(2.6e6, 1.48e6, 0.18, 0.04)
         point = cooling_point(params, -TWO_PI * 1.62e6, TWO_PI * 30e3)
         model = build_model(params, point, 0.2)
+        span = model.omega_m + 80 * model.gamma_eff
+        resolution = model.gamma_eff / 14
         full = synthesize_spectrum(
             model,
             SynthConfig(
-                f_lo=-(model.omega_m + 80 * model.gamma_eff),
-                f_hi=model.omega_m + 80 * model.gamma_eff,
-                resolution=model.gamma_eff / 14,
+                f_lo=-span,
+                resolution=resolution,
+                grid_bins=math.floor(2 * span / resolution) + 1,
                 n_avg=math.inf,
             ),
         )
@@ -621,6 +627,24 @@ class TestConfigHandling:
         path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **patch}))
         assert run_cli(*argv, "--config", path) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["cool", "sweep", "synth"])
+    def test_grid_margin_below_the_synthesis_span_is_a_usage_error(
+        self, command, small_config, capsys
+    ):
+        data = json.loads(small_config.read_text())
+        data["synthesis"]["grid_margin_linewidths"] = 2.5
+        small_config.write_text(json.dumps(data))
+        assert run_cli(command, "--config", small_config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.synthesis.grid_margin_linewidths: must be >= 3.0")
+        assert not Path(data["output_dir"]).exists()
+
+    def test_grid_margin_at_the_synthesis_span_runs(self, small_config):
+        data = json.loads(small_config.read_text())
+        data["synthesis"]["grid_margin_linewidths"] = 3.0
+        small_config.write_text(json.dumps(data))
+        assert run_cli("synth", "--config", small_config) == 0
 
     @pytest.mark.parametrize(
         "command, value", [("cool", "not-a-number"), ("synth", "-2")]

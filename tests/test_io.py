@@ -73,6 +73,14 @@ class TestSpectrumFiles:
         with pytest.raises(SchemaError, match="n_avg"):
             read_spectrum_csv(path)
 
+    def test_malformed_metadata_value_named(self, tmp_path, spectrum):
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(path, spectrum)
+        text = path.read_text().replace(" resolution_rad=987.654321", " resolution_rad=1e3Hz")
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=r"spec\.csv:1: malformed metadata value for 'resolution_rad'"):
+            read_spectrum_csv(path)
+
     def test_truncated_data_detected(self, tmp_path, spectrum):
         path = tmp_path / "spec.csv"
         write_spectrum_csv(path, spectrum)

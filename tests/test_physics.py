@@ -198,24 +198,19 @@ class TestOccupationFromRatio:
     def test_round_trip(self):
         n, s = 0.20, 1.7096 / 11.3
         r = s * (1.0 + 1.0 / n)
-        out = occupation_from_ratio(r, s)
-        assert not out.unphysical
-        assert out.n_bar == pytest.approx(n, rel=1e-12)
+        assert occupation_from_ratio(r, s) == pytest.approx(n, rel=1e-12)
 
     def test_equal_sidebands_reproduce_backaction_limit(self, params):
         s = sideband_ratio(-TWO_PI * 1.62e6, params)
-        out = occupation_from_ratio(1.0, s)
-        assert out.n_bar == pytest.approx(
+        assert occupation_from_ratio(1.0, s) == pytest.approx(
             backaction_limit(-TWO_PI * 1.62e6, params), rel=1e-12
         )
 
     def test_large_ratio_limit(self):
-        assert occupation_from_ratio(1e12, 0.15).n_bar < 2e-13
+        assert occupation_from_ratio(1e12, 0.15) < 2e-13
 
     def test_unphysical_ratio_flagged(self):
-        out = occupation_from_ratio(0.10, 0.15)
-        assert out.unphysical
-        assert math.isnan(out.n_bar)
+        assert math.isnan(occupation_from_ratio(0.10, 0.15))
 
     @given(
         n=st.floats(min_value=1e-3, max_value=1e6),
@@ -223,9 +218,7 @@ class TestOccupationFromRatio:
     )
     @settings(max_examples=500, deadline=None)
     def test_inversion_property(self, n, s):
-        out = occupation_from_ratio(s * (1.0 + 1.0 / n), s)
-        assert not out.unphysical
-        assert out.n_bar == pytest.approx(n, rel=1e-9)
+        assert occupation_from_ratio(s * (1.0 + 1.0 / n), s) == pytest.approx(n, rel=1e-9)
 
 
 class TestThermalOccupation:
@@ -284,11 +277,9 @@ class TestRegimeBoundaries:
         assert b.onset == 0.18
         assert b.ground_state == pytest.approx(912.3, abs=0.1)
         assert b.backaction == pytest.approx(5.118e3, rel=1e-3)
-        assert not b.degenerate
 
     def test_degenerate_flagged(self):
         b = regime_boundaries(1.0, 1.0, 0.18)
-        assert b.degenerate
         assert b.ground_state == pytest.approx(b.backaction)
 
     def test_occupation_at_backaction_boundary(self, params):
@@ -304,15 +295,10 @@ class TestRegimeBoundaries:
 
 class TestCoolingPoint:
     def test_invariant_validation(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            CoolingPoint(
-                detuning=-1.0,
-                gamma_opt=1.0,
-                s_ratio=0.5,
-                n_ba=0.3,  # should be 1.0
-                rate_stokes_per_quantum=1.0,
-                rate_antistokes_per_quantum=2.0,
-            )
+        with pytest.raises(ValueError, match="s_ratio"):
+            CoolingPoint(detuning=-1.0, gamma_opt=1.0, s_ratio=1.0)
+        with pytest.raises(ValueError, match="gamma_opt"):
+            CoolingPoint(detuning=-1.0, gamma_opt=-1.0, s_ratio=0.5)
 
     def test_rejects_blue_detuning(self, params):
         with pytest.raises(RedDetuningError):

@@ -23,7 +23,6 @@ from sidebandlimit.spectra import (
     evaluate_psd,
     laser_noise_bias,
     lorentzian,
-    solve_background_for_bias,
     two_lorentzian,
     two_lorentzian_gradient,
 )
@@ -85,12 +84,17 @@ class TestBuildModel:
             point.s_ratio * (n_bar + 1.0) / n_bar, rel=1e-10
         )
         recovered = occupation_from_ratio(ratio, point.s_ratio)
-        assert recovered.n_bar == pytest.approx(n_bar, rel=1e-10)
+        assert recovered == pytest.approx(n_bar, rel=1e-10)
 
     def test_background_raises_floor(self, reference):
         params, point, n_bar = reference
         model = build_model(params, point, n_bar, background_fraction=0.05)
         assert model.floor == pytest.approx(1.05)
+
+    def test_rejects_floor_below_shot_noise(self, reference):
+        params, point, n_bar = reference
+        with pytest.raises(ValueError, match="floor"):
+            build_model(params, point, n_bar, background_fraction=-0.01)
 
     def test_rejects_negative_occupation(self, reference):
         params, point, _ = reference
@@ -144,7 +148,6 @@ class TestEvaluatePsd:
             peak_stokes=2.5,
             peak_antistokes=2.5,
             floor=1.0,
-            background_fraction=0.0,
         )
         omega = np.linspace(0.1e6, 2e6, 501)
         assert evaluate_psd(model, omega) == pytest.approx(evaluate_psd(model, -omega))
@@ -219,25 +222,10 @@ class TestApparentSidebandBias:
         biases = [apparent_sideband_bias(model, b) for b in (0.0005, 0.001, 0.002)]
         assert 0 < biases[0] < biases[1] < biases[2]
 
-    def test_calibrated_background_reproduces_reference_bias(self, reference):
-        # inversion through the chain: the background fraction reproducing
-        # a 0.006-phonon shift (and larger ones) at the final operating point
-        params, point, n_bar = reference
-        model = build_model(params, point, n_bar)
-        for target, expected_b in [(0.006, 2.7754e-3), (0.02, 6.6820e-3), (5.0, 1.6740e-2)]:
-            b = solve_background_for_bias(model, target)
-            assert b == pytest.approx(expected_b, rel=1e-4)
-            assert abs(apparent_sideband_bias(model, b)) == pytest.approx(target, abs=1e-9)
-
-    def test_calibration_root_is_pinned(self, reference):
-        params, point, n_bar = reference
-        model = build_model(params, point, n_bar)
-        assert solve_background_for_bias(model, 0.006) == 0.002775394887682081
-
     def test_requires_physics_metadata(self):
         bare = SpectrumModel(
             omega_m=1e6, gamma_eff=1e3, peak_stokes=1.0, peak_antistokes=2.0,
-            floor=1.0, background_fraction=0.0,
+            floor=1.0,
         )
         with pytest.raises(ValueError, match="metadata"):
             apparent_sideband_bias(bare, 0.01)

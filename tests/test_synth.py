@@ -54,10 +54,11 @@ def narrow_model():
 
 def _grid_config(model, n_avg=100.0, seed=0, linewidths=80.0):
     span = model.omega_m + linewidths * model.gamma_eff
+    resolution = model.gamma_eff / 14
     return SynthConfig(
         f_lo=-span,
-        f_hi=span,
-        resolution=model.gamma_eff / 14,
+        resolution=resolution,
+        grid_bins=math.floor(2 * span / resolution) + 1,
         n_avg=n_avg,
         seed=seed,
     )
@@ -76,11 +77,13 @@ class TestSynthesizeSpectrum:
         root = np.random.SeedSequence(7)
         children = root.spawn(2)
         span = model.omega_m + 80 * model.gamma_eff
+        resolution = model.gamma_eff / 14
         specs = [
             synthesize_spectrum(
                 model,
                 SynthConfig(
-                    f_lo=-span, f_hi=span, resolution=model.gamma_eff / 14,
+                    f_lo=-span, resolution=resolution,
+                    grid_bins=math.floor(2 * span / resolution) + 1,
                     n_avg=50.0, seed=child,
                 ),
             )
@@ -93,8 +96,7 @@ class TestSynthesizeSpectrum:
         # a bin's variate is a function of (seed, bin), whichever bins are
         # stored and however wide the grid is
         base = _grid_config(model, n_avg=100.0, seed=99)
-        config = replace(base, resolution=(base.f_hi - base.f_lo) / (bins - 1))
-        assert abs(config.grid_bins - bins) <= 1
+        config = replace(base, resolution=-2.0 * base.f_lo / (bins - 1), grid_bins=bins)
         index = np.unique(np.random.default_rng(3).integers(0, config.grid_bins, 500))
         assert index[-1] > 0.9 * bins
         part = synthesize_spectrum(model, replace(config, index=index))
@@ -140,8 +142,10 @@ class TestSynthesizeSpectrum:
 
     def test_rejects_grid_missing_a_sideband(self, model):
         span = model.omega_m + 80 * model.gamma_eff
+        resolution = model.gamma_eff / 14
         config = SynthConfig(
-            f_lo=0.0, f_hi=span, resolution=model.gamma_eff / 14, n_avg=10.0
+            f_lo=0.0, resolution=resolution,
+            grid_bins=math.floor(span / resolution) + 1, n_avg=10.0,
         )
         with pytest.raises(ValueError, match="span both sidebands"):
             synthesize_spectrum(model, config)
@@ -210,9 +214,8 @@ class TestGridDraws:
         model = narrow_model
         span = model.omega_m + 80 * model.gamma_eff
         config = SynthConfig(
-            f_lo=-span, f_hi=span, resolution=span / 1e10, n_avg=1e4, seed=8
+            f_lo=-span, resolution=span / 1e10, grid_bins=2 * 10**10 + 1, n_avg=1e4, seed=8
         )
-        assert config.grid_bins >= 2 * 10**10
         index = np.unique(
             np.random.default_rng(8).integers(0, config.grid_bins, 4200)
         )[:4096]
@@ -230,11 +233,12 @@ class TestGridDraws:
 class TestSynthConfigValidation:
     def test_rejects_low_averaging(self):
         with pytest.raises(ValueError, match="n_avg"):
-            SynthConfig(f_lo=-1.0, f_hi=1.0, resolution=0.1, n_avg=0.5)
+            SynthConfig(f_lo=-1.0, resolution=0.1, grid_bins=21, n_avg=0.5)
 
     def test_rejects_empty_span(self):
-        with pytest.raises(ValueError):
-            SynthConfig(f_lo=1.0, f_hi=-1.0, resolution=0.1)
+        for grid_bins in (0, 1):
+            with pytest.raises(ValueError, match="grid_bins"):
+                SynthConfig(f_lo=1.0, resolution=0.1, grid_bins=grid_bins)
 
 
 class TestSimulateOscillator:
