@@ -41,7 +41,6 @@ from sidebandlimit.physics import (
 from sidebandlimit.spectra import (
     WINDOW_LINEWIDTHS,
     HeterodyneSpectrum,
-    floor_sample,
     two_lorentzian_gradient,
 )
 
@@ -160,7 +159,9 @@ def _smooth(values: np.ndarray, width: int) -> np.ndarray:
 def _smooth_runs(spectrum: HeterodyneSpectrum, width: int) -> np.ndarray:
     """Boxcar-smooth each run of adjacent stored bins on its own.
 
-    A full record is one run.  Isolated floor-sample bins keep their value.
+    A full record is one run, a zoomed record one per sideband span (or
+    one, where the spans overlap).  A stored bin with no stored neighbour
+    keeps its value.
     """
     psd = spectrum.psd
     smooth = psd.copy()
@@ -197,25 +198,17 @@ def _initial_guess(spectrum: HeterodyneSpectrum) -> np.ndarray:
     """Deterministic data-driven starting point, in the sideband fit's
     parameter order (omega_m, gamma_eff, amp_stokes, amp_antistokes, floor).
 
-    Floor from the median of the stored bins in the outer frequency
-    quartiles of the grid.  The sideband offset comes from the maximum of
-    the stored spectrum folded about the beat note, where the two mirrored
-    peaks add coherently while noise maxima have to coincide across both
-    halves; width from the half-max crossings around the folded peak.
-    Every step reads stored bins only, so its cost follows the record,
-    not the grid.
+    The sideband offset comes from the maximum of the stored spectrum
+    folded about the beat note, where the two mirrored peaks add
+    coherently while noise maxima have to coincide across both halves.
+    The floor is the median of the quarter of stored bins farthest from
+    both located lines, out in the Lorentzian tails; width from the
+    half-max crossings around the folded peak.  Every step reads stored
+    bins only, so its cost follows the record, not the grid.
     """
     psd = spectrum.psd
     index = spectrum.index
     n = spectrum.grid_bins
-    quart = max(n // 4, 1)
-    lo_end, hi_start = np.searchsorted(index, [quart, n - quart])
-    stride = max(1, (lo_end + psd.size - hi_start) // 200_000)
-    outer = np.concatenate([psd[:lo_end:stride], psd[hi_start::stride]])
-    floor0 = float(np.median(outer))
-    # The Gamma bin law is skewed at low averaging: the mean, not the
-    # median, estimates the floor level the noise scales with.
-    floor_mean = float(np.mean(outer))
     smooth = _smooth_runs(spectrum, _SMOOTH_WIDTH)
 
     # Fold the band about zero.  On a uniform grid the bin mirrored from
@@ -246,6 +239,14 @@ def _initial_guess(spectrum: HeterodyneSpectrum) -> np.ndarray:
 
     k = int(np.argmax(folded))
     omega_m0 = spectrum.f_lo + index[pos[k]] * res
+    # the floor: the quarter of stored bins farthest from both lines
+    distance = np.abs(np.abs(spectrum.frequencies) - omega_m0)
+    cut = np.partition(distance, 3 * psd.size // 4)[3 * psd.size // 4]
+    far = psd[distance >= cut]
+    floor0 = float(np.median(far))
+    # The Gamma bin law is skewed at low averaging: the mean, not the
+    # median, estimates the floor level the noise scales with.
+    floor_mean = float(np.mean(far))
     peak_pos = pos_view[k] - floor0
     peak_neg = neg_view[k] - floor0
 
@@ -283,7 +284,8 @@ def _initial_guess(spectrum: HeterodyneSpectrum) -> np.ndarray:
 def _fit_indices(
     spectrum: HeterodyneSpectrum, omega_m: float, window: float
 ) -> np.ndarray:
-    """Stored bins the fit reads: both sideband windows plus a strided floor sample.
+    """Stored bins the fit reads: both sideband windows, whose outer bins
+    sit at floor level.
 
     Returns positions into ``spectrum.psd``.
     """
@@ -291,14 +293,10 @@ def _fit_indices(
     sl_neg = spectrum.index_range(-omega_m - window, -omega_m + window)
     if (sl_neg.stop - sl_neg.start) + (sl_pos.stop - sl_pos.start) < 20:
         raise SpectrumCoverageError("sideband windows contain too few bins")
-    floor_idx = floor_sample(
-        spectrum.index_range, spectrum.f_lo, spectrum.f_hi, omega_m, window
-    )
     # the windows overlap once 2 * window > 2 * omega_m; a mask merges them
     keep = np.zeros(spectrum.n_bins, dtype=bool)
     keep[sl_neg] = True
     keep[sl_pos] = True
-    keep[floor_idx] = True
     return np.flatnonzero(keep)
 
 

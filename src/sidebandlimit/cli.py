@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cool.add_argument(
         "--save-spectra",
         action="store_true",
-        help="persist the recorded spectra (sideband spans and floor sample)",
+        help="persist the recorded spectra (the two sideband spans)",
     )
 
     p_sweep = sub.add_parser("sweep", help="cooling curves across all detunings")
@@ -178,7 +178,6 @@ def _write_curve_outputs(
             "detuning_hz": run.detuning_hz,
             "system": asdict(config.system),
             "bath_temperature_k": config.bath_temperature_k,
-            "power_scale_hz_per_uw": config.power_scale_hz_per_uw,
         },
         "estimates": {
             "s_hat": curve.s_hat,

@@ -65,9 +65,6 @@ class ExperimentConfig:
     bath_temperature_k: float = 0.36
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
     systematics: SystematicsConfig = field(default_factory=SystematicsConfig)
-    # Optional linear power-to-damping scale; used only to label sweep
-    # axes in reports, never in the physics.
-    power_scale_hz_per_uw: float | None = None
     output_dir: str = "out"
     seed: int = 1
 

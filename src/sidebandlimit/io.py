@@ -6,8 +6,8 @@ or environment details are embedded.  Oscillator time series, the
 time-domain oracle's input, stay in memory and have no file format.
 
 Spectrum CSV schema (one file per spectrum).  A record that stores only
-some bins of its grid -- the sideband spans and floor sample a zoomed
-acquisition keeps -- is written as v2, with the grid bin of each row::
+some bins of its grid -- the two sideband spans a zoomed acquisition
+keeps -- is written as v2, with the grid bin of each row::
 
     # sidebandlimit-spectrum v2 key=value key=value ...
     bin,frequency_hz,psd_sn

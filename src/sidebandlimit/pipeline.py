@@ -4,10 +4,10 @@ A cooling curve is planned point by point from the configuration: the
 drive grid fixes each point's optical damping, the rate equation predicts
 its occupation, and synthesis settings (grid resolution tied to the
 linewidth, averaging scaled with occupation, and the grid bins to record:
-a span around each sideband plus the fit's floor sample) follow.  Points own
-independent RNG streams derived from ``(master seed, detuning index,
-point index)``, so any execution order -- including process pools --
-reproduces identical data.
+a span around each sideband, mirrored about the beat note) follow.
+Points own independent RNG streams derived from ``(master seed, detuning
+index, point index)``, so any execution order -- including process pools
+-- reproduces identical data.
 
 Points, and the files ``fit`` reads, fan out through ``run_points``.  A
 command opens one pool of up to ``jobs`` workers with ``worker_pool`` and passes

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -42,12 +40,10 @@ PEAK_HEIGHT_NORM = 4.0
 LASER_NOISE_OCCUPATION_SCALE = 0.006 / 0.022
 
 # Analysis-band conventions shared with the sideband fitter: how far the
-# fit window extends around each sideband, how finely a linewidth is
-# sampled when a grid has to be built from scratch, and how many
-# off-resonant bins constrain the floor.
+# fit window extends around each sideband, and how finely a linewidth is
+# sampled when a grid has to be built from scratch.
 WINDOW_LINEWIDTHS = 60.0
 BINS_PER_LINEWIDTH = 14
-FLOOR_SAMPLE_BINS = 4096
 
 
 def lorentzian(omega, center: float, fwhm: float):
@@ -98,8 +94,8 @@ class HeterodyneSpectrum:
     ``index`` lists, in ascending order, the grid bins the record stores:
     ``psd[k]`` is the value of bin ``index[k]``.  A full record stores
     every bin, which is what omitting ``index`` means; an acquisition
-    zoomed on the sidebands stores only the spans around them plus a
-    floor sample (:func:`acquisition_index`).
+    zoomed on the sidebands stores only the spans around them
+    (:func:`acquisition_index`).
     """
 
     f_lo: float  # grid bin 0 (rad/s)
@@ -240,37 +236,6 @@ def evaluate_psd(model: SpectrumModel, frequencies) -> np.ndarray:
     )
 
 
-def floor_sample(
-    index_range: Callable[[float, float], slice],
-    f_lo: float,
-    f_hi: float,
-    omega_m: float,
-    window: float,
-) -> np.ndarray:
-    """Strided sample of about FLOOR_SAMPLE_BINS off-resonant bins.
-
-    The sample covers the band outside both sideband windows of half
-    width ``window``, each widened by a guard of half a window: left of
-    the Stokes window, between the windows and right of the anti-Stokes
-    window.  ``index_range(lo, hi)`` maps a closed frequency interval to
-    the slice of bins it holds; one stride runs over all three regions.
-    """
-    guard = 1.5 * window
-    slices = [
-        sl
-        for sl in (
-            index_range(f_lo, -omega_m - guard),
-            index_range(-omega_m + guard, omega_m - guard),
-            index_range(omega_m + guard, f_hi),
-        )
-        if sl.stop > sl.start
-    ]
-    if not slices:
-        return np.empty(0, dtype=int)
-    stride = max(1, sum(sl.stop - sl.start for sl in slices) // FLOOR_SAMPLE_BINS)
-    return np.concatenate([np.arange(sl.start, sl.stop, stride) for sl in slices])
-
-
 def acquisition_index(
     model: SpectrumModel,
     f_lo: float,
@@ -281,30 +246,22 @@ def acquisition_index(
     """Grid bins an acquisition zoomed on the sidebands records, ascending.
 
     Two spans of ``span_linewidths`` linewidths either side of each
-    sideband, mirror images of each other about the beat note, plus the
-    floor sample the sideband fitter reads (:func:`floor_sample` with the
-    fitter's window).  This is all a fit of the record reads, so the count
-    stays near ``2 * 2 * span_linewidths * bins-per-linewidth +
-    FLOOR_SAMPLE_BINS`` however narrow the lines are.
+    sideband, mirror images of each other about the beat note.  They hold
+    the sideband fit's windows and, far out in the Lorentzian tails, the
+    floor it reads, so the count stays at most ``2 * (2 * span_linewidths
+    * bins-per-linewidth + 1)`` however narrow the lines are.
     """
-    locate = partial(_grid_slice, f_lo, resolution, grid_bins)
     half = span_linewidths * model.gamma_eff
-    anti_stokes = locate(model.omega_m - half, model.omega_m + half)
+    anti_stokes = _grid_slice(
+        f_lo, resolution, grid_bins, model.omega_m - half, model.omega_m + half
+    )
     anti_stokes = np.arange(anti_stokes.start, anti_stokes.stop)
     # bin ``mirror - i`` sits at minus the frequency of bin ``i``
     mirror = int(round(-2.0 * f_lo / resolution))
     stokes = mirror - anti_stokes
     stokes = stokes[(stokes >= 0) & (stokes < grid_bins)]
-    floor = floor_sample(
-        locate,
-        f_lo,
-        f_lo + (grid_bins - 1) * resolution,
-        model.omega_m,
-        WINDOW_LINEWIDTHS * model.gamma_eff,
-    )
-    bins = np.sort(np.concatenate([stokes, anti_stokes, floor]))
-    # drop the bins the spans and the floor sample share
-    return bins[np.concatenate([[True], np.diff(bins) > 0])]
+    # the spans overlap once they are wider than the sideband offset
+    return np.union1d(stokes, anti_stokes)
 
 
 def _window_fit_inputs(model: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:

@@ -6,8 +6,8 @@ Two independent routes produce spectra:
   exact n_avg-averaged-periodogram law (a Gamma distribution), preserving
   the skew of low-average data.  Bins of an averaged periodogram are
   independent, so it evaluates and stores only the grid bins a plan asks
-  for -- the pipeline asks for the sideband spans and floor sample the
-  fit reads, which keeps memory and model cost flat as the lines narrow.
+  for -- the pipeline asks for the two sideband spans the fit reads,
+  which keeps memory and model cost flat as the lines narrow.
 * :func:`simulate_oscillator` plus :func:`estimate_psd` build a spectrum
   the long way, from a time-domain stochastic oscillator record, and serve
   as an oracle for the spectral analysis chain.  The time-domain route

@@ -32,7 +32,6 @@ from sidebandlimit.spectra import (
     acquisition_index,
     build_model,
     evaluate_psd,
-    floor_sample,
 )
 from sidebandlimit.synth import SynthConfig, synthesize_spectrum
 from sidebandlimit.analysis import (
@@ -41,6 +40,7 @@ from sidebandlimit.analysis import (
     InsufficientVisibilityError,
     _deviance,
     _fit_indices,
+    _initial_guess,
     _smooth,
     _solve_bounded,
     SpectrumCoverageError,
@@ -70,8 +70,8 @@ def make_model(params, n0, gamma_opt_hz, background_fraction=0.0, delta_hz=-1.62
     return point, n_bar, build_model(params, point, n_bar, background_fraction)
 
 
-def synthesize(model, n_avg, seed=0, bins_per_linewidth=14.0, margin=80.0):
-    span = model.omega_m + margin * model.gamma_eff
+def synthesize(model, n_avg, seed=0, bins_per_linewidth=14.0):
+    span = model.omega_m + 80.0 * model.gamma_eff
     resolution = model.gamma_eff / bins_per_linewidth
     config = SynthConfig(
         f_lo=-span,
@@ -182,10 +182,12 @@ class TestFitSidebands:
     def test_zero_bin_raises_analysis_error(self, params, bath_occupation):
         # the Gamma bin law has no zero, so a fitted bin at 0 is bad input
         _, _, model = make_model(params, bath_occupation, 30e3)
-        # a band wide enough that its lowest bin opens the fitted floor sample
-        spectrum = synthesize(model, 5000.0, seed=3, margin=200.0)
+        # a bin 30 linewidths out from the anti-Stokes line, inside the
+        # fitted window at floor level
+        spectrum = synthesize(model, 5000.0, seed=3)
         psd = spectrum.psd.copy()
-        psd[0] = 0.0
+        target = model.omega_m + 30.0 * model.gamma_eff
+        psd[np.argmin(np.abs(spectrum.frequencies - target))] = 0.0
         with pytest.raises(AnalysisError, match="not positive"):
             fit_sidebands(replace(spectrum, psd=psd))
 
@@ -336,13 +338,9 @@ def test_fit_indices_merge_matches_unique_on_every_default_plan():
             omega_m, window = plan.model.omega_m, WINDOW_LINEWIDTHS * plan.model.gamma_eff
             sl_pos = spectrum.index_range(omega_m - window, omega_m + window)
             sl_neg = spectrum.index_range(-omega_m - window, -omega_m + window)
-            floor_idx = floor_sample(
-                spectrum.index_range, spectrum.f_lo, spectrum.f_hi, omega_m, window
-            )
             parts = np.concatenate([
                 np.arange(sl_neg.start, sl_neg.stop),
                 np.arange(sl_pos.start, sl_pos.stop),
-                floor_idx,
             ])
             expected = np.unique(parts)
             overlapping += expected.size < parts.size
@@ -350,6 +348,21 @@ def test_fit_indices_merge_matches_unique_on_every_default_plan():
                 _fit_indices(spectrum, omega_m, window), expected
             )
     assert overlapping > 0
+
+
+def test_initial_floor_reads_the_tails_of_every_default_plan():
+    # The guess reads the quarter of stored bins farthest from both lines,
+    # 60 to 80 linewidths out on a span-only record.  A unit Lorentzian
+    # has fallen to 1/(1 + 4 * 60**2) = 7e-5 there, but at the weakest
+    # drive at -0.5 MHz the anti-Stokes peak stands 198x above the floor,
+    # so its tail still lifts the nearer bins by up to 1.4%; the median
+    # over both spans read 0.77% high there, the worst default plan.  The
+    # solver frees the floor, so the guess only has to start it.
+    config = default_config()
+    for index, detuning_hz in enumerate(config.detunings_hz):
+        for plan in plan_curve(config, detuning_hz, 1, index, noiseless=True):
+            floor0 = _initial_guess(synthesize_spectrum(plan.model, plan.synth))[4]
+            assert plan.model.floor <= floor0 <= 1.01 * plan.model.floor
 
 
 @pytest.mark.parametrize("size", [1, 2, 6, 7, 8, 7411])
@@ -383,15 +396,15 @@ class TestRecordLayouts:
     PINNED = {
         2100.0: (
             2.0e5, 5,
-            (9299131.39026165, 13153.807942272264, 0.04699115173951723,
-             0.11630985725412286, 1.0027808359501873, 0.9755346067916064, 8250),
-            4.292622635904205e-05,
+            (9299131.384302633, 13148.72903743971, 0.046982235389282714,
+             0.11631510593575499, 1.002789622423676, 0.9766527897566406, 4081),
+            4.300883329700571e-05,
         ),
         30000.0: (
             2.6e4, 6,
-            (9299267.050149838, 158148.38400024458, 0.037809721976933774,
-             0.044886307949920184, 1.0029159643618404, 0.9923561342352711, 3183),
-            0.003778031509636978,
+            (9299267.050153086, 158148.38400801117, 0.037809721976163176,
+             0.04488630794870278, 1.0029159643618284, 0.9923561342352712, 3183),
+            0.003778031509750308,
         ),
     }
 
@@ -414,7 +427,7 @@ class TestRecordLayouts:
 
     @pytest.mark.parametrize("gamma_opt_hz", [3.0, 227.0, 30e3])
     def test_sparse_record_fits_like_full_grid(self, params, bath_occupation, gamma_opt_hz):
-        # noiseless: the recorded spans and floor sample pin the same optimum
+        # noiseless: the two recorded spans pin the same optimum
         _, _, model = make_model(params, bath_occupation, gamma_opt_hz)
         res = model.gamma_eff / 14
         half = math.ceil((model.omega_m + 80 * model.gamma_eff) / res)

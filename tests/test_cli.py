@@ -340,11 +340,13 @@ class TestFitCommand:
         # the point is kept and flagged, and `fit` exits 1 naming the input
         assert run_cli("cool", "--config", small_config, "--save-spectra") == 0
         spectra = sorted((tmp_path / "out" / "cool_-1620000Hz" / "spectra").glob("*.csv"))
-        # at the weakest drive the fit reads every stored floor bin between
-        # the sidebands, the one at the beat note among them
+        # a bin 30 linewidths out from the anti-Stokes line, inside the
+        # fitted window at floor level
+        model = pipeline.plan_curve(load_config(small_config), -1.62e6, 11)[0].model
         spectrum, metadata = read_spectrum_csv(spectra[0])
         psd = spectrum.psd.copy()
-        psd[np.argmin(np.abs(spectrum.frequencies_at(slice(None))))] = 0.0
+        target = model.omega_m + 30.0 * model.gamma_eff
+        psd[np.argmin(np.abs(spectrum.frequencies - target))] = 0.0
         bad = tmp_path / "zero_floor.csv"
         write_spectrum_csv(bad, replace(spectrum, psd=psd), metadata)
         code = run_cli(

@@ -96,6 +96,20 @@ class TestPlanCurve:
             assert np.isin(span, synth.index).all()
             assert np.isin(synth.grid_bins - 1 - span, synth.index).all()
 
+    def test_recorded_bins_lie_within_the_spans(self):
+        # nothing is recorded beyond the two spans around the sidebands
+        config = default_config()
+        syn = config.synthesis
+        most = 2 * (2 * syn.grid_margin_linewidths * syn.bins_per_linewidth + 1)
+        for index, detuning_hz in enumerate(config.detunings_hz):
+            for plan in plan_curve(config, detuning_hz, 1, index):
+                synth, model = plan.synth, plan.model
+                freqs = synth.f_lo + synth.resolution * synth.index
+                half = syn.grid_margin_linewidths * model.gamma_eff
+                from_line = np.abs(np.abs(freqs) - model.omega_m)
+                assert from_line.max() <= half + 1e-6 * synth.resolution
+                assert synth.index.size <= most
+
     def test_noiseless_plans(self, config):
         plans = plan_curve(config, config.detunings_hz[0], 1, noiseless=True)
         assert all(math.isinf(p.synth.n_avg) for p in plans)
