@@ -260,8 +260,10 @@ def acquisition_index(
     mirror = int(round(-2.0 * f_lo / resolution))
     stokes = mirror - anti_stokes
     stokes = stokes[(stokes >= 0) & (stokes < grid_bins)]
-    # the spans overlap once they are wider than the sideband offset
-    return np.union1d(stokes, anti_stokes)
+    bins = np.sort(np.concatenate([stokes, anti_stokes]))
+    # the spans overlap once they are wider than the sideband offset; drop
+    # the bins they share (np.union1d would import numpy.ma, about 1 MiB)
+    return bins[np.concatenate([[True], np.diff(bins) > 0])]
 
 
 def _window_fit_inputs(model: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:
