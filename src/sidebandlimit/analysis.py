@@ -243,7 +243,10 @@ def _initial_guess(spectrum: HeterodyneSpectrum) -> np.ndarray:
     distance = np.abs(np.abs(spectrum.frequencies) - omega_m0)
     cut = np.partition(distance, 3 * psd.size // 4)[3 * psd.size // 4]
     far = psd[distance >= cut]
-    floor0 = float(np.median(far))
+    # their median, by partition: np.median imports numpy.ma (about 1.3 MiB)
+    lo, hi = (far.size - 1) // 2, far.size // 2
+    middle = np.partition(far, [lo, hi])
+    floor0 = float(0.5 * (middle[lo] + middle[hi]))
     # The Gamma bin law is skewed at low averaging: the mean, not the
     # median, estimates the floor level the noise scales with.
     floor_mean = float(np.mean(far))

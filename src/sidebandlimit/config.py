@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from sidebandlimit.physics import SystemParams
-from sidebandlimit.synth import _MIN_SPAN_LINEWIDTHS
 
 
 class ConfigError(ValueError):
@@ -34,15 +33,9 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    # Averaged periodograms at the strongest-drive point scale from this
-    # base by min(n_bar + 1, cap + 1)^2, mimicking longer acquisition at
-    # weak drive where the asymmetry signal is fractionally tiny.  The
-    # base is calibrated so the final-point occupation uncertainty is
-    # about 0.02 phonons with the default system parameters.
+    # Base of the per-point averaging (pipeline.N_AVG_OCCUPATION_CAP), set
+    # for a final-point occupation uncertainty of about 0.02 phonons.
     n_avg_base: float = 18000.0
-    n_avg_occupation_cap: float = 50.0
-    bins_per_linewidth: float = 14.0
-    grid_margin_linewidths: float = 80.0
 
 
 @dataclass(frozen=True)
@@ -185,21 +178,6 @@ def validate(config: ExperimentConfig) -> None:
     )
     syn = config.synthesis
     _require(syn.n_avg_base >= 1, "config.synthesis.n_avg_base", "must be >= 1")
-    _require(
-        syn.n_avg_occupation_cap >= 1,
-        "config.synthesis.n_avg_occupation_cap",
-        "must be >= 1",
-    )
-    _require(
-        syn.bins_per_linewidth >= 10,
-        "config.synthesis.bins_per_linewidth",
-        "must be >= 10 (fit precondition)",
-    )
-    _require(
-        syn.grid_margin_linewidths >= _MIN_SPAN_LINEWIDTHS,
-        "config.synthesis.grid_margin_linewidths",
-        f"must be >= {_MIN_SPAN_LINEWIDTHS} (the synthesis grid spans both sidebands)",
-    )
     sys_ = config.systematics
     _require(
         sys_.background_fraction >= 0,

@@ -2,9 +2,8 @@
 
 A cooling curve is planned point by point from the configuration: the
 drive grid fixes each point's optical damping, the rate equation predicts
-its occupation, and synthesis settings (grid resolution tied to the
-linewidth, averaging scaled with occupation, and the grid bins to record:
-a span around each sideband, mirrored about the beat note) follow.
+its occupation, and synthesis settings follow: averaging scaled with
+occupation, and the grid and recorded spans of ``acquisition_grid``.
 Points own independent RNG streams derived from ``(master seed, detuning
 index, point index)``, so any execution order -- including process pools
 -- reproduces identical data.
@@ -63,12 +62,16 @@ from sidebandlimit.physics import (
 from sidebandlimit.spectra import (
     HeterodyneSpectrum,
     SpectrumModel,
-    acquisition_index,
+    acquisition_grid,
     apparent_sideband_bias,
     build_model,
     laser_noise_bias,
 )
 from sidebandlimit.synth import SynthConfig, synthesize_spectrum
+
+# A point averages n_avg_base * min(n_bar + 1, cap + 1)^2 periodograms:
+# longer acquisition where the asymmetry is fractionally tiny, up to a cap.
+N_AVG_OCCUPATION_CAP = 50.0
 
 
 def _point_model(
@@ -125,17 +128,12 @@ def plan_curve(
     noiseless: bool = False,
 ) -> list[PointPlan]:
     """Lay out synthesis plans for every drive setting of one curve."""
-    params = config.system_params()
-    syn = config.synthesis
     plans = []
     for i, gamma_opt_hz in enumerate(config.gamma_opt_grid_hz):
         model = _point_model(config, detuning_hz, gamma_opt_hz)
-        factor = min(model.n_bar + 1.0, syn.n_avg_occupation_cap + 1.0) ** 2
-        n_avg = math.inf if noiseless else float(math.ceil(syn.n_avg_base * factor))
-        resolution = model.gamma_eff / syn.bins_per_linewidth
-        span = params.omega_m + syn.grid_margin_linewidths * model.gamma_eff
-        half_bins = int(math.ceil(span / resolution))
-        f_lo, grid_bins = -half_bins * resolution, 2 * half_bins + 1
+        factor = min(model.n_bar + 1.0, N_AVG_OCCUPATION_CAP + 1.0) ** 2
+        n_avg = math.inf if noiseless else float(math.ceil(config.synthesis.n_avg_base * factor))
+        f_lo, resolution, grid_bins, index = acquisition_grid(model)
         synth = SynthConfig(
             f_lo=f_lo,
             resolution=resolution,
@@ -144,9 +142,7 @@ def plan_curve(
             seed=np.random.SeedSequence(
                 entropy=master_seed, spawn_key=(detuning_index, i)
             ),
-            index=acquisition_index(
-                model, f_lo, resolution, grid_bins, syn.grid_margin_linewidths
-            ),
+            index=index,
         )
         plans.append(PointPlan(index=i, gamma_opt_hz=gamma_opt_hz, model=model, synth=synth))
     return plans

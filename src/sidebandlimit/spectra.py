@@ -12,8 +12,8 @@ peak height convention is fixed by ``PEAK_HEIGHT_NORM`` below.
 
 A measured or synthesized record (:class:`HeterodyneSpectrum`) lives on a
 uniform grid and stores any sorted subset of its bins.  An acquisition
-zoomed on the sidebands records only what the sideband fit reads
-(:func:`acquisition_index`), so its size does not grow as the lines narrow.
+zoomed on the sidebands records a span around each line
+(:func:`acquisition_grid`), so its size does not grow as the lines narrow.
 """
 
 from __future__ import annotations
@@ -39,11 +39,14 @@ PEAK_HEIGHT_NORM = 4.0
 # point; not an ab-initio prediction.
 LASER_NOISE_OCCUPATION_SCALE = 0.006 / 0.022
 
-# Analysis-band conventions shared with the sideband fitter: how far the
-# fit window extends around each sideband, and how finely a linewidth is
-# sampled when a grid has to be built from scratch.
-WINDOW_LINEWIDTHS = 60.0
+# Acquisition geometry: grid bins per linewidth, and the linewidths the fit
+# window and the recorded span reach either side of each line.  The span is
+# the window over 3/4, so the quarter of stored bins farthest from the lines,
+# where the initial guess reads its floor, is exactly the band outside the
+# fit windows.
 BINS_PER_LINEWIDTH = 14
+WINDOW_LINEWIDTHS = 60.0
+SPAN_LINEWIDTHS = 80.0
 
 
 def lorentzian(omega, center: float, fwhm: float):
@@ -95,7 +98,7 @@ class HeterodyneSpectrum:
     ``psd[k]`` is the value of bin ``index[k]``.  A full record stores
     every bin, which is what omitting ``index`` means; an acquisition
     zoomed on the sidebands stores only the spans around them
-    (:func:`acquisition_index`).
+    (:func:`acquisition_grid`).
     """
 
     f_lo: float  # grid bin 0 (rad/s)
@@ -129,11 +132,6 @@ class HeterodyneSpectrum:
     def n_bins(self) -> int:
         """Stored bins."""
         return self.psd.size
-
-    @property
-    def f_hi(self) -> float:
-        """Last grid bin (rad/s)."""
-        return self.f_lo + (self.grid_bins - 1) * self.resolution
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -236,34 +234,26 @@ def evaluate_psd(model: SpectrumModel, frequencies) -> np.ndarray:
     )
 
 
-def acquisition_index(
-    model: SpectrumModel,
-    f_lo: float,
-    resolution: float,
-    grid_bins: int,
-    span_linewidths: float,
-) -> np.ndarray:
-    """Grid bins an acquisition zoomed on the sidebands records, ascending.
+def acquisition_grid(model: SpectrumModel) -> tuple[float, float, int, np.ndarray]:
+    """``(f_lo, resolution, grid_bins, index)`` of an acquisition zoomed on the sidebands.
 
-    Two spans of ``span_linewidths`` linewidths either side of each
-    sideband, mirror images of each other about the beat note.  They hold
-    the sideband fit's windows and, far out in the Lorentzian tails, the
-    floor it reads, so the count stays at most ``2 * (2 * span_linewidths
-    * bins-per-linewidth + 1)`` however narrow the lines are.
+    The grid's ``2h + 1`` bins run from ``-h`` to ``+h`` resolutions, so
+    bin ``2h - i`` mirrors bin ``i``.  ``index`` lists, ascending, the bins
+    of the two mirrored spans, at most ``2 * (2 * SPAN_LINEWIDTHS *
+    BINS_PER_LINEWIDTH + 1)`` however narrow the lines are.
     """
-    half = span_linewidths * model.gamma_eff
+    resolution = model.gamma_eff / BINS_PER_LINEWIDTH
+    half = SPAN_LINEWIDTHS * model.gamma_eff
+    h = math.ceil((model.omega_m + half) / resolution)
+    f_lo, grid_bins = -h * resolution, 2 * h + 1
     anti_stokes = _grid_slice(
         f_lo, resolution, grid_bins, model.omega_m - half, model.omega_m + half
     )
     anti_stokes = np.arange(anti_stokes.start, anti_stokes.stop)
-    # bin ``mirror - i`` sits at minus the frequency of bin ``i``
-    mirror = int(round(-2.0 * f_lo / resolution))
-    stokes = mirror - anti_stokes
-    stokes = stokes[(stokes >= 0) & (stokes < grid_bins)]
-    bins = np.sort(np.concatenate([stokes, anti_stokes]))
+    bins = np.sort(np.concatenate([2 * h - anti_stokes, anti_stokes]))
     # the spans overlap once they are wider than the sideband offset; drop
     # the bins they share (np.union1d would import numpy.ma, about 1 MiB)
-    return bins[np.concatenate([[True], np.diff(bins) > 0])]
+    return f_lo, resolution, grid_bins, bins[np.concatenate([[True], np.diff(bins) > 0])]
 
 
 def _window_fit_inputs(model: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:

@@ -38,6 +38,8 @@ from sidebandlimit.physics import (
 )
 from sidebandlimit.pipeline import run_cooling_curve
 from sidebandlimit.spectra import (
+    BINS_PER_LINEWIDTH,
+    SPAN_LINEWIDTHS,
     HeterodyneSpectrum,
     apparent_sideband_bias,
     build_model,
@@ -298,8 +300,8 @@ def test_criterion_7_thermometry_identities():
         thermal_occupation(0.36, OMEGA_M), PARAMS.gamma_0, point.n_ba, point.gamma_opt
     )
     model = build_model(PARAMS, point, n_bar)
-    span = model.omega_m + 80 * model.gamma_eff
-    resolution = model.gamma_eff / 14
+    span = model.omega_m + SPAN_LINEWIDTHS * model.gamma_eff
+    resolution = model.gamma_eff / BINS_PER_LINEWIDTH
     spectrum = synthesize_spectrum(
         model,
         SynthConfig(

@@ -25,11 +25,13 @@ from sidebandlimit.physics import (
 )
 from sidebandlimit.config import default_config
 from sidebandlimit.io import read_spectrum_csv, write_spectrum_csv
-from sidebandlimit.pipeline import plan_curve
+from sidebandlimit.pipeline import N_AVG_OCCUPATION_CAP, plan_curve
 from sidebandlimit.spectra import (
+    BINS_PER_LINEWIDTH,
+    SPAN_LINEWIDTHS,
     WINDOW_LINEWIDTHS,
     HeterodyneSpectrum,
-    acquisition_index,
+    acquisition_grid,
     build_model,
     evaluate_psd,
 )
@@ -70,8 +72,8 @@ def make_model(params, n0, gamma_opt_hz, background_fraction=0.0, delta_hz=-1.62
     return point, n_bar, build_model(params, point, n_bar, background_fraction)
 
 
-def synthesize(model, n_avg, seed=0, bins_per_linewidth=14.0):
-    span = model.omega_m + 80.0 * model.gamma_eff
+def synthesize(model, n_avg, seed=0, bins_per_linewidth=BINS_PER_LINEWIDTH):
+    span = model.omega_m + SPAN_LINEWIDTHS * model.gamma_eff
     resolution = model.gamma_eff / bins_per_linewidth
     config = SynthConfig(
         f_lo=-span,
@@ -221,7 +223,8 @@ class TestFitSidebands:
         _, _, model = make_model(params, bath_occupation, 30e3)
         full = synthesize(model, math.inf)
         # keep only the anti-Stokes half plus a sliver of negative band
-        sl = full.index_range(-0.2 * model.omega_m, full.f_hi)
+        f_hi = full.f_lo + (full.grid_bins - 1) * full.resolution
+        sl = full.index_range(-0.2 * model.omega_m, f_hi)
         truncated = HeterodyneSpectrum(
             f_lo=full.frequencies_at(sl)[0],
             resolution=full.resolution,
@@ -378,12 +381,12 @@ def test_smooth_matches_uniform_filter1d_bit_for_bit(size):
 def _full_grid_record(params, n0, gamma_opt_hz, n_avg, seed):
     """Noisy full-grid record built without the synthesis module."""
     _, _, model = make_model(params, n0, gamma_opt_hz, background_fraction=0.002775)
-    res = model.gamma_eff / 14
-    half = math.ceil((model.omega_m + 80 * model.gamma_eff) / res)
+    f_lo, res, grid_bins, _ = acquisition_grid(model)
+    half = grid_bins // 2
     freqs = res * np.arange(-half, half + 1)
     draws = np.random.default_rng(seed).standard_gamma(n_avg, freqs.size)
     return HeterodyneSpectrum(
-        f_lo=-half * res,
+        f_lo=f_lo,
         resolution=res,
         psd=evaluate_psd(model, freqs) * draws / n_avg,
         n_avg=n_avg,
@@ -429,10 +432,8 @@ class TestRecordLayouts:
     def test_sparse_record_fits_like_full_grid(self, params, bath_occupation, gamma_opt_hz):
         # noiseless: the two recorded spans pin the same optimum
         _, _, model = make_model(params, bath_occupation, gamma_opt_hz)
-        res = model.gamma_eff / 14
-        half = math.ceil((model.omega_m + 80 * model.gamma_eff) / res)
-        config = SynthConfig(f_lo=-half * res, resolution=res, grid_bins=2 * half + 1, n_avg=math.inf)
-        index = acquisition_index(model, config.f_lo, res, config.grid_bins, 80.0)
+        f_lo, res, grid_bins, index = acquisition_grid(model)
+        config = SynthConfig(f_lo=f_lo, resolution=res, grid_bins=grid_bins, n_avg=math.inf)
         sparse = fit_sidebands(synthesize_spectrum(model, replace(config, index=index)))
         assert index.size < 10_000
         for got, truth in (
@@ -459,7 +460,7 @@ def _fit_series(params, n0, gamma_opt_hz_list, n_avg_base, entropy):
         n_avg = (
             math.inf
             if math.isinf(n_avg_base)
-            else math.ceil(n_avg_base * min(n_bar + 1.0, 51.0) ** 2)
+            else math.ceil(n_avg_base * min(n_bar + 1.0, N_AVG_OCCUPATION_CAP + 1.0) ** 2)
         )
         spectrum = synthesize(
             model,

@@ -9,6 +9,7 @@ import pytest
 from sidebandlimit.config import default_config, from_dict
 from sidebandlimit.physics import steady_state_occupation, thermal_occupation
 from sidebandlimit.pipeline import (
+    N_AVG_OCCUPATION_CAP,
     analyze_outcomes,
     plan_curve,
     run_cooling_curve,
@@ -16,6 +17,7 @@ from sidebandlimit.pipeline import (
     systematics_biases,
     worker_pool,
 )
+from sidebandlimit.spectra import BINS_PER_LINEWIDTH, SPAN_LINEWIDTHS
 from sidebandlimit.synth import synthesize_spectrum
 
 TWO_PI = 2.0 * math.pi
@@ -61,7 +63,7 @@ class TestPlanCurve:
         plans = plan_curve(config, config.detunings_hz[0], master_seed=1)
         base = config.synthesis.n_avg_base
         for plan in plans:
-            factor = min(plan.model.n_bar + 1.0, 51.0) ** 2
+            factor = min(plan.model.n_bar + 1.0, N_AVG_OCCUPATION_CAP + 1.0) ** 2
             assert plan.synth.n_avg == math.ceil(base * factor)
         # stronger drive -> lower occupation -> less averaging
         assert plans[-1].synth.n_avg < plans[0].synth.n_avg
@@ -70,9 +72,9 @@ class TestPlanCurve:
         plans = plan_curve(config, config.detunings_hz[0], master_seed=1)
         for plan in plans:
             assert plan.synth.resolution == pytest.approx(
-                plan.model.gamma_eff / config.synthesis.bins_per_linewidth
+                plan.model.gamma_eff / BINS_PER_LINEWIDTH
             )
-            margin = config.synthesis.grid_margin_linewidths * plan.model.gamma_eff
+            margin = SPAN_LINEWIDTHS * plan.model.gamma_eff
             assert -plan.synth.f_lo >= plan.model.omega_m + 0.99 * margin
             # the grid is symmetric: its last bin sits at exactly -f_lo
             last = plan.synth.f_lo + (plan.synth.grid_bins - 1) * plan.synth.resolution
@@ -91,7 +93,8 @@ class TestPlanCurve:
             synth, model = plan.synth, plan.model
             grid = np.arange(synth.grid_bins)
             freqs = synth.f_lo + synth.resolution * grid
-            span = grid[np.abs(np.abs(freqs) - model.omega_m) <= 79.0 * model.gamma_eff]
+            near = (SPAN_LINEWIDTHS - 1) * model.gamma_eff
+            span = grid[np.abs(np.abs(freqs) - model.omega_m) <= near]
             # every bin of both spans is stored, and so is its mirror image
             assert np.isin(span, synth.index).all()
             assert np.isin(synth.grid_bins - 1 - span, synth.index).all()
@@ -99,13 +102,12 @@ class TestPlanCurve:
     def test_recorded_bins_lie_within_the_spans(self):
         # nothing is recorded beyond the two spans around the sidebands
         config = default_config()
-        syn = config.synthesis
-        most = 2 * (2 * syn.grid_margin_linewidths * syn.bins_per_linewidth + 1)
+        most = 2 * (2 * SPAN_LINEWIDTHS * BINS_PER_LINEWIDTH + 1)
         for index, detuning_hz in enumerate(config.detunings_hz):
             for plan in plan_curve(config, detuning_hz, 1, index):
                 synth, model = plan.synth, plan.model
                 freqs = synth.f_lo + synth.resolution * synth.index
-                half = syn.grid_margin_linewidths * model.gamma_eff
+                half = SPAN_LINEWIDTHS * model.gamma_eff
                 from_line = np.abs(np.abs(freqs) - model.omega_m)
                 assert from_line.max() <= half + 1e-6 * synth.resolution
                 assert synth.index.size <= most

@@ -172,7 +172,7 @@ class TestHeterodyneSpectrum:
             index=np.array([1, 2, 6, 7, 9]), grid_bins=12,
         )
         assert spec.n_bins == 5
-        assert spec.f_hi == 11.0
+        assert spec.f_lo + (spec.grid_bins - 1) * spec.resolution == 11.0
         assert spec.frequencies == pytest.approx([1.0, 2.0, 6.0, 7.0, 9.0])
         sl = spec.index_range(2.0, 7.5)
         assert (sl.start, sl.stop) == (1, 4)

@@ -21,7 +21,13 @@ from sidebandlimit.physics import (
     thermal_occupation,
 )
 from sidebandlimit import synth
-from sidebandlimit.spectra import build_model, evaluate_psd, lorentzian
+from sidebandlimit.spectra import (
+    BINS_PER_LINEWIDTH,
+    SPAN_LINEWIDTHS,
+    build_model,
+    evaluate_psd,
+    lorentzian,
+)
 from sidebandlimit.synth import (
     OscillatorRecord,
     SynthConfig,
@@ -52,9 +58,9 @@ def narrow_model():
     return build_model(params, point, n_bar)
 
 
-def _grid_config(model, n_avg=100.0, seed=0, linewidths=80.0):
-    span = model.omega_m + linewidths * model.gamma_eff
-    resolution = model.gamma_eff / 14
+def _grid_config(model, n_avg=100.0, seed=0):
+    span = model.omega_m + SPAN_LINEWIDTHS * model.gamma_eff
+    resolution = model.gamma_eff / BINS_PER_LINEWIDTH
     return SynthConfig(
         f_lo=-span,
         resolution=resolution,
@@ -76,17 +82,8 @@ class TestSynthesizeSpectrum:
     def test_seed_sequence_children_accepted(self, model):
         root = np.random.SeedSequence(7)
         children = root.spawn(2)
-        span = model.omega_m + 80 * model.gamma_eff
-        resolution = model.gamma_eff / 14
         specs = [
-            synthesize_spectrum(
-                model,
-                SynthConfig(
-                    f_lo=-span, resolution=resolution,
-                    grid_bins=math.floor(2 * span / resolution) + 1,
-                    n_avg=50.0, seed=child,
-                ),
-            )
+            synthesize_spectrum(model, _grid_config(model, n_avg=50.0, seed=child))
             for child in children
         ]
         assert not np.array_equal(specs[0].psd, specs[1].psd)
@@ -141,12 +138,8 @@ class TestSynthesizeSpectrum:
         assert result.pvalue > 1e-3
 
     def test_rejects_grid_missing_a_sideband(self, model):
-        span = model.omega_m + 80 * model.gamma_eff
-        resolution = model.gamma_eff / 14
-        config = SynthConfig(
-            f_lo=0.0, resolution=resolution,
-            grid_bins=math.floor(span / resolution) + 1, n_avg=10.0,
-        )
+        full = _grid_config(model, n_avg=10.0)
+        config = replace(full, f_lo=0.0, grid_bins=full.grid_bins // 2 + 1)
         with pytest.raises(ValueError, match="span both sidebands"):
             synthesize_spectrum(model, config)
 
@@ -212,7 +205,7 @@ class TestGridDraws:
     def test_cost_follows_recorded_bins_not_grid(self, narrow_model):
         # 4096 bins of a 2e10-bin grid: nothing is drawn for the others
         model = narrow_model
-        span = model.omega_m + 80 * model.gamma_eff
+        span = model.omega_m + SPAN_LINEWIDTHS * model.gamma_eff
         config = SynthConfig(
             f_lo=-span, resolution=span / 1e10, grid_bins=2 * 10**10 + 1, n_avg=1e4, seed=8
         )
