@@ -272,17 +272,13 @@ def _cmd_cool(args) -> int:
     seed = _resolve_seed(args, config)
     detuning_hz = _resolve_detuning_hz(args, config)
     out_dir = Path(config.output_dir) / f"cool_{_detuning_label(detuning_hz)}"
-    spectra_dir = str(out_dir / "spectra") if args.save_spectra else None
+    spectra_dirs = [str(out_dir / "spectra")] if args.save_spectra else None
     with worker_pool(args.jobs, len(config.gamma_opt_grid_hz)) as pool:
-        run = run_cooling_curve(
-            config,
-            detuning_hz,
-            master_seed=seed,
-            detuning_index=0,
-            noiseless=args.no_noise,
-            spectra_dir=spectra_dir,
-            executor=pool,
+        (run,) = run_cooling_curve(
+            config, [(0, detuning_hz)], seed, args.no_noise, spectra_dirs, executor=pool
         )
+    if isinstance(run, AnalysisError):
+        raise run
     return _finish_curve(run, config, seed, out_dir)
 
 
@@ -292,29 +288,25 @@ def _cmd_sweep(args) -> int:
     out_root = Path(config.output_dir) / "sweep"
     out_root.mkdir(parents=True, exist_ok=True)
 
+    curves = list(enumerate(config.detunings_hz))
+    out_dirs = [out_root / f"d{i:02d}_{_detuning_label(d)}" for i, d in curves]
+    spectra_dirs = [str(d / "spectra") for d in out_dirs] if args.save_spectra else None
+    with worker_pool(args.jobs, len(curves) * len(config.gamma_opt_grid_hz)) as pool:
+        runs = run_cooling_curve(
+            config, curves, seed, args.no_noise, spectra_dirs, executor=pool
+        )
+
     results = {}
     errors = {}
     clean = True
-    with worker_pool(args.jobs, len(config.gamma_opt_grid_hz)) as pool:
-        for index, detuning_hz in enumerate(config.detunings_hz):
-            label = _detuning_label(detuning_hz)
-            out_dir = out_root / f"d{index:02d}_{label}"
-            try:
-                run = run_cooling_curve(
-                    config,
-                    detuning_hz,
-                    master_seed=seed,
-                    detuning_index=index,
-                    noiseless=args.no_noise,
-                    spectra_dir=str(out_dir / "spectra") if args.save_spectra else None,
-                    executor=pool,
-                )
-            except AnalysisError as exc:
-                errors[detuning_hz] = f"{type(exc).__name__}: {exc}"
-                print(f"detuning {label}: failed: {exc}", file=sys.stderr)
-                continue
-            clean &= _write_curve_outputs(run, config, seed, out_dir, f"detuning {label}: ")
-            results[detuning_hz] = run
+    for (_, detuning_hz), out_dir, run in zip(curves, out_dirs, runs):
+        label = _detuning_label(detuning_hz)
+        if isinstance(run, AnalysisError):
+            errors[detuning_hz] = f"{type(run).__name__}: {run}"
+            print(f"detuning {label}: failed: {run}", file=sys.stderr)
+            continue
+        clean &= _write_curve_outputs(run, config, seed, out_dir, f"detuning {label}: ")
+        results[detuning_hz] = run
 
     if results:
         summary = detuning_sweep_summary(

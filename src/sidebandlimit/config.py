@@ -164,6 +164,12 @@ def validate(config: ExperimentConfig) -> None:
         _require(
             d < 0, f"config.detunings_hz[{i}]", f"must be negative (red), got {d}"
         )
+        # a sweep reports its curves by detuning, so a repeat would overwrite one
+        _require(
+            d not in config.detunings_hz[:i],
+            f"config.detunings_hz[{i}]",
+            f"repeats {d}, listed earlier",
+        )
     _require(
         len(config.gamma_opt_grid_hz) > 0,
         "config.gamma_opt_grid_hz",
@@ -172,6 +178,12 @@ def validate(config: ExperimentConfig) -> None:
     for i, g in enumerate(config.gamma_opt_grid_hz):
         _require(
             g > 0, f"config.gamma_opt_grid_hz[{i}]", f"must be positive, got {g}"
+        )
+        # `fit` orders spectra by drive, so `cool` must too for its outputs to match
+        _require(
+            i == 0 or g > config.gamma_opt_grid_hz[i - 1],
+            f"config.gamma_opt_grid_hz[{i}]",
+            f"must be strictly increasing, got {g} after {config.gamma_opt_grid_hz[i - 1]}",
         )
     _require(
         config.bath_temperature_k > 0, "config.bath_temperature_k", "must be positive"

@@ -8,10 +8,14 @@ Points own independent RNG streams derived from ``(master seed, detuning
 index, point index)``, so any execution order -- including process pools
 -- reproduces identical data.
 
-Points, and the files ``fit`` reads, fan out through ``run_points``.  A
+Points, and the files ``fit`` reads, fan out through ``queue_points``.  A
 command opens one pool of up to ``jobs`` workers with ``worker_pool`` and passes
-it down as ``executor``, so every curve of a sweep shares the same warm
-workers; without an executor the points run in this process.
+it down as ``executor``; without an executor the points run in this
+process.  ``run_cooling_curve`` runs the curves of ``cool`` and ``sweep``
+alike: it plans every curve, queues every point of every curve on the pool
+before it reads any result, then reduces the curves in order, each as soon
+as its own points are done, while the workers go on with later curves.  A
+plan stores only its independent values, so the queue holds little.
 
 ``cool``, ``fit`` and every curve of ``sweep`` share one path: a
 synthesized or a read spectrum becomes a ``PointOutcome`` in
@@ -24,10 +28,11 @@ synthesized or a read spectrum becomes a ``PointOutcome`` in
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,12 +95,23 @@ def _point_model(
 
 @dataclass(frozen=True)
 class PointPlan:
-    """Everything needed to synthesize and fit one cooling-curve point."""
+    """Everything needed to synthesize and fit one cooling-curve point.
+
+    A plan keeps its independent values and derives the grid when read,
+    so a queued sweep holds a few hundred bytes per point, not its bins.
+    """
 
     index: int
     gamma_opt_hz: float
     model: SpectrumModel
-    synth: SynthConfig
+    n_avg: float
+    seed: np.random.SeedSequence
+
+    @property
+    def synth(self) -> SynthConfig:
+        """Synthesis settings on the model's ``acquisition_grid``."""
+        f_lo, resolution, grid_bins, index = acquisition_grid(self.model)
+        return SynthConfig(f_lo, resolution, grid_bins, self.n_avg, self.seed, index)
 
 
 @dataclass(frozen=True)
@@ -133,18 +149,8 @@ def plan_curve(
         model = _point_model(config, detuning_hz, gamma_opt_hz)
         factor = min(model.n_bar + 1.0, N_AVG_OCCUPATION_CAP + 1.0) ** 2
         n_avg = math.inf if noiseless else float(math.ceil(config.synthesis.n_avg_base * factor))
-        f_lo, resolution, grid_bins, index = acquisition_grid(model)
-        synth = SynthConfig(
-            f_lo=f_lo,
-            resolution=resolution,
-            grid_bins=grid_bins,
-            n_avg=n_avg,
-            seed=np.random.SeedSequence(
-                entropy=master_seed, spawn_key=(detuning_index, i)
-            ),
-            index=index,
-        )
-        plans.append(PointPlan(index=i, gamma_opt_hz=gamma_opt_hz, model=model, synth=synth))
+        seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(detuning_index, i))
+        plans.append(PointPlan(i, gamma_opt_hz, model, n_avg, seed))
     return plans
 
 
@@ -198,15 +204,42 @@ def fit_outcome(
     return PointOutcome(name, gamma_opt_hz, fit, error)
 
 
+@contextmanager
 def worker_pool(jobs: int, tasks: int | None = None):
     """A pool of up to ``jobs`` worker processes to share across a command.
 
     A forking pool starts every worker at its first submit, so it opens no
     more than ``tasks``, the most the command submits at once, when given.
-    With one worker or none, the context yields ``None``.
+    With one worker or none, the context yields ``None``.  A block that
+    exits on an exception, a raising task or an interrupt, cancels the
+    tasks still queued instead of waiting for them.
     """
     workers = jobs if tasks is None else min(jobs, tasks)
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    if workers <= 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def queue_points(
+    task: Callable,
+    items: list,
+    *args,
+    executor: Executor | None = None,
+) -> list[Callable[[], object]]:
+    """One call per item (a plan or a file) that returns ``task(item, *args)``.
+
+    With ``executor`` every task is submitted here and its call waits for
+    the result; without one, the call runs the task in this process.
+    """
+    if executor is None:
+        return [partial(task, item, *args) for item in items]
+    return [executor.submit(task, item, *args).result for item in items]
 
 
 def run_points(
@@ -215,15 +248,11 @@ def run_points(
     *args,
     executor: Executor | None = None,
 ) -> list:
-    """``task(item, *args)`` for every item (a plan or a file), results in order.
+    """``task(item, *args)`` for every item, results in order.
 
-    Tasks go to ``executor`` when one is given, else run in this process.
     The first task to raise, in item order, raises here.
     """
-    if executor is None:
-        return [task(item, *args) for item in items]
-    futures = [executor.submit(task, item, *args) for item in items]
-    return [f.result() for f in futures]
+    return [result() for result in queue_points(task, items, *args, executor=executor)]
 
 
 @dataclass(frozen=True)
@@ -328,21 +357,40 @@ def reduce_curve(
 
 def run_cooling_curve(
     config: ExperimentConfig,
-    detuning_hz: float,
+    curves: Sequence[tuple[int, float]],
     master_seed: int,
-    detuning_index: int = 0,
     noiseless: bool = False,
-    spectra_dir: str | None = None,
+    spectra_dirs: Sequence[str] | None = None,
     executor: Executor | None = None,
-) -> CurveRun:
-    """Synthesize, fit and reduce one full cooling curve.
+) -> list[CurveRun | AnalysisError]:
+    """Synthesize, fit and reduce one cooling curve per ``(detuning index, detuning_hz)``.
 
-    Points run on ``executor`` when given, else in this process.
+    Every curve is planned first.  With ``executor`` every point of every
+    curve is then queued before any result is read; the curves are reduced
+    in order, each once its own points are done.  A curve whose reduction
+    raises ``AnalysisError`` gets that error in place of its ``CurveRun``.
+    Given ``spectra_dirs``, one per curve, each point's spectrum is
+    written there.
     """
-    plans = plan_curve(config, detuning_hz, master_seed, detuning_index, noiseless)
-    metadata = spectrum_metadata(config, detuning_hz, master_seed, detuning_index)
-    outcomes = run_points(run_point, plans, spectra_dir, metadata, executor=executor)
-    return reduce_curve(outcomes, config, detuning_hz)
+    dirs = spectra_dirs if spectra_dirs is not None else [None] * len(curves)
+    queued = [
+        queue_points(
+            run_point,
+            plan_curve(config, detuning_hz, master_seed, index, noiseless),
+            spectra_dir,
+            spectrum_metadata(config, detuning_hz, master_seed, index),
+            executor=executor,
+        )
+        for (index, detuning_hz), spectra_dir in zip(curves, dirs)
+    ]
+    runs = []
+    for (_, detuning_hz), results in zip(curves, queued):
+        outcomes = [result() for result in results]
+        try:
+            runs.append(reduce_curve(outcomes, config, detuning_hz))
+        except AnalysisError as exc:
+            runs.append(exc)
+    return runs
 
 
 def read_and_fit(path) -> tuple[PointOutcome, float | None]:

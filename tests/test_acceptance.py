@@ -109,9 +109,7 @@ def test_criterion_3_saturation_occupancy():
 def _curve_statistics(seed: int, detuning_index: int = 0):
     config = default_config()
     detuning_hz = config.detunings_hz[detuning_index]
-    run = run_cooling_curve(
-        config, detuning_hz, master_seed=seed, detuning_index=detuning_index
-    )
+    (run,) = run_cooling_curve(config, [(detuning_index, detuning_hz)], master_seed=seed)
     final = run.occupation[-1]
     return (
         run.curve.n_ba_fit,

@@ -472,6 +472,26 @@ class TestUnreducibleCurve:
         assert error.startswith("AnalysisError: need at least 4")
         assert [line.split(": no ")[0] for line in error.splitlines()[1:]] == expected
 
+    def test_sweep_with_a_failed_curve_is_identical_across_jobs(
+        self, thin_config, tmp_path, capsys
+    ):
+        # the failed curve's error comes back from the queue in its place
+        runs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run_cli("sweep", "--config", thin_config, "--out", out, "--jobs", jobs) == 1
+            root = out / "sweep"
+            tree = {
+                str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file()
+            }
+            runs.append((tree, capsys.readouterr().err))
+        (tree, err), (tree2, err2) = runs
+        assert tree == tree2 and err == err2
+        assert json.loads(tree["sweep.json"])["errors"].keys() == {"-1620000Hz"}
+        assert err.startswith("detuning -1620000Hz: failed: need at least 4")
+
 
 class TestSweepCommand:
     def test_failed_points_are_named_and_fail_the_run(self, tmp_path, capsys):
@@ -639,6 +659,26 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "command, name, values, where",
+        [
+            ("cool", "gamma_opt_grid_hz", [6300.0, 700.0, 2100.0, 15000.0, 30000.0], "[1]"),
+            ("cool", "gamma_opt_grid_hz", [700.0, 2100.0, 2100.0, 15000.0], "[2]"),
+            ("sweep", "detunings_hz", [-1.62e6, -0.5e6, -1.62e6], "[2]"),
+        ],
+    )
+    def test_unordered_grid_or_repeated_detuning_is_a_usage_error(
+        self, command, name, values, where, small_config, capsys
+    ):
+        # `fit` orders spectra by drive and a sweep reports curves by
+        # detuning, so either would write outputs that disagree
+        data = json.loads(small_config.read_text())
+        data[name] = values
+        small_config.write_text(json.dumps(data))
+        assert run_cli(command, "--config", small_config) == 2
+        assert capsys.readouterr().err.startswith(f"error: config.{name}{where}: ")
+        assert not Path(data["output_dir"]).exists()
+
+    @pytest.mark.parametrize(
         "command, section, name, value",
         [
             ("cool", "synthesis", "bins_per_linewidth", BINS_PER_LINEWIDTH),
@@ -708,4 +748,5 @@ def test_pool_opens_no_more_workers_than_tasks(small_config, tmp_path, monkeypat
     spectra = sorted((tmp_path / "out" / "synth_-1620000Hz").glob("*.csv"))[:4]
     assert run_cli("fit", "--config", small_config, "--jobs", 64, *spectra) == 0
     grid = len(SMALL_GRID_HZ)
-    assert _InlinePool.sizes == [grid, grid, grid, 4]
+    # sweep queues every point of both detunings on one pool
+    assert _InlinePool.sizes == [grid, 2 * grid, grid, 4]

@@ -1,6 +1,8 @@
 """Tests for cooling-curve planning and orchestration."""
 
 import math
+import pickle
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from sidebandlimit.pipeline import (
     plan_curve,
     run_cooling_curve,
     run_point,
+    run_points,
     systematics_biases,
     worker_pool,
 )
@@ -124,6 +127,14 @@ class TestPlanCurve:
         again = synthesize_spectrum(plans[3].model, plans[3].synth)
         assert np.array_equal(a.psd, again.psd)
 
+    def test_plans_pickle_small(self):
+        # a queued sweep holds every plan of every curve in the parent until
+        # its point is done, so a plan must not carry its grid's bins
+        config = default_config()
+        for index, detuning_hz in enumerate(config.detunings_hz):
+            for plan in plan_curve(config, detuning_hz, 1, index):
+                assert len(pickle.dumps(plan)) < 2048
+
     def test_detuning_index_changes_streams(self, config):
         detuning_hz = config.detunings_hz[0]
         a = plan_curve(config, detuning_hz, master_seed=1, detuning_index=0)
@@ -133,21 +144,71 @@ class TestPlanCurve:
         assert not np.array_equal(sa.psd, sb.psd)
 
 
+class _RecordingPool:
+    """An in-process executor that logs each submit and each result read."""
+
+    def __init__(self):
+        self.log = []
+
+    def submit(self, task, *args):
+        self.log.append("submit")
+        value = task(*args)
+        return _Done(self.log, value)
+
+
+class _Done:
+    def __init__(self, log, value):
+        self.log, self.value = log, value
+
+    def result(self):
+        self.log.append("result")
+        return self.value
+
+
+def _fail_or_mark(item, marks):
+    if item == 0:
+        raise ValueError("first task fails")
+    time.sleep(0.05)
+    (marks / f"{item}").touch()
+
+
 class TestRunCoolingCurve:
     def test_results_deterministic_across_jobs(self, reducible_config):
         config = reducible_config
         detuning_hz = config.detunings_hz[0]
-        one = run_cooling_curve(config, detuning_hz, master_seed=4)
+        (one,) = run_cooling_curve(config, [(0, detuning_hz)], master_seed=4)
         with worker_pool(2) as pool:
-            two = run_cooling_curve(config, detuning_hz, master_seed=4, executor=pool)
+            (two,) = run_cooling_curve(config, [(0, detuning_hz)], master_seed=4, executor=pool)
         assert one.curve.n_ba_fit == two.curve.n_ba_fit
         assert one.curve.n0_fit == two.curve.n0_fit
         assert one.curve.s_hat == two.curve.s_hat
 
+    def test_every_point_is_queued_before_any_result_is_read(self, reducible_config):
+        config = reducible_config
+        curves = list(enumerate(config.detunings_hz[:2]))
+        pool = _RecordingPool()
+        runs = run_cooling_curve(config, curves, master_seed=4, executor=pool)
+        points = len(curves) * len(config.gamma_opt_grid_hz)
+        assert pool.log == ["submit"] * points + ["result"] * points
+        # each curve keeps its own detuning index, so its own streams
+        for (index, detuning_hz), run in zip(curves, runs):
+            (alone,) = run_cooling_curve(config, [(index, detuning_hz)], master_seed=4)
+            assert run.detuning_hz == detuning_hz
+            assert run.curve.n_ba_fit == alone.curve.n_ba_fit
+
+    def test_raising_task_cancels_queued_tasks(self, tmp_path):
+        # without cancelling, leaving the pool would wait for all 40 tasks
+        items = range(41)
+        with pytest.raises(ValueError, match="first task fails"):
+            with worker_pool(2) as pool:
+                run_points(_fail_or_mark, items, tmp_path, executor=pool)
+        ran = len(list(tmp_path.iterdir()))
+        assert ran < len(items) // 2
+
     def test_reports_systematics_biases(self, reducible_config):
         config = reducible_config
         detuning_hz = config.detunings_hz[0]
-        run = run_cooling_curve(config, detuning_hz, master_seed=4)
+        (run,) = run_cooling_curve(config, [(0, detuning_hz)], master_seed=4)
         laser, substrate = systematics_biases(config, detuning_hz, 30e3)
         assert run.bias_laser == pytest.approx(laser)
         assert run.bias_substrate == pytest.approx(substrate)
