@@ -152,8 +152,7 @@ class _RecordingPool:
 
     def submit(self, task, *args):
         self.log.append("submit")
-        value = task(*args)
-        return _Done(self.log, value)
+        return _Done(self.log, task(*args))
 
 
 class _Done:
