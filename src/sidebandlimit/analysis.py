@@ -6,7 +6,8 @@ The chain mirrors how the measurement is actually reduced:
    center offset and linewidth, independent amplitudes and a free floor,
    fitted by maximum likelihood under the Gamma(n_avg) bin-noise law:
    one bounded solve on Gamma deviance residuals, which
-   :func:`_deviance` returns with their Jacobian in closed form.  Both fits
+   :func:`_deviance` returns with their Jacobian in closed form, built
+   only where the solver keeps a step.  Both fits
    here use the one bounded least-squares solver, :func:`_solve_bounded`.
 2. :func:`ratio_series` -- each fit's amplitude ratio R and its
    uncertainty.
@@ -38,11 +39,7 @@ from sidebandlimit.physics import (
     occupation_from_ratio,
     temperature_from_occupation,
 )
-from sidebandlimit.spectra import (
-    WINDOW_LINEWIDTHS,
-    HeterodyneSpectrum,
-    two_lorentzian_gradient,
-)
+from sidebandlimit.spectra import WINDOW_LINEWIDTHS, HeterodyneSpectrum, lorentzian
 
 # Cap applied to n_avg so the noiseless (n_avg = inf) mode keeps the
 # fit residuals and the floor-noise estimate finite.
@@ -305,27 +302,55 @@ def _fit_indices(
 
 def _deviance(p, freqs, data, n_w):
     """Signed Gamma deviance residuals r of the model ``p`` at the fitted
-    bins, and their analytic Jacobian, shape (m, 5).
+    bins, and ``jacobian()``, which returns their analytic Jacobian,
+    shape (m, 5).
 
     The sum of squares of r is the Gamma(n_w) deviance, minimized at the
-    maximum-likelihood fit.  With d = data/mu - 1, dr/dmu = -n_w (d/r) / mu;
-    the chain rule through :func:`two_lorentzian_gradient` gives the rest.
-    The model mu is summed as :func:`two_lorentzian` sums it.  The Jacobian
-    is built as a (5, m) array and returned transposed.
+    maximum-likelihood fit.  The model mu is summed as
+    :func:`~sidebandlimit.spectra.two_lorentzian` sums it, from the
+    unit-peak Lorentzians L at the Stokes center -omega_m and the
+    anti-Stokes center +omega_m.  ``jacobian()`` reuses this pass's
+    arrays, so a trial the solver rejects never pays for it: with h =
+    gamma/2 and x = omega - center, dL/dgamma = 2 L (1 - L) / gamma and
+    dL/dcenter = 2 x L^2 / h^2, and with d = data/mu - 1, dr/dmu = -n_w
+    (d/r) / mu.  It builds a (5, m) array and returns it transposed.
     """
-    grad = two_lorentzian_gradient(freqs, *p)
-    mu = p[4] + p[2] * grad[2] + p[3] * grad[3]
+    omega_m, gamma, amp_stokes, amp_antistokes, floor = p
+    l_s = lorentzian(freqs, -omega_m, gamma)
+    l_as = lorentzian(freqs, omega_m, gamma)
+    peak_s = amp_stokes * l_s
+    peak_as = amp_antistokes * l_as
+    mu = floor + peak_s + peak_as
     d = data / mu - 1.0
     r = np.copysign(np.sqrt(2.0 * n_w * (d - np.log1p(d))), d)
-    series = np.abs(d) < _SERIES_BELOW
-    d_over_r = np.divide(d, r, out=(1.0 + d / 3.0) / math.sqrt(n_w), where=~series)
-    grad *= (-n_w / mu) * d_over_r
-    return r, grad.T
+
+    def jacobian():
+        # the quotient's 0/0 at d = 0 is overwritten by its series
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_over_r = d / r
+        series = np.abs(d) < _SERIES_BELOW
+        if series.any():
+            d_over_r[series] = (1.0 + d[series] / 3.0) / math.sqrt(n_w)
+        dr_dmu = (-n_w / mu) * d_over_r
+        x_s = freqs + omega_m
+        x_as = freqs - omega_m
+        center = amp_antistokes * x_as * l_as * l_as - amp_stokes * x_s * l_s * l_s
+        width = peak_s * (1.0 - l_s) + peak_as * (1.0 - l_as)
+        jac = np.empty((5, d.size))
+        np.multiply((2.0 / (0.5 * gamma) ** 2) * center, dr_dmu, out=jac[0])
+        np.multiply((2.0 / gamma) * width, dr_dmu, out=jac[1])
+        np.multiply(l_s, dr_dmu, out=jac[2])
+        np.multiply(l_as, dr_dmu, out=jac[3])
+        jac[4] = dr_dmu
+        return jac.T
+
+    return r, jacobian
 
 
 def _solve_bounded(fun, x0, lower, upper):
     """Minimize ||r||^2 over the box lower <= x <= upper, where
-    ``fun(x)`` returns the residuals r and their Jacobian J.
+    ``fun(x)`` returns the residuals r and a callable that returns their
+    Jacobian J, called only at x0 and at each kept step.
 
     Projected Levenberg-Marquardt (More, LNM 630 (1978); Kanzow, Yamashita
     & Fukushima, J. Comput. Appl. Math. 172, 375 (2004)) in the units of
@@ -344,7 +369,8 @@ def _solve_bounded(fun, x0, lower, upper):
     """
     max_evals = _MAX_EVALS  # read per call, so a patched budget applies
     x = x0
-    r, J = fun(x)
+    r, jacobian = fun(x)
+    J = jacobian()
     cost = r @ r
     evals = 1
     lam = 1e-3
@@ -366,7 +392,8 @@ def _solve_bounded(fun, x0, lower, upper):
             trial = x.copy()
             trial[free] += step / norms
             trial = np.clip(trial, lower, upper)
-            r_trial, J_trial = fun(trial)
+            del jacobian  # free the last point's arrays before evaluating the next
+            r_trial, jacobian = fun(trial)
             evals += 1
             cost_trial = r_trial @ r_trial
             if cost_trial < cost:
@@ -376,7 +403,8 @@ def _solve_bounded(fun, x0, lower, upper):
                 return x, r, J, True
         lam /= 3.0
         stalled = cost - cost_trial <= 1e-14 * cost
-        x, r, J, cost = trial, r_trial, J_trial, cost_trial
+        x, r, cost = trial, r_trial, cost_trial
+        J = jacobian()
 
 
 def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
@@ -523,13 +551,17 @@ def fit_cooling_curve(
     damping = gamma_0 + gamma_opt
 
     def residual(x):
-        """Weighted residuals and their Jacobian in (s, n0, n_ba)."""
+        """Weighted residuals and their Jacobian's builder in (s, n0, n_ba)."""
         s, n0, n_ba = x
         n_bar = (n0 * gamma_0 + n_ba * gamma_opt) / damping
-        slope = -s / (damping * n_bar * n_bar * sigma)  # (dr/dn_bar) / damping
-        return (s * (1.0 + 1.0 / n_bar) - ratio) / sigma, np.column_stack(
-            [(1.0 + 1.0 / n_bar) / sigma, slope * gamma_0, slope * gamma_opt]
-        )
+
+        def jacobian():
+            slope = -s / (damping * n_bar * n_bar * sigma)  # (dr/dn_bar) / damping
+            return np.column_stack(
+                [(1.0 + 1.0 / n_bar) / sigma, slope * gamma_0, slope * gamma_opt]
+            )
+
+        return (s * (1.0 + 1.0 / n_bar) - ratio) / sigma, jacobian
 
     # Start just below the smallest ratio, with n0 from the weakest drive
     # and the floor where the mode meets the optical bath (R = 1).

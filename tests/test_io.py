@@ -1,11 +1,13 @@
 """Tests for file schemas: spectra CSV, points CSV, reports, hashing."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from sidebandlimit.io import (
+    _CHUNK_ROWS,
     POINTS_COLUMNS,
     SPECTRUM_COLUMNS,
     SPECTRUM_COLUMNS_V2,
@@ -143,6 +145,64 @@ class TestSparseSpectrumFiles:
         path.write_text(path.read_text().replace(" grid_bins=4001", ""))
         with pytest.raises(SchemaError, match="grid_bins"):
             read_spectrum_csv(path)
+
+
+# psd values at the edges of the double range, each written in several rows
+EDGE_PSD = [0.0, 5e-324, 1e-300, 0.1, 1e308]
+
+
+def _edge_psd(size, seed):
+    psd = 10.0 ** np.random.default_rng(seed).uniform(-300.0, 300.0, size)
+    psd[: len(EDGE_PSD)] = EDGE_PSD
+    psd[size // 2 : size // 2 + len(EDGE_PSD)] = EDGE_PSD
+    psd[-len(EDGE_PSD) :] = EDGE_PSD
+    return psd
+
+
+class TestSpectrumBytes:
+    """The spectrum writer against np.savetxt's bytes, the format it replaced."""
+
+    @staticmethod
+    def _data_rows(path, columns, fmt):
+        written = path.read_text().split("\n", 2)[2]
+        reference = io.StringIO()
+        np.savetxt(reference, np.column_stack(columns), fmt=fmt, delimiter=",")
+        return written, reference.getvalue()
+
+    def test_full_record_matches_savetxt(self, tmp_path):
+        size = 2 * _CHUNK_ROWS + 77
+        spectrum = HeterodyneSpectrum(
+            f_lo=-1.23456789e7, resolution=987.654321, psd=_edge_psd(size, 8), n_avg=250.0
+        )
+        path = tmp_path / "full.csv"
+        write_spectrum_csv(path, spectrum)
+        written, reference = self._data_rows(
+            path, [spectrum.frequencies / (2.0 * math.pi), spectrum.psd], ["%.17g", "%.17g"]
+        )
+        assert written.count("\n") == size
+        assert written == reference
+
+    def test_zoomed_record_matches_savetxt(self, tmp_path):
+        size = 2 * _CHUNK_ROWS + 77
+        index = np.concatenate([np.arange(100, 100 + size - 3), 2**31 + np.arange(3) * 5])
+        spectrum = HeterodyneSpectrum(
+            f_lo=-1.5e9,
+            resolution=1.5,
+            psd=_edge_psd(size, 9),
+            n_avg=250.0,
+            index=index,
+            grid_bins=2**31 + 20,
+        )
+        path = tmp_path / "zoomed.csv"
+        write_spectrum_csv(path, spectrum)
+        written, reference = self._data_rows(
+            path,
+            [spectrum.index, spectrum.frequencies / (2.0 * math.pi), spectrum.psd],
+            ["%d", "%.17g", "%.17g"],
+        )
+        assert written.count("\n") == size
+        assert written.splitlines()[-1].startswith(f"{2**31 + 10},")
+        assert written == reference
 
 
 class TestPointsFiles:

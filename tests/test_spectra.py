@@ -23,8 +23,6 @@ from sidebandlimit.spectra import (
     evaluate_psd,
     laser_noise_bias,
     lorentzian,
-    two_lorentzian,
-    two_lorentzian_gradient,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -262,24 +260,3 @@ class TestLaserNoiseBias:
         # the shift is the scaled noise sum, bit for bit.
         expected = LASER_NOISE_OCCUPATION_SCALE * (amp + phase)
         assert laser_noise_bias(amp, phase) == expected
-
-
-class TestTwoLorentzianGradient:
-    @pytest.mark.parametrize("amp_antistokes", [0.045, 0.0])
-    def test_matches_central_differences(self, reference, amp_antistokes):
-        # rows (omega_m, gamma, amp_stokes, amp_antistokes, floor); the
-        # second case holds an amplitude at its fit bound of 0
-        params, point, n_bar = reference
-        gamma = params.gamma_0 + point.gamma_opt
-        p = np.array([params.omega_m, gamma, 0.038, amp_antistokes, 1.003])
-        omega = np.linspace(-1.5, 1.5, 4001) * (params.omega_m + 20 * gamma)
-        grad = two_lorentzian_gradient(omega, *p)
-        assert grad.shape == (5, omega.size)
-        steps = 1e-5 * np.array([gamma, gamma, 1.0, 1.0, 1.0])
-        for k, h in enumerate(steps):
-            up, down = p.copy(), p.copy()
-            up[k] += h
-            down[k] -= h
-            numeric = (two_lorentzian(omega, *up) - two_lorentzian(omega, *down)) / (2 * h)
-            scale = np.abs(numeric).max()
-            assert np.abs(grad[k] - numeric).max() <= 1e-6 * scale, k
