@@ -307,10 +307,11 @@ def _deviance(p, freqs, data, n_w):
 
     The sum of squares of r is the Gamma(n_w) deviance, minimized at the
     maximum-likelihood fit.  The model mu is summed as
-    :func:`~sidebandlimit.spectra.two_lorentzian` sums it, from the
+    :func:`~sidebandlimit.spectra.evaluate_psd` sums it, from the
     unit-peak Lorentzians L at the Stokes center -omega_m and the
-    anti-Stokes center +omega_m.  ``jacobian()`` reuses this pass's
-    arrays, so a trial the solver rejects never pays for it: with h =
+    anti-Stokes center +omega_m; the sum is written out here, not called,
+    because ``jacobian()`` reuses L and both peak terms.  It reuses this
+    pass's arrays, so a trial the solver rejects never pays for it: with h =
     gamma/2 and x = omega - center, dL/dgamma = 2 L (1 - L) / gamma and
     dL/dcenter = 2 x L^2 / h^2, and with d = data/mu - 1, dr/dmu = -n_w
     (d/r) / mu.  It builds a (5, m) array and returns it transposed.
@@ -678,7 +679,7 @@ class SweepSummary:
     """Fitted cooling floors versus detuning, against the closed form."""
 
     rows: tuple[SweepRow, ...]
-    global_min_detuning: float
+    global_min_detuning: float | None  # None when there is no row
     flags: tuple[str, ...] = ()
 
 
@@ -688,12 +689,8 @@ def detuning_sweep_summary(
     """Tabulate fitted floors against the predicted backaction limit.
 
     The detuning keys and ``omega_m`` may be in any one unit; rows keep the keys.
+    An empty mapping gives no rows and no global minimum.
     """
-    if not results:
-        raise AnalysisError("sweep summary needs at least one detuning")
-    flags: list[str] = []
-    if len(results) < 3:
-        flags.append("degenerate_sweep")
     rows = []
     for detuning in sorted(results):
         curve = results[detuning]
@@ -714,7 +711,9 @@ def detuning_sweep_summary(
                 flags=tuple(row_flags),
             )
         )
-    best = min(rows, key=lambda r: r.min_n_bar)
+    best = min(rows, key=lambda r: r.min_n_bar, default=None)
     return SweepSummary(
-        rows=tuple(rows), global_min_detuning=best.detuning, flags=tuple(flags)
+        rows=tuple(rows),
+        global_min_detuning=None if best is None else best.detuning,
+        flags=("degenerate_sweep",) if len(rows) < 3 else (),
     )

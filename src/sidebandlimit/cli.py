@@ -56,7 +56,6 @@ from sidebandlimit.pipeline import (
     run_points,
     save_point,
     spectrum_metadata,
-    worker_pool,
 )
 
 SEED_ENV_VAR = "SIDEBAND_LIMIT_SEED"
@@ -125,7 +124,8 @@ def _resolve_config(args) -> ExperimentConfig:
     return config
 
 
-def _resolve_seed(args, config: ExperimentConfig) -> int:
+def _resolve_seed(args, default: int | None) -> int | None:
+    """``--seed``, else ``SIDEBAND_LIMIT_SEED``, else ``default``, which is not checked."""
     if args.seed is not None:
         source, seed = "--seed", args.seed
     elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
@@ -134,7 +134,7 @@ def _resolve_seed(args, config: ExperimentConfig) -> int:
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR}: not an integer ({env!r})") from exc
     else:
-        return config.seed  # validated with the configuration
+        return default
     if seed < 0:
         raise ConfigError(f"{source}: must be a non-negative integer, got {seed}")
     return seed
@@ -269,14 +269,13 @@ def _cmd_model(args) -> int:
 
 def _cmd_cool(args) -> int:
     config = _resolve_config(args)
-    seed = _resolve_seed(args, config)
+    seed = _resolve_seed(args, config.seed)
     detuning_hz = _resolve_detuning_hz(args, config)
     out_dir = Path(config.output_dir) / f"cool_{_detuning_label(detuning_hz)}"
     spectra_dirs = [str(out_dir / "spectra")] if args.save_spectra else None
-    with worker_pool(args.jobs, len(config.gamma_opt_grid_hz)) as pool:
-        (run,) = run_cooling_curve(
-            config, [(0, detuning_hz)], seed, args.no_noise, spectra_dirs, executor=pool
-        )
+    (run,) = run_cooling_curve(
+        config, [(0, detuning_hz)], seed, args.no_noise, spectra_dirs, args.jobs
+    )
     if isinstance(run, AnalysisError):
         raise run
     return _finish_curve(run, config, seed, out_dir)
@@ -284,19 +283,16 @@ def _cmd_cool(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    seed = _resolve_seed(args, config)
+    seed = _resolve_seed(args, config.seed)
     out_root = Path(config.output_dir) / "sweep"
     out_root.mkdir(parents=True, exist_ok=True)
 
     curves = list(enumerate(config.detunings_hz))
     out_dirs = [out_root / f"d{i:02d}_{_detuning_label(d)}" for i, d in curves]
     spectra_dirs = [str(d / "spectra") for d in out_dirs] if args.save_spectra else None
-    with worker_pool(args.jobs, len(curves) * len(config.gamma_opt_grid_hz)) as pool:
-        runs = run_cooling_curve(
-            config, curves, seed, args.no_noise, spectra_dirs, executor=pool
-        )
+    runs = run_cooling_curve(config, curves, seed, args.no_noise, spectra_dirs, args.jobs)
 
-    results = {}
+    fitted = {}
     errors = {}
     clean = True
     for (_, detuning_hz), out_dir, run in zip(curves, out_dirs, runs):
@@ -306,56 +302,52 @@ def _cmd_sweep(args) -> int:
             print(f"detuning {label}: failed: {run}", file=sys.stderr)
             continue
         clean &= _write_curve_outputs(run, config, seed, out_dir, f"detuning {label}: ")
-        results[detuning_hz] = run
+        fitted[detuning_hz] = run.curve
 
-    if results:
-        summary = detuning_sweep_summary(
-            {d_hz: run.curve for d_hz, run in results.items()},
-            config.system.omega_m_hz,
-        )
-        rows = [
-            {
-                "detuning_hz": row.detuning,
-                "min_n_bar": row.min_n_bar,
-                "sigma": row.sigma,
-                "n_ba_predicted": row.n_ba_predicted,
-                "flags": list(row.flags),
-            }
-            for row in summary.rows
-        ]
-        write_points_csv(out_root / "sweep_summary.csv", rows, SWEEP_COLUMNS)
-        write_report_json(
-            out_root / "sweep.json",
-            {
-                "schema": "sidebandlimit-sweep v1",
-                "seed": seed,
-                "config_hash": config_hash(config.hash_dict()),
-                "global_min_detuning_hz": summary.global_min_detuning,
-                "flags": list(summary.flags),
-                "rows": rows,
-                "errors": {
-                    _detuning_label(d): message for d, message in errors.items()
-                },
-            },
-        )
-        print("detuning_MHz  min_n_bar   sigma    closed_form")
-        for row in rows:
-            print(
-                f"{row['detuning_hz'] / 1e6:12.4f} {row['min_n_bar']:9.4f} "
-                f"{row['sigma']:8.4f} {row['n_ba_predicted']:11.4f}"
-            )
+    summary = detuning_sweep_summary(fitted, config.system.omega_m_hz)
+    rows = [
+        {
+            "detuning_hz": row.detuning,
+            "min_n_bar": row.min_n_bar,
+            "sigma": row.sigma,
+            "n_ba_predicted": row.n_ba_predicted,
+            "flags": list(row.flags),
+        }
+        for row in summary.rows
+    ]
+    write_points_csv(out_root / "sweep_summary.csv", rows, SWEEP_COLUMNS)
+    write_report_json(
+        out_root / "sweep.json",
+        {
+            "schema": "sidebandlimit-sweep v1",
+            "seed": seed,
+            "config_hash": config_hash(config.hash_dict()),
+            "global_min_detuning_hz": summary.global_min_detuning,
+            "flags": list(summary.flags),
+            "rows": rows,
+            "errors": {_detuning_label(d): message for d, message in errors.items()},
+        },
+    )
+    print("detuning_MHz  min_n_bar   sigma    closed_form")
+    for row in rows:
         print(
-            f"global minimum at {summary.global_min_detuning / 1e6:.4f} MHz; "
-            f"outputs in {out_root}"
+            f"{row['detuning_hz'] / 1e6:12.4f} {row['min_n_bar']:9.4f} "
+            f"{row['sigma']:8.4f} {row['n_ba_predicted']:11.4f}"
         )
+    minimum = summary.global_min_detuning
+    lead = "" if minimum is None else f"global minimum at {minimum / 1e6:.4f} MHz; "
+    print(f"{lead}outputs in {out_root}")
     return EXIT_OK if clean and not errors else EXIT_FAILURE
 
 
 def _cmd_fit(args) -> int:
     config = _resolve_config(args)
-    seed = _resolve_seed(args, config)
-    with worker_pool(args.jobs, len(args.inputs)) as pool:
-        run = analyze_spectrum_files(list(args.inputs), config, executor=pool)
+    # the seed that drew the spectra, when they name it, else cool's rule
+    explicit = _resolve_seed(args, None)
+    run = analyze_spectrum_files(args.inputs, config, args.jobs)
+    seed = next(s for s in (explicit, run.seed, config.seed) if s is not None)
+    if run.seed not in (None, seed):
+        raise ConfigError(f"seed {seed} differs from seed {run.seed} that drew the spectra")
     detuning_hz = run.detuning_hz
     label = "external" if detuning_hz is None else _detuning_label(detuning_hz)
     out_dir = Path(config.output_dir) / f"cool_{label}"
@@ -364,13 +356,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_synth(args) -> int:
     config = _resolve_config(args)
-    seed = _resolve_seed(args, config)
+    seed = _resolve_seed(args, config.seed)
     detuning_hz = _resolve_detuning_hz(args, config)
     out_dir = Path(config.output_dir) / f"synth_{_detuning_label(detuning_hz)}"
     plans = plan_curve(config, detuning_hz, seed, 0, noiseless=args.no_noise)
     metadata = spectrum_metadata(config, detuning_hz, seed, 0)
-    with worker_pool(args.jobs, len(plans)) as pool:
-        run_points(save_point, plans, str(out_dir), metadata, executor=pool)
+    run_points(save_point, plans, str(out_dir), metadata, jobs=args.jobs)
     print(f"wrote {len(plans)} spectra to {out_dir}")
     return EXIT_OK
 

@@ -8,14 +8,16 @@ Points own independent RNG streams derived from ``(master seed, detuning
 index, point index)``, so any execution order -- including process pools
 -- reproduces identical data.
 
-Points, and the files ``fit`` reads, fan out through ``queue_points``.  A
-command opens one pool of up to ``jobs`` workers with ``worker_pool`` and passes
-it down as ``executor``; without an executor the points run in this
-process.  ``run_cooling_curve`` runs the curves of ``cool`` and ``sweep``
-alike: it plans every curve, queues every point of every curve on the pool
-before it reads any result, then reduces the curves in order, each as soon
-as its own points are done, while the workers go on with later curves.  A
-plan stores only its independent values, so the queue holds little.
+Points, and the files ``fit`` reads, fan out through ``queue_points``.  The
+pipeline opens the pool: ``run_cooling_curve``, ``analyze_spectrum_files``
+and ``run_points`` take ``jobs`` and open one ``worker_pool`` of at most
+``jobs`` workers, and no more than the tasks they queue; at one job the
+points run in this process.  ``run_cooling_curve`` runs the curves of
+``cool`` and ``sweep`` alike: it plans every curve, queues every point of
+every curve on the pool before it reads any result, then reduces the curves
+in order, each as soon as its own points are done, while the workers go on
+with later curves.  A plan stores only its independent values, so the queue
+holds little.
 
 ``cool``, ``fit`` and every curve of ``sweep`` share one path: a
 synthesized or a read spectrum becomes a ``PointOutcome`` in
@@ -205,16 +207,15 @@ def fit_outcome(
 
 
 @contextmanager
-def worker_pool(jobs: int, tasks: int | None = None):
-    """A pool of up to ``jobs`` worker processes to share across a command.
+def worker_pool(jobs: int, tasks: int):
+    """A pool of up to ``jobs`` worker processes for ``tasks`` queued tasks.
 
     A forking pool starts every worker at its first submit, so it opens no
-    more than ``tasks``, the most the command submits at once, when given.
-    With one worker or none, the context yields ``None``.  A block that
-    exits on an exception, a raising task or an interrupt, cancels the
-    tasks still queued instead of waiting for them.
+    more than ``tasks``.  With one worker or none, the context yields
+    ``None``.  A block that exits on an exception, a raising task or an
+    interrupt, cancels the tasks still queued instead of waiting for them.
     """
-    workers = jobs if tasks is None else min(jobs, tasks)
+    workers = min(jobs, tasks)
     if workers <= 1:
         yield None
         return
@@ -242,17 +243,13 @@ def queue_points(
     return [executor.submit(task, item, *args).result for item in items]
 
 
-def run_points(
-    task: Callable,
-    items: list,
-    *args,
-    executor: Executor | None = None,
-) -> list:
-    """``task(item, *args)`` for every item, results in order.
+def run_points(task: Callable, items: Sequence, *args, jobs: int = 1) -> list:
+    """``task(item, *args)`` for every item on up to ``jobs`` workers, results in order.
 
     The first task to raise, in item order, raises here.
     """
-    return [result() for result in queue_points(task, items, *args, executor=executor)]
+    with worker_pool(jobs, len(items)) as executor:
+        return [result() for result in queue_points(task, items, *args, executor=executor)]
 
 
 @dataclass(frozen=True)
@@ -260,6 +257,7 @@ class CurveRun:
     """One analyzed cooling curve plus its diagnostics."""
 
     detuning_hz: float | None
+    seed: int | None  # master seed that drew the spectra, when known
     outcomes: tuple[PointOutcome, ...]
     occupation: tuple[OccupationPoint, ...]
     curve: CoolingCurveResult
@@ -327,7 +325,10 @@ def systematics_biases(
 
 
 def reduce_curve(
-    outcomes: list[PointOutcome], config: ExperimentConfig, detuning_hz: float | None
+    outcomes: list[PointOutcome],
+    config: ExperimentConfig,
+    detuning_hz: float | None,
+    seed: int | None,
 ) -> CurveRun:
     """Reduce one curve's outcomes; the systematics need a detuning.
 
@@ -346,6 +347,7 @@ def reduce_curve(
         )
     return CurveRun(
         detuning_hz=detuning_hz,
+        seed=seed,
         outcomes=tuple(outcomes),
         occupation=tuple(occupation),
         curve=curve,
@@ -361,77 +363,88 @@ def run_cooling_curve(
     master_seed: int,
     noiseless: bool = False,
     spectra_dirs: Sequence[str] | None = None,
-    executor: Executor | None = None,
+    jobs: int = 1,
 ) -> list[CurveRun | AnalysisError]:
     """Synthesize, fit and reduce one cooling curve per ``(detuning index, detuning_hz)``.
 
-    Every curve is planned first.  With ``executor`` every point of every
-    curve is then queued before any result is read; the curves are reduced
-    in order, each once its own points are done.  A curve whose reduction
-    raises ``AnalysisError`` gets that error in place of its ``CurveRun``.
-    Given ``spectra_dirs``, one per curve, each point's spectrum is
-    written there.
+    On a pool of up to ``jobs`` workers, one task per drive point of each
+    curve, every curve is planned and its points queued before any result
+    is read; the curves are reduced in order, each once its own points are
+    done.  A curve whose reduction raises ``AnalysisError`` gets that error
+    in place of its ``CurveRun``.  Given ``spectra_dirs``, one per curve,
+    each point's spectrum is written there.
     """
     dirs = spectra_dirs if spectra_dirs is not None else [None] * len(curves)
-    queued = [
-        queue_points(
-            run_point,
-            plan_curve(config, detuning_hz, master_seed, index, noiseless),
-            spectra_dir,
-            spectrum_metadata(config, detuning_hz, master_seed, index),
-            executor=executor,
-        )
-        for (index, detuning_hz), spectra_dir in zip(curves, dirs)
-    ]
     runs = []
-    for (_, detuning_hz), results in zip(curves, queued):
-        outcomes = [result() for result in results]
-        try:
-            runs.append(reduce_curve(outcomes, config, detuning_hz))
-        except AnalysisError as exc:
-            runs.append(exc)
+    with worker_pool(jobs, len(curves) * len(config.gamma_opt_grid_hz)) as executor:
+        queued = [
+            queue_points(
+                run_point,
+                plan_curve(config, detuning_hz, master_seed, index, noiseless),
+                spectra_dir,
+                spectrum_metadata(config, detuning_hz, master_seed, index),
+                executor=executor,
+            )
+            for (index, detuning_hz), spectra_dir in zip(curves, dirs)
+        ]
+        for (_, detuning_hz), results in zip(curves, queued):
+            outcomes = [result() for result in results]
+            try:
+                runs.append(reduce_curve(outcomes, config, detuning_hz, master_seed))
+            except AnalysisError as exc:
+                runs.append(exc)
     return runs
 
 
-def read_and_fit(path) -> tuple[PointOutcome, float | None]:
-    """Read one spectrum file and fit it; returns the outcome and its detuning."""
+# Optional header keys that name the curve a file belongs to: key, type, noun.
+_IDENTITY_KEYS = (("detuning_hz", float, "detuning"), ("seed", int, "seed"))
+
+
+def read_and_fit(path) -> tuple[PointOutcome, dict]:
+    """Read one spectrum file and fit it; returns the outcome and its identity keys."""
     spectrum, metadata = read_spectrum_csv(path)
     gamma_opt_hz = metadata_number(path, metadata, "gamma_opt_hz")
-    detuning_hz = (
-        metadata_number(path, metadata, "detuning_hz") if "detuning_hz" in metadata else None
-    )
+    identity = {
+        key: metadata_number(path, metadata, key, kind)
+        for key, kind, _ in _IDENTITY_KEYS
+        if key in metadata
+    }
+    detuning_hz, seed = identity.get("detuning_hz"), identity.get("seed", 0)
     if not 0 < gamma_opt_hz < math.inf:
         raise SchemaError(path, 1, f"gamma_opt_hz must be finite and positive, got {gamma_opt_hz}")
     if detuning_hz is not None and not -math.inf < detuning_hz < 0:
         raise SchemaError(path, 1, f"detuning_hz must be finite and negative, got {detuning_hz}")
-    return fit_outcome(spectrum, f"input {path}", gamma_opt_hz), detuning_hz
+    if seed < 0:
+        raise SchemaError(path, 1, f"seed must be a non-negative integer, got {seed}")
+    return fit_outcome(spectrum, f"input {path}", gamma_opt_hz), identity
 
 
-def analyze_spectrum_files(
-    files: list, config: ExperimentConfig, executor: Executor | None = None
-) -> CurveRun:
+def analyze_spectrum_files(files: list, config: ExperimentConfig, jobs: int = 1) -> CurveRun:
     """Run the reduction chain on externally provided spectrum files.
 
     Files must follow the spectra CSV schema and carry a finite, positive
-    ``gamma_opt_hz``; a finite, negative ``detuning_hz`` is optional and only
-    feeds the closed-form comparison value, but files naming two detunings
-    are not one curve.
-    Files are read and fitted on ``executor`` when given, else in this
-    process; a schema error names the first bad file in input order.
+    ``gamma_opt_hz``.  The identity keys are optional: a finite, negative
+    ``detuning_hz`` only feeds the closed-form comparison value, and a
+    non-negative ``seed`` becomes the run's seed, but files naming two
+    values of either are not one curve.  The pipeline opens a pool of up to
+    ``jobs`` workers, no more than the files, to read and fit them; a schema
+    error names the first bad file in input order.
     """
-    results = run_points(read_and_fit, list(files), executor=executor)
-    first_at: dict[float, str] = {}
-    for path, (_, detuning_hz) in zip(files, results):
-        if detuning_hz is not None:
-            first_at.setdefault(detuning_hz, str(path))
-    if len(first_at) > 1:
-        (d_a, file_a), (d_b, file_b) = list(first_at.items())[:2]
-        raise SchemaError(
-            file_b,
-            None,
-            f"detuning_hz {d_b!r} differs from {d_a!r} in {file_a}; "
-            "spectra of one curve must share one detuning",
-        )
+    results = run_points(read_and_fit, files, jobs=jobs)
+    identity = {}
+    for key, _, noun in _IDENTITY_KEYS:
+        first_at: dict = {}
+        for path, (_, named) in zip(files, results):
+            if key in named:
+                first_at.setdefault(named[key], str(path))
+        if len(first_at) > 1:
+            (v_a, file_a), (v_b, file_b) = list(first_at.items())[:2]
+            raise SchemaError(
+                file_b,
+                None,
+                f"{key} {v_b!r} differs from {v_a!r} in {file_a}; "
+                f"spectra of one curve must share one {noun}",
+            )
+        identity[key] = next(iter(first_at), None)
     outcomes = sorted((o for o, _ in results), key=lambda o: o.gamma_opt_hz)
-    detuning_hz = next(iter(first_at), None)
-    return reduce_curve(outcomes, config, detuning_hz)
+    return reduce_curve(outcomes, config, identity["detuning_hz"], identity["seed"])

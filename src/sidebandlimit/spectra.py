@@ -19,7 +19,7 @@ zoomed on the sidebands records a span around each line
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,33 +177,21 @@ def build_model(
     )
 
 
-def two_lorentzian(omega, omega_m, gamma, amp_stokes, amp_antistokes, floor):
-    """Flat floor plus a unit-peak Lorentzian of width ``gamma`` at each sideband.
-
-    The one place the sideband lineshape is written; arguments follow the
-    sideband fit's parameter order.
-    """
-    return (
-        floor
-        + amp_stokes * lorentzian(omega, -omega_m, gamma)
-        + amp_antistokes * lorentzian(omega, +omega_m, gamma)
-    )
-
-
 def evaluate_psd(model: SpectrumModel, frequencies) -> np.ndarray:
-    """Model PSD on a frequency grid (rad/s, relative to the beat note)."""
+    """Model PSD on a frequency grid (rad/s, relative to the beat note).
+
+    The one place the sideband lineshape is written: the flat floor plus a
+    unit-peak Lorentzian of width ``gamma_eff`` at each sideband.
+    """
     omega = np.asarray(frequencies, dtype=float)
     if omega.size == 0:
         raise ValueError("frequency grid is empty")
     if not np.all(np.isfinite(omega)):
         raise ValueError("frequency grid must be finite")
-    return two_lorentzian(
-        omega,
-        model.omega_m,
-        model.gamma_eff,
-        model.peak_stokes,
-        model.peak_antistokes,
-        model.floor,
+    return (
+        model.floor
+        + model.peak_stokes * lorentzian(omega, -model.omega_m, model.gamma_eff)
+        + model.peak_antistokes * lorentzian(omega, +model.omega_m, model.gamma_eff)
     )
 
 
@@ -236,7 +224,7 @@ def _window_fit_inputs(model: SpectrumModel) -> tuple[np.ndarray, np.ndarray]:
     step = gamma / BINS_PER_LINEWIDTH
     offsets = np.arange(-half, half + 0.5 * step, step)
     omega = np.concatenate([offsets - omega_m, offsets + omega_m])
-    local = two_lorentzian(omega, omega_m, gamma, model.peak_stokes, model.peak_antistokes, 1.0)
+    local = evaluate_psd(replace(model, floor=1.0), omega)
     design = np.column_stack(
         [lorentzian(omega, -omega_m, gamma), lorentzian(omega, +omega_m, gamma)]
     )

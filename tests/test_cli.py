@@ -222,6 +222,30 @@ class TestComposition:
         points = read_points_csv(tmp_path / "a" / "cool_-1620000Hz" / "points.csv")
         assert points[0]["gamma_opt_hz"] == 1.0
 
+    def test_fit_reports_the_seed_that_drew_its_spectra(self, small_config, tmp_path):
+        # the configuration names seed 11; the spectra say seed=7
+        assert run_cli("cool", "--config", small_config, "--seed", 7, "--save-spectra") == 0
+        spectra = sorted((tmp_path / "out" / "cool_-1620000Hz" / "spectra").glob("*.csv"))
+        assert run_cli("fit", "--config", small_config, "--out", tmp_path / "refit", *spectra) == 0
+        for name in ("points.csv", "summary.json"):
+            direct = (tmp_path / "out" / "cool_-1620000Hz" / name).read_bytes()
+            refit = (tmp_path / "refit" / "cool_-1620000Hz" / name).read_bytes()
+            assert direct == refit
+
+    def test_fit_with_another_seed_is_a_usage_error(
+        self, small_config, tmp_path, monkeypatch, capsys
+    ):
+        assert run_cli("cool", "--config", small_config, "--seed", 7, "--save-spectra") == 0
+        spectra = sorted((tmp_path / "out" / "cool_-1620000Hz" / "spectra").glob("*.csv"))
+        capsys.readouterr()
+        refit = tmp_path / "refit"
+        assert run_cli("fit", "--config", small_config, "--seed", 8, "--out", refit, *spectra) == 2
+        assert "seed 8 differs from seed 7" in capsys.readouterr().err
+        monkeypatch.setenv("SIDEBAND_LIMIT_SEED", "8")
+        assert run_cli("fit", "--config", small_config, "--out", refit, *spectra) == 2
+        assert "seed 8 differs from seed 7" in capsys.readouterr().err
+        assert not refit.exists()
+
 
 # A fresh interpreter runs cool, fit and sweep and prints every scipy
 # module loaded, and whether numpy.ma is: importing scipy would cost most
@@ -251,6 +275,37 @@ def test_commands_load_no_scipy(small_config, tmp_path):
         check=True,
     )
     assert done.stdout.splitlines()[-1] == "[0, 0, 0] [] False"
+
+
+# A fresh interpreter imports the package root and prints its version and
+# every sidebandlimit submodule and numpy module that import loaded.
+_ROOT_IMPORT_SCRIPT = """
+import sys
+import sidebandlimit
+print(sidebandlimit.__version__, sorted(
+    m for m in sys.modules if m.startswith("sidebandlimit.") or m.split(".")[0] == "numpy"
+))
+"""
+
+
+def test_package_root_imports_no_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(sidebandlimit.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _ROOT_IMPORT_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0.1.0 []"
+    version = subprocess.run(
+        [sys.executable, "-m", "sidebandlimit.cli", "--version"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert version.stdout == "0.1.0\n"
 
 
 class TestFitCommand:
@@ -287,6 +342,13 @@ class TestFitCommand:
             ),
             pytest.param(
                 {"gamma_opt_hz": 300.0, "detuning_hz": math.nan}, "detuning_hz", id="nan-detuning"
+            ),
+            # a seed, as on the command line, is a non-negative integer
+            pytest.param({"gamma_opt_hz": 300.0, "seed": -3}, "seed", id="negative-seed"),
+            pytest.param(
+                {"gamma_opt_hz": 300.0, "seed": 7.5},
+                "malformed metadata value for 'seed'",
+                id="fractional-seed",
             ),
         ],
     )
@@ -381,6 +443,19 @@ class TestFitCommand:
         assert run_cli("fit", "--config", small_config, "--out", refit, *first, *second) == 2
         err = capsys.readouterr().err
         assert "-1620000.0" in err and "-1000000.0" in err
+        assert str(first[0]) in err and str(second[0]) in err
+        assert not refit.exists()
+
+    def test_spectra_of_two_seeds_are_a_schema_error(self, small_config, tmp_path, capsys):
+        for seed in (7, 8):
+            out = tmp_path / f"seed{seed}"
+            assert run_cli("synth", "--config", small_config, "--seed", seed, "--out", out) == 0
+        first = sorted((tmp_path / "seed7" / "synth_-1620000Hz").glob("*.csv"))
+        second = sorted((tmp_path / "seed8" / "synth_-1620000Hz").glob("*.csv"))
+        refit = tmp_path / "refit"
+        assert run_cli("fit", "--config", small_config, "--out", refit, *first, *second) == 2
+        err = capsys.readouterr().err
+        assert "seed 8 differs from 7" in err
         assert str(first[0]) in err and str(second[0]) in err
         assert not refit.exists()
 
@@ -491,6 +566,25 @@ class TestUnreducibleCurve:
         assert tree == tree2 and err == err2
         assert json.loads(tree["sweep.json"])["errors"].keys() == {"-1620000Hz"}
         assert err.startswith("detuning -1620000Hz: failed: need at least 4")
+
+
+    def test_sweep_whose_every_curve_fails_still_writes_its_report(
+        self, thin_config, tmp_path, capsys
+    ):
+        data = json.loads(thin_config.read_text())
+        thin_config.write_text(json.dumps({**data, "detunings_hz": [-1.62e6]}))
+        assert run_cli("sweep", "--config", thin_config) == 1
+        sweep_dir = tmp_path / "out" / "sweep"
+        sweep = json.loads((sweep_dir / "sweep.json").read_text())
+        assert sweep["rows"] == []
+        assert sweep["global_min_detuning_hz"] is None
+        assert sweep["errors"]["-1620000Hz"].startswith("AnalysisError: need at least 4")
+        assert (sweep_dir / "sweep_summary.csv").read_text() == (
+            "detuning_hz,min_n_bar,sigma,n_ba_predicted,flags\n"
+        )
+        out = capsys.readouterr().out
+        assert "global minimum" not in out
+        assert out.splitlines()[-1] == f"outputs in {sweep_dir}"
 
 
 class TestSweepCommand:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sidebandlimit import pipeline
 from sidebandlimit.config import default_config, from_dict
 from sidebandlimit.physics import steady_state_occupation, thermal_occupation
 from sidebandlimit.pipeline import (
@@ -18,7 +19,6 @@ from sidebandlimit.pipeline import (
     run_point,
     run_points,
     systematics_biases,
-    worker_pool,
 )
 from sidebandlimit.spectra import BINS_PER_LINEWIDTH, SPAN_LINEWIDTHS
 from sidebandlimit.synth import synthesize_spectrum
@@ -145,10 +145,19 @@ class TestPlanCurve:
 
 
 class _RecordingPool:
-    """An in-process executor that logs each submit and each result read."""
+    """An in-process stand-in for ProcessPoolExecutor that logs each submit
+    and each result read."""
 
-    def __init__(self):
-        self.log = []
+    log: list = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
 
     def submit(self, task, *args):
         self.log.append("submit")
@@ -176,19 +185,21 @@ class TestRunCoolingCurve:
         config = reducible_config
         detuning_hz = config.detunings_hz[0]
         (one,) = run_cooling_curve(config, [(0, detuning_hz)], master_seed=4)
-        with worker_pool(2) as pool:
-            (two,) = run_cooling_curve(config, [(0, detuning_hz)], master_seed=4, executor=pool)
+        (two,) = run_cooling_curve(config, [(0, detuning_hz)], master_seed=4, jobs=2)
         assert one.curve.n_ba_fit == two.curve.n_ba_fit
         assert one.curve.n0_fit == two.curve.n0_fit
         assert one.curve.s_hat == two.curve.s_hat
 
-    def test_every_point_is_queued_before_any_result_is_read(self, reducible_config):
+    def test_every_point_is_queued_before_any_result_is_read(
+        self, reducible_config, monkeypatch
+    ):
         config = reducible_config
         curves = list(enumerate(config.detunings_hz[:2]))
-        pool = _RecordingPool()
-        runs = run_cooling_curve(config, curves, master_seed=4, executor=pool)
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "log", [])
+        runs = run_cooling_curve(config, curves, master_seed=4, jobs=2)
         points = len(curves) * len(config.gamma_opt_grid_hz)
-        assert pool.log == ["submit"] * points + ["result"] * points
+        assert _RecordingPool.log == ["submit"] * points + ["result"] * points
         # each curve keeps its own detuning index, so its own streams
         for (index, detuning_hz), run in zip(curves, runs):
             (alone,) = run_cooling_curve(config, [(index, detuning_hz)], master_seed=4)
@@ -199,8 +210,7 @@ class TestRunCoolingCurve:
         # without cancelling, leaving the pool would wait for all 40 tasks
         items = range(41)
         with pytest.raises(ValueError, match="first task fails"):
-            with worker_pool(2) as pool:
-                run_points(_fail_or_mark, items, tmp_path, executor=pool)
+            run_points(_fail_or_mark, items, tmp_path, jobs=2)
         ran = len(list(tmp_path.iterdir()))
         assert ran < len(items) // 2
 
