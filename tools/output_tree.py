@@ -90,9 +90,9 @@ def main() -> int:
         for jobs in JOBS:
             cwd = out / config / f"jobs{jobs}"
             cwd.mkdir(parents=True)
-            for name, argv in COMMANDS:
-                argv = [argv[0], *config_args, "--seed", SEED, "--jobs", str(jobs),
-                        "--out", f"{name}/files", *argv[1:]]
+            for name, (command, *flags) in COMMANDS:
+                argv = [command, *config_args, "--seed", SEED, "--jobs", str(jobs),
+                        "--out", f"{name}/files", *flags]
                 if name == "fit":
                     argv += sorted(
                         os.path.relpath(p, cwd)
