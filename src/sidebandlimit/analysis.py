@@ -198,10 +198,10 @@ def _initial_guess(spectrum: HeterodyneSpectrum) -> np.ndarray:
     The sideband offset comes from the maximum of the stored spectrum
     folded about the beat note, where the two mirrored peaks add
     coherently while noise maxima have to coincide across both halves.
-    The floor is the median of the quarter of stored bins farthest from
-    both located lines, out in the Lorentzian tails; width from the
-    half-max crossings around the folded peak.  Every step reads stored
-    bins only, so its cost follows the record, not the grid.
+    The floor is read from the quarter of stored bins farthest from both
+    located lines, net of the Lorentzian tails that still reach them;
+    width from the half-max crossings around the folded peak.  Every step
+    reads stored bins only, so its cost follows the record, not the grid.
     """
     psd = spectrum.psd
     index = spectrum.index
@@ -236,40 +236,44 @@ def _initial_guess(spectrum: HeterodyneSpectrum) -> np.ndarray:
 
     k = int(np.argmax(folded))
     omega_m0 = spectrum.f_lo + index[pos[k]] * res
-    # the floor: the quarter of stored bins farthest from both lines
-    distance = np.abs(np.abs(spectrum.frequencies) - omega_m0)
-    cut = np.partition(distance, 3 * psd.size // 4)[3 * psd.size // 4]
-    far = psd[distance >= cut]
-    # their median, by partition: np.median imports numpy.ma (about 1.3 MiB)
-    lo, hi = (far.size - 1) // 2, far.size // 2
-    middle = np.partition(far, [lo, hi])
-    floor0 = float(0.5 * (middle[lo] + middle[hi]))
-    # The Gamma bin law is skewed at low averaging: the mean, not the
-    # median, estimates the floor level the noise scales with.
-    floor_mean = float(np.mean(far))
-    peak_pos = pos_view[k] - floor0
-    peak_neg = neg_view[k] - floor0
-
-    # Locating the pair requires the folded peak to clear the expected
-    # extreme of pure floor noise over this many bins.
-    noise = floor_mean / math.sqrt(
-        min(spectrum.n_avg, _MAX_WEIGHT_AVERAGES) * _SMOOTH_WIDTH
-    )
-    extreme = math.sqrt(2.0 * math.log(max(folded.size, 3))) + 2.0
-    if (pos_view[k] - floor_mean) + (neg_view[k] - floor_mean) < (
-        extreme * math.sqrt(2.0) * noise
-    ):
-        raise InsufficientVisibilityError(
-            "no sideband rises above the averaged noise floor"
-        )
     # A band truncated short of the sidebands only ever shows the rising
-    # Lorentzian tail, whose folded maximum sits at the fold edge.
+    # Lorentzian tail, whose folded maximum sits at the fold edge; the
+    # tails the floor is read net of need a line inside the band.
     if k >= folded.size - 1 - max(3, _SMOOTH_WIDTH):
         raise SpectrumCoverageError(
             "spectrum does not bracket the mechanical sidebands "
             f"(folded maximum at the band edge, offset {omega_m0:.6g} rad/s)"
         )
+    # The floor: the quarter of stored bins farthest from both lines, which
+    # each line's tail still lifts by its asymptote c / (f -+ omega_m)^2.  It
+    # is the intercept of a linear least-squares fit of the floor and both
+    # asymptotes to that band: no width estimate, and as a mean, not a
+    # median, the level the skewed Gamma bin noise scales with.  The
+    # asymptotes are centered on the folded peak's vertex (a parabola through
+    # its top three bins); centered half a bin off, their odd term would pull
+    # the intercept below the floor.
+    a, b, c = folded[max(k - 1, 0)], folded[k], folded[min(k + 1, folded.size - 1)]
+    center = omega_m0 + (0.5 * (a - c) / (a - 2.0 * b + c) * res if a + c < 2.0 * b else 0.0)
+    freqs = spectrum.frequencies
+    distance = np.abs(np.abs(freqs) - omega_m0)
+    cut = np.partition(distance, 3 * psd.size // 4)[3 * psd.size // 4]
+    far = distance >= cut
+    tails = cut / (freqs[far, None] + [center, -center])
+    design = np.column_stack([np.ones(tails.shape[0]), tails * tails])
+    floor0 = float(np.linalg.lstsq(design, psd[far], rcond=None)[0][0])
+    peak_pos = pos_view[k] - floor0
+    peak_neg = neg_view[k] - floor0
 
+    # Locating the pair requires the folded peak to clear the expected
+    # extreme of pure floor noise over this many bins.
+    noise = floor0 / math.sqrt(
+        min(spectrum.n_avg, _MAX_WEIGHT_AVERAGES) * _SMOOTH_WIDTH
+    )
+    extreme = math.sqrt(2.0 * math.log(max(folded.size, 3))) + 2.0
+    if peak_pos + peak_neg < extreme * math.sqrt(2.0) * noise:
+        raise InsufficientVisibilityError(
+            "no sideband rises above the averaged noise floor"
+        )
     gamma0 = _half_max_width(folded, index[pos], k, 2.0 * floor0, res)
     if gamma0 < (_SMOOTH_WIDTH + 2.0) * res:
         raise SpectrumCoverageError(

@@ -328,7 +328,8 @@ def _cmd_sweep(args) -> int:
             "errors": {_detuning_label(d): message for d, message in errors.items()},
         },
     )
-    print("detuning_MHz  min_n_bar   sigma    closed_form")
+    if rows:
+        print("detuning_MHz  min_n_bar   sigma    closed_form")
     for row in rows:
         print(
             f"{row['detuning_hz'] / 1e6:12.4f} {row['min_n_bar']:9.4f} "
@@ -344,10 +345,8 @@ def _cmd_fit(args) -> int:
     config = _resolve_config(args)
     # the seed that drew the spectra, when they name it, else cool's rule
     explicit = _resolve_seed(args, None)
-    run = analyze_spectrum_files(args.inputs, config, args.jobs)
+    run = analyze_spectrum_files(args.inputs, config, args.jobs, explicit)
     seed = next(s for s in (explicit, run.seed, config.seed) if s is not None)
-    if run.seed not in (None, seed):
-        raise ConfigError(f"seed {seed} differs from seed {run.seed} that drew the spectra")
     detuning_hz = run.detuning_hz
     label = "external" if detuning_hz is None else _detuning_label(detuning_hz)
     out_dir = Path(config.output_dir) / f"cool_{label}"

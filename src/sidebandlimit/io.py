@@ -82,6 +82,8 @@ def _format_metadata(metadata: Mapping[str, Any]) -> str:
 
 def _parse_metadata(path, line: str) -> tuple[str, dict[str, str]]:
     """Header magic and ``key=value`` items of a spectrum file's first line."""
+    if not line.startswith("#"):
+        raise SchemaError(path, 1, "missing metadata header line")
     words = line[1:].split()
     magic = " ".join(words[:2])
     if magic not in (SPECTRUM_MAGIC, SPECTRUM_MAGIC_V2):
@@ -105,6 +107,12 @@ def metadata_number(path, metadata: Mapping[str, str], key: str, kind: type = fl
         return kind(metadata[key])
     except ValueError as exc:
         raise SchemaError(path, 1, f"malformed metadata value for {key!r}: {exc}") from exc
+
+
+def read_spectrum_header(path) -> dict[str, str]:
+    """The ``key=value`` items of a spectrum file's header, without reading its rows."""
+    with Path(path).open("r") as handle:
+        return _parse_metadata(path, handle.readline())[1]
 
 
 def write_spectrum_csv(
@@ -144,10 +152,7 @@ def read_spectrum_csv(path) -> tuple[HeterodyneSpectrum, dict[str, str]]:
     """Read a v1 or v2 spectrum file, validating the schema with line numbers."""
     path = Path(path)
     with path.open("r") as handle:
-        header = handle.readline()
-        if not header.startswith("#"):
-            raise SchemaError(path, 1, "missing metadata header line")
-        magic, metadata = _parse_metadata(path, header)
+        magic, metadata = _parse_metadata(path, handle.readline())
         v2 = magic == SPECTRUM_MAGIC_V2
         expected = SPECTRUM_COLUMNS_V2 if v2 else SPECTRUM_COLUMNS
         columns = handle.readline().strip()

@@ -49,12 +49,13 @@ from sidebandlimit.analysis import (
     occupation_series,
     ratio_series,
 )
-from sidebandlimit.config import ExperimentConfig
+from sidebandlimit.config import ConfigError, ExperimentConfig
 from sidebandlimit.io import (
     SchemaError,
     config_hash,
     metadata_number,
     read_spectrum_csv,
+    read_spectrum_header,
     write_spectrum_csv,
 )
 from sidebandlimit.physics import (
@@ -400,9 +401,12 @@ def run_cooling_curve(
 _IDENTITY_KEYS = (("detuning_hz", float, "detuning"), ("seed", int, "seed"))
 
 
-def read_and_fit(path) -> tuple[PointOutcome, dict]:
-    """Read one spectrum file and fit it; returns the outcome and its identity keys."""
-    spectrum, metadata = read_spectrum_csv(path)
+def read_identity(path) -> dict:
+    """A spectrum file's identity keys, read and checked from its header alone.
+
+    The header must name a finite, positive ``gamma_opt_hz``.
+    """
+    metadata = read_spectrum_header(path)
     gamma_opt_hz = metadata_number(path, metadata, "gamma_opt_hz")
     identity = {
         key: metadata_number(path, metadata, key, kind)
@@ -416,25 +420,36 @@ def read_and_fit(path) -> tuple[PointOutcome, dict]:
         raise SchemaError(path, 1, f"detuning_hz must be finite and negative, got {detuning_hz}")
     if seed < 0:
         raise SchemaError(path, 1, f"seed must be a non-negative integer, got {seed}")
-    return fit_outcome(spectrum, f"input {path}", gamma_opt_hz), identity
+    return identity
 
 
-def analyze_spectrum_files(files: list, config: ExperimentConfig, jobs: int = 1) -> CurveRun:
+def read_and_fit(path) -> PointOutcome:
+    """Read one spectrum file, whose header ``read_identity`` checked, and fit it."""
+    spectrum, metadata = read_spectrum_csv(path)
+    gamma_opt_hz = metadata_number(path, metadata, "gamma_opt_hz")
+    return fit_outcome(spectrum, f"input {path}", gamma_opt_hz)
+
+
+def analyze_spectrum_files(
+    files: list, config: ExperimentConfig, jobs: int = 1, seed: int | None = None
+) -> CurveRun:
     """Run the reduction chain on externally provided spectrum files.
 
     Files must follow the spectra CSV schema and carry a finite, positive
     ``gamma_opt_hz``.  The identity keys are optional: a finite, negative
     ``detuning_hz`` only feeds the closed-form comparison value, and a
     non-negative ``seed`` becomes the run's seed, but files naming two
-    values of either are not one curve.  The pipeline opens a pool of up to
-    ``jobs`` workers, no more than the files, to read and fit them; a schema
-    error names the first bad file in input order.
+    values of either are not one curve, and a ``seed`` the caller names
+    must be theirs.  Every header is checked, in input order, before any
+    file is fitted, so those errors cost no fit; a schema error names the
+    first bad header, else the first bad file.  The pipeline opens a pool
+    of up to ``jobs`` workers, no more than the files, to read and fit them.
     """
-    results = run_points(read_and_fit, files, jobs=jobs)
+    identities = [read_identity(path) for path in files]
     identity = {}
     for key, _, noun in _IDENTITY_KEYS:
         first_at: dict = {}
-        for path, (_, named) in zip(files, results):
+        for path, named in zip(files, identities):
             if key in named:
                 first_at.setdefault(named[key], str(path))
         if len(first_at) > 1:
@@ -446,5 +461,7 @@ def analyze_spectrum_files(files: list, config: ExperimentConfig, jobs: int = 1)
                 f"spectra of one curve must share one {noun}",
             )
         identity[key] = next(iter(first_at), None)
-    outcomes = sorted((o for o, _ in results), key=lambda o: o.gamma_opt_hz)
+    if seed is not None and identity["seed"] not in (None, seed):
+        raise ConfigError(f"seed {seed} differs from seed {identity['seed']} that drew the spectra")
+    outcomes = sorted(run_points(read_and_fit, files, jobs=jobs), key=lambda o: o.gamma_opt_hz)
     return reduce_curve(outcomes, config, identity["detuning_hz"], identity["seed"])

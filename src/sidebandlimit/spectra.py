@@ -39,14 +39,13 @@ PEAK_HEIGHT_NORM = 4.0
 # point; not an ab-initio prediction.
 LASER_NOISE_OCCUPATION_SCALE = 0.006 / 0.022
 
-# Acquisition geometry: grid bins per linewidth, and the linewidths the fit
-# window and the recorded span reach either side of each line.  The span is
-# the window over 3/4, so the quarter of stored bins farthest from the lines,
-# where the initial guess reads its floor, is exactly the band outside the
-# fit windows.
+# Acquisition geometry: bins per linewidth, and the half-widths in linewidths
+# of the fit window (the narrowest whose Fisher sigma_R is within 1% of a
+# 60-linewidth window's, as a test checks) and of the recorded span, whose
+# outer quarter, where the initial guess reads its floor, is outside the window.
 BINS_PER_LINEWIDTH = 14
-WINDOW_LINEWIDTHS = 60.0
-SPAN_LINEWIDTHS = 80.0
+WINDOW_LINEWIDTHS = 20.0
+SPAN_LINEWIDTHS = WINDOW_LINEWIDTHS / 0.75
 
 
 def lorentzian(omega, center: float, fwhm: float):

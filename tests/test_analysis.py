@@ -25,6 +25,7 @@ from sidebandlimit.physics import (
 )
 from sidebandlimit.config import default_config
 from sidebandlimit.io import read_spectrum_csv, write_spectrum_csv
+from sidebandlimit import spectra
 from sidebandlimit.pipeline import N_AVG_OCCUPATION_CAP, plan_curve
 from sidebandlimit.spectra import (
     BINS_PER_LINEWIDTH,
@@ -34,12 +35,14 @@ from sidebandlimit.spectra import (
     acquisition_grid,
     build_model,
     evaluate_psd,
+    lorentzian,
 )
 from sidebandlimit.synth import SynthConfig, synthesize_spectrum
 from sidebandlimit.analysis import (
     _SMOOTH_WIDTH,
     AnalysisError,
     InsufficientVisibilityError,
+    _covariance,
     _deviance,
     _fit_indices,
     _initial_guess,
@@ -126,11 +129,16 @@ class TestFitSidebands:
             assert got == pytest.approx(truth, rel=1e-12, abs=0.0)
 
     def test_amplitude_on_its_bound(self, params, bath_occupation):
-        # no anti-Stokes line: the fit holds that amplitude at its bound of
-        # 0 and still fits the rest
+        # no anti-Stokes line, and the record dips where it would be by 5
+        # standard errors of its amplitude: the unconstrained optimum is
+        # negative, so the fit holds that amplitude at its bound of 0 and
+        # still fits the rest
         _, _, model = make_model(params, bath_occupation, 227.0)
         model = replace(model, peak_antistokes=0.0)
-        fit = fit_sidebands(synthesize(model, 5000.0, seed=3))
+        spectrum = synthesize(model, 5000.0, seed=3)
+        depth = 5.0 * math.sqrt(fit_sidebands(spectrum).covariance[3, 3])
+        dip = depth * lorentzian(spectrum.frequencies, model.omega_m, model.gamma_eff)
+        fit = fit_sidebands(replace(spectrum, psd=spectrum.psd * (1.0 - dip / model.floor)))
         assert fit.amp_antistokes == 0.0
         got = (fit.omega_m_fit, fit.gamma_eff_fit, fit.amp_stokes, fit.floor_fit)
         truth = (model.omega_m, model.gamma_eff, model.peak_stokes, model.floor)
@@ -184,11 +192,11 @@ class TestFitSidebands:
     def test_zero_bin_raises_analysis_error(self, params, bath_occupation):
         # the Gamma bin law has no zero, so a fitted bin at 0 is bad input
         _, _, model = make_model(params, bath_occupation, 30e3)
-        # a bin 30 linewidths out from the anti-Stokes line, inside the
-        # fitted window at floor level
+        # a bin half the fit window out from the anti-Stokes line, inside
+        # the fitted window at floor level
         spectrum = synthesize(model, 5000.0, seed=3)
         psd = spectrum.psd.copy()
-        target = model.omega_m + 30.0 * model.gamma_eff
+        target = model.omega_m + 0.5 * WINDOW_LINEWIDTHS * model.gamma_eff
         psd[np.argmin(np.abs(spectrum.frequencies - target))] = 0.0
         with pytest.raises(AnalysisError, match="not positive"):
             fit_sidebands(replace(spectrum, psd=psd))
@@ -342,9 +350,11 @@ def test_solver_returns_the_residuals_and_jacobian_of_its_point():
 
 
 def test_fit_indices_merge_matches_unique_on_every_default_plan():
-    # at the strongest drives the window, 60 gamma_eff, exceeds omega_m, so
-    # the two sideband windows overlap and share positions
+    # 20 gamma_eff < omega_m on every default plan, so a 75 kHz drive is
+    # added: its window, 20 x 75 kHz = 1.5 MHz, exceeds omega_m = 1.48 MHz
+    # and the two sideband windows overlap and share positions
     config = default_config()
+    config = replace(config, gamma_opt_grid_hz=(*config.gamma_opt_grid_hz, 75e3))
     overlapping = 0
     for index, detuning_hz in enumerate(config.detunings_hz):
         for plan in plan_curve(config, detuning_hz, 1, index):
@@ -364,14 +374,68 @@ def test_fit_indices_merge_matches_unique_on_every_default_plan():
     assert overlapping > 0
 
 
+# The fit-window half-widths, in linewidths, that the window was chosen from.
+WINDOW_CHOICES = (10.0, 15.0, 20.0, 30.0, 40.0, 60.0)
+
+
+def _ratio_variance_at_truth(spectrum, model, omega_m0, gamma0, half_width):
+    """(sigma_R / R)^2 from the Fisher information on the bins the fit reads.
+
+    The noiseless record at the truth has data = mu, where the deviance
+    Jacobian is -sqrt(n_avg) grad(mu) / mu: its Gram matrix is the
+    Gamma(n_avg) Fisher information n_avg sum grad(mu) grad(mu)^T / mu^2,
+    and the fit's covariance is its inverse.  n_avg = 1 here, which
+    cancels in any ratio of two windows.
+    """
+    idx = _fit_indices(spectrum, omega_m0, half_width * gamma0)
+    p = np.array([model.omega_m, model.gamma_eff, model.peak_stokes,
+                  model.peak_antistokes, model.floor])
+    jac = _deviance(p, spectrum.frequencies_at(idx), spectrum.psd[idx], 1.0)[1]()
+    cov = _covariance(jac)
+    a_s, a_as = p[2], p[3]
+    return cov[2, 2] / a_s**2 + cov[3, 3] / a_as**2 - 2.0 * cov[2, 3] / (a_s * a_as)
+
+
+def test_window_is_the_narrowest_within_one_percent_of_sixty_linewidths(monkeypatch):
+    # On every noiseless default plan: sigma_R on the windows the fit reads,
+    # around the initial guess's omega_m0 at its gamma0 times the half-width,
+    # against a 60-linewidth window's.  The recorded span holds the first
+    # two; the third is read from the same grid recorded 80 linewidths out.
+    config = default_config()
+    narrower = max(w for w in WINDOW_CHOICES if w < WINDOW_LINEWIDTHS)
+    plans = [
+        plan
+        for index, detuning_hz in enumerate(config.detunings_hz)
+        for plan in plan_curve(config, detuning_hz, 1, index, noiseless=True)
+    ]
+    worst = {WINDOW_LINEWIDTHS: 1.0, narrower: 1.0}
+    guesses, variances = [], []
+    for plan in plans:
+        record = synthesize_spectrum(plan.model, plan.synth)
+        guesses.append(_initial_guess(record)[:2])
+        variances.append(
+            {w: _ratio_variance_at_truth(record, plan.model, *guesses[-1], w) for w in worst}
+        )
+    monkeypatch.setattr(spectra, "SPAN_LINEWIDTHS", 80.0)
+    for plan, guess, variance in zip(plans, guesses, variances):
+        wide = synthesize_spectrum(plan.model, plan.synth)
+        reference = _ratio_variance_at_truth(wide, plan.model, *guess, 60.0)
+        for half_width in worst:
+            worst[half_width] = max(worst[half_width], math.sqrt(variance[half_width] / reference))
+    assert worst[WINDOW_LINEWIDTHS] <= 1.01
+    assert worst[narrower] > 1.01
+
+
 def test_initial_floor_reads_the_tails_of_every_default_plan():
     # The guess reads the quarter of stored bins farthest from both lines,
-    # 60 to 80 linewidths out on a span-only record.  A unit Lorentzian
-    # has fallen to 1/(1 + 4 * 60**2) = 7e-5 there, but at the weakest
+    # 20 to 27 linewidths out on a span-only record.  A unit Lorentzian has
+    # fallen only to 1/(1 + 4 * 20**2) = 6e-4 there, and at the weakest
     # drive at -0.5 MHz the anti-Stokes peak stands 198x above the floor,
-    # so its tail still lifts the nearer bins by up to 1.4%; the median
-    # over both spans read 0.77% high there, the worst default plan.  The
-    # solver frees the floor, so the guess only has to start it.
+    # so its tail lifts those bins by up to 12% and their median by 6.4%.
+    # Fitted with both tails' asymptotes, the floor reads at most 3.3e-5
+    # high on every default plan, and never low: the exact tails fall below
+    # their asymptotes, which raises the intercept.  The solver frees the
+    # floor, so the guess only has to start it.
     config = default_config()
     for index, detuning_hz in enumerate(config.detunings_hz):
         for plan in plan_curve(config, detuning_hz, 1, index, noiseless=True):
@@ -410,15 +474,15 @@ class TestRecordLayouts:
     PINNED = {
         2100.0: (
             2.0e5, 5,
-            (9299131.384302633, 13148.72903743971, 0.046982235389282714,
-             0.11631510593575499, 1.002789622423676, 0.9766527897566406, 4081),
-            4.300883329700571e-05,
+            (9299163.122426664, 12980.30674783918, 0.04713374604404292,
+             0.11608598917706317, 1.0028078023873255, 0.9259845511078537, 1281),
+            4.414839614181262e-05,
         ),
         30000.0: (
             2.6e4, 6,
-            (9299267.050153086, 158148.38400801117, 0.037809721976163176,
-             0.04488630794870278, 1.0029159643618284, 0.9923561342352712, 3183),
-            0.003778031509750308,
+            (9297217.559440823, 201120.34213301772, 0.03425872855177369,
+             0.038459764154159824, 1.0028943583655723, 1.000437521110436, 1362),
+            0.004217616666449139,
         ),
     }
 
@@ -444,15 +508,15 @@ class TestRecordLayouts:
     PINNED_V2 = {
         200.0: (
             592134.0, 7,
-            (9299114.177221645, 1259.0202669413757, 0.1633621028267603,
-             0.891262492267987, 1.0027897327532351, 0.9963153468392877, 3841),
-            2.6323266135498873e-07,
+            (9299114.440673903, 1258.8137104995185, 0.1632446593609024,
+             0.8915933214022085, 1.0027869857437355, 1.0005945468999724, 1279),
+            2.67101247573557e-07,
         ),
         30000.0: (
             26296.0, 8,
-            (9299337.43648229, 180985.94292463057, 0.035880938688023264,
-             0.04193108148579494, 1.002893242390713, 0.9748053389298671, 3181),
-            0.0037777271530666243,
+            (9302565.01410619, 185446.14983950302, 0.03421497891137908,
+             0.04171654301851962, 1.0029412961175876, 0.9960866784544437, 1282),
+            0.0035926665626735354,
         ),
     }
 

@@ -18,6 +18,7 @@ import pytest
 
 import sidebandlimit
 from sidebandlimit import pipeline
+from sidebandlimit.analysis import fit_sidebands
 from sidebandlimit.cli import main
 from sidebandlimit.config import ConfigError, default_config, from_dict, load_config
 from sidebandlimit.io import read_spectrum_csv, write_spectrum_csv
@@ -31,6 +32,7 @@ from sidebandlimit.physics import (
 from sidebandlimit.spectra import (
     BINS_PER_LINEWIDTH,
     SPAN_LINEWIDTHS,
+    WINDOW_LINEWIDTHS,
     HeterodyneSpectrum,
     build_model,
 )
@@ -246,6 +248,41 @@ class TestComposition:
         assert "seed 8 differs from seed 7" in capsys.readouterr().err
         assert not refit.exists()
 
+    def test_identity_errors_exit_before_any_fit(
+        self, small_config, tmp_path, monkeypatch, capsys
+    ):
+        # the headers' detunings and seeds, and a named seed, are checked
+        # before any file is fitted
+        for seed, detuning in ((7, -1.62e6), (8, -1.62e6), (7, -1.0e6)):
+            out = tmp_path / f"seed{seed}"
+            argv = ["synth", "--config", small_config, "--seed", seed, "--out", out]
+            assert run_cli(*argv, "--detuning", detuning) == 0
+        first = sorted((tmp_path / "seed7" / "synth_-1620000Hz").glob("*.csv"))
+        other_seed = sorted((tmp_path / "seed8" / "synth_-1620000Hz").glob("*.csv"))
+        other_detuning = sorted((tmp_path / "seed7" / "synth_-1000000Hz").glob("*.csv"))
+        fitted = []
+
+        def recording_fit(spectrum):
+            fitted.append(spectrum)
+            return fit_sidebands(spectrum)
+
+        monkeypatch.setattr(pipeline, "fit_sidebands", recording_fit)
+        refit = ["--config", small_config, "--out", tmp_path / "refit"]
+        for argv in (
+            [*first, *other_seed],
+            [*first, *other_detuning],
+            ["--seed", 8, *first],
+        ):
+            assert run_cli("fit", *refit, *argv) == 2
+            assert "differs from" in capsys.readouterr().err
+        monkeypatch.setenv("SIDEBAND_LIMIT_SEED", "8")
+        assert run_cli("fit", *refit, *first) == 2
+        assert fitted == []
+        assert not (tmp_path / "refit").exists()
+        monkeypatch.delenv("SIDEBAND_LIMIT_SEED")
+        assert run_cli("fit", *refit, *first) == 0
+        assert len(fitted) == len(first)
+
 
 # A fresh interpreter runs cool, fit and sweep and prints every scipy
 # module loaded, and whether numpy.ma is: importing scipy would cost most
@@ -410,12 +447,12 @@ class TestFitCommand:
         # the point is kept and flagged, and `fit` exits 1 naming the input
         assert run_cli("cool", "--config", small_config, "--save-spectra") == 0
         spectra = sorted((tmp_path / "out" / "cool_-1620000Hz" / "spectra").glob("*.csv"))
-        # a bin 30 linewidths out from the anti-Stokes line, inside the
-        # fitted window at floor level
+        # a bin half the fit window out from the anti-Stokes line, inside
+        # the fitted window at floor level
         model = pipeline.plan_curve(load_config(small_config), -1.62e6, 11)[0].model
         spectrum, metadata = read_spectrum_csv(spectra[0])
         psd = spectrum.psd.copy()
-        target = model.omega_m + 30.0 * model.gamma_eff
+        target = model.omega_m + 0.5 * WINDOW_LINEWIDTHS * model.gamma_eff
         psd[np.argmin(np.abs(spectrum.frequencies - target))] = 0.0
         bad = tmp_path / "zero_floor.csv"
         write_spectrum_csv(bad, replace(spectrum, psd=psd), metadata)
@@ -584,13 +621,15 @@ class TestUnreducibleCurve:
         )
         out = capsys.readouterr().out
         assert "global minimum" not in out
-        assert out.splitlines()[-1] == f"outputs in {sweep_dir}"
+        # no table header without a row under it
+        assert out.splitlines() == [f"outputs in {sweep_dir}"]
 
 
 class TestSweepCommand:
     def test_failed_points_are_named_and_fail_the_run(self, tmp_path, capsys):
         # averaged so little that at seed 1 every curve reduces but keeps
-        # four fit_failed points
+        # fit_failed points: the four strongest drives at -1.62 and -1 MHz,
+        # and the three below 30 kHz at -2 MHz
         config = tmp_path / "thin.json"
         config.write_text(
             json.dumps(
@@ -608,16 +647,18 @@ class TestSweepCommand:
         sweep = tmp_path / "out" / "sweep"
         assert len(json.loads((sweep / "sweep.json").read_text())["rows"]) == 3
         expected = []
+        failures = []
         for curve in sorted(sweep.glob("d*_*Hz")):
             label = curve.name.split("_", 1)[1]
             points = read_points_csv(curve / "points.csv")
             failed = [i for i, p in enumerate(points) if "fit_failed" in p["flags"]]
-            assert len(failed) == 4
+            failures.append(failed)
             expected += [
                 f"detuning {label}: point {i} "
                 f"(gamma_opt = {points[i]['gamma_opt_hz']:.6g} Hz)"
                 for i in failed
             ]
+        assert failures == [[4, 5, 6, 7], [4, 5, 6, 7], [4, 5, 6]]
         assert named == expected
 
     def test_two_detuning_sweep(self, small_config, tmp_path, capsys):
