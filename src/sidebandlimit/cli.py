@@ -52,9 +52,9 @@ from sidebandlimit.pipeline import (
     CurveRun,
     analyze_spectrum_files,
     plan_curve,
+    record_point,
     run_cooling_curve,
     run_points,
-    save_point,
     spectrum_metadata,
 )
 
@@ -360,7 +360,7 @@ def _cmd_synth(args) -> int:
     out_dir = Path(config.output_dir) / f"synth_{_detuning_label(detuning_hz)}"
     plans = plan_curve(config, detuning_hz, seed, 0, noiseless=args.no_noise)
     metadata = spectrum_metadata(config, detuning_hz, seed, 0)
-    run_points(save_point, plans, str(out_dir), metadata, jobs=args.jobs)
+    run_points(record_point, plans, str(out_dir), metadata, jobs=args.jobs)
     print(f"wrote {len(plans)} spectra to {out_dir}")
     return EXIT_OK
 

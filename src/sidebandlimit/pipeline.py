@@ -175,16 +175,6 @@ def record_point(
     return spectrum
 
 
-def save_point(
-    plan: PointPlan, spectra_dir: str, file_metadata: dict | None = None
-) -> None:
-    """Synthesize one point into ``spectra_dir``.
-
-    The spectrum stays where it was made, so a pool ships nothing back.
-    """
-    record_point(plan, spectra_dir, file_metadata)
-
-
 def run_point(
     plan: PointPlan,
     spectra_dir: str | None = None,

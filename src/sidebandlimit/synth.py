@@ -17,10 +17,9 @@ Two independent routes produce spectra:
 Determinism: a fixed seed yields bit-identical output regardless of how
 work is scheduled.  Sweeps derive one seed per spectrum from (master
 seed, sweep index, point index) via `numpy.random.SeedSequence` spawn
-keys.  Each bin's variate is a function of (point seed, grid bin) alone,
-drawn from a counter-based stream, so only the stored bins are drawn and
-a record of some bins holds exactly the values the full record holds
-there.
+keys.  A record's variates depend on its seed and its stored bins: numpy's
+Gamma sampler draws them in one call, and its stream is fixed for a given
+numpy build.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ import numpy as np
 
 from sidebandlimit.physics import TWO_PI
 from sidebandlimit.spectra import HeterodyneSpectrum, SpectrumModel, evaluate_psd
-
-# Rejection attempts per bin; each is accepted with probability > 0.95.
-_MAX_ATTEMPTS = 16
 
 # Coverage demanded of a synthesis grid around each sideband.
 _MIN_SPAN_LINEWIDTHS = 3.0
@@ -49,7 +45,8 @@ class SynthConfig:
     request the noiseless analytic limit.  ``seed`` accepts an integer or
     a `numpy.random.SeedSequence` (the pipeline passes per-point children
     of the master seed).  ``index`` names the grid bins to synthesize,
-    ascending; ``None`` means all.
+    ascending; ``None`` means all.  The variates depend on ``seed`` and
+    the stored bins.
     """
 
     f_lo: float  # grid bin 0 (rad/s, relative to beat note)
@@ -101,7 +98,7 @@ def synthesize_spectrum(model: SpectrumModel, config: SynthConfig) -> Heterodyne
     index = np.arange(config.grid_bins) if config.index is None else np.asarray(config.index)
     psd = evaluate_psd(model, config.f_lo + config.resolution * index)
     if not math.isinf(config.n_avg):
-        draws = _grid_draws(config.seed, config.n_avg, index)
+        draws = np.random.default_rng(config.seed).standard_gamma(config.n_avg, index.size)
         psd = draws * (psd / config.n_avg)
     return HeterodyneSpectrum(
         f_lo=config.f_lo,
@@ -111,50 +108,6 @@ def synthesize_spectrum(model: SpectrumModel, config: SynthConfig) -> Heterodyne
         index=index,
         grid_bins=config.grid_bins,
     )
-
-
-def _uniforms(key: np.uint64, counter: np.ndarray) -> np.ndarray:
-    """Uniforms strictly inside (0, 1) at the stream positions ``counter``.
-
-    SplitMix64's finalizer of key + (counter + 1) * golden (Steele, Lea &
-    Flood, OOPSLA 2014), so any position reads without the ones before it.
-    """
-    z = key + (counter + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return ((z >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
-
-
-def _grid_draws(seed: int | np.random.SeedSequence, shape: float, index: np.ndarray) -> np.ndarray:
-    """Gamma(shape) variates, shape >= 1, of the grid bins ``index``.
-
-    Marsaglia-Tsang rejection (ACM TOMS 26, 363 (2000)), vectorized over
-    the bins.  Attempt k at grid bin i reads uniforms at counters
-    3 (i _MAX_ATTEMPTS + k) + {0, 1, 2}: two for a Box-Muller normal (Ann.
-    Math. Stat. 29, 610 (1958)), then the acceptance uniform, so a bin's
-    variate is a function of (seed, i) alone.
-    """
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    key = seq.generate_state(1, np.uint64)[0]
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    base = np.asarray(index, dtype=np.uint64) * np.uint64(3 * _MAX_ATTEMPTS)
-    out = np.empty(base.size)
-    todo = np.arange(base.size)
-    for k in range(_MAX_ATTEMPTS):
-        counter = base[todo] + np.uint64(3 * k)
-        radius = np.sqrt(-2.0 * np.log(_uniforms(key, counter)))
-        x = radius * np.cos(TWO_PI * _uniforms(key, counter + np.uint64(1)))
-        u = _uniforms(key, counter + np.uint64(2))
-        v = (1.0 + c * x) ** 3
-        with np.errstate(divide="ignore", invalid="ignore"):  # v <= 0 rejects
-            accept = np.log(u) < 0.5 * x * x + d * (1.0 - v + np.log(v))
-        out[todo[accept]] = d * v[accept]
-        todo = todo[~accept]
-        if not todo.size:
-            return out
-    raise RuntimeError(f"Gamma({shape}) sampler rejected {_MAX_ATTEMPTS} attempts")
 
 
 def simulate_oscillator(

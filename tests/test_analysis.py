@@ -508,15 +508,15 @@ class TestRecordLayouts:
     PINNED_V2 = {
         200.0: (
             592134.0, 7,
-            (9299114.440673903, 1258.8137104995185, 0.1632446593609024,
-             0.8915933214022085, 1.0027869857437355, 1.0005945468999724, 1279),
-            2.67101247573557e-07,
+            (9299113.41690744, 1257.8858691239354, 0.1635255638398302,
+             0.8922089392915474, 1.0026675096053936, 0.9811802333877578, 1279),
+            2.6701207197736215e-07,
         ),
         30000.0: (
             26296.0, 8,
-            (9302565.01410619, 185446.14983950302, 0.03421497891137908,
-             0.04171654301851962, 1.0029412961175876, 0.9960866784544437, 1282),
-            0.0035926665626735354,
+            (9297291.855014587, 187716.70931205276, 0.031655648869810316,
+             0.041707923237325126, 1.002741678569774, 1.0384546860066122, 1362),
+            0.0033373285024139287,
         ),
     }
 

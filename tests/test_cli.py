@@ -628,8 +628,8 @@ class TestUnreducibleCurve:
 class TestSweepCommand:
     def test_failed_points_are_named_and_fail_the_run(self, tmp_path, capsys):
         # averaged so little that at seed 1 every curve reduces but keeps
-        # fit_failed points: the four strongest drives at -1.62 and -1 MHz,
-        # and the three below 30 kHz at -2 MHz
+        # fit_failed points: the four strongest drives at -1.62 MHz and the
+        # three strongest at -1 and -2 MHz
         config = tmp_path / "thin.json"
         config.write_text(
             json.dumps(
@@ -658,7 +658,7 @@ class TestSweepCommand:
                 f"(gamma_opt = {points[i]['gamma_opt_hz']:.6g} Hz)"
                 for i in failed
             ]
-        assert failures == [[4, 5, 6, 7], [4, 5, 6, 7], [4, 5, 6]]
+        assert failures == [[4, 5, 6, 7], [5, 6, 7], [5, 6, 7]]
         assert named == expected
 
     def test_two_detuning_sweep(self, small_config, tmp_path, capsys):

@@ -20,7 +20,6 @@ from sidebandlimit.physics import (
     steady_state_occupation,
     thermal_occupation,
 )
-from sidebandlimit import synth
 from sidebandlimit.spectra import (
     BINS_PER_LINEWIDTH,
     SPAN_LINEWIDTHS,
@@ -87,19 +86,23 @@ class TestSynthesizeSpectrum:
             for child in children
         ]
         assert not np.array_equal(specs[0].psd, specs[1].psd)
+        # sibling streams are uncorrelated
+        draws = [spec.psd / evaluate_psd(model, spec.frequencies) for spec in specs]
+        assert abs(np.corrcoef(*draws)[0, 1]) < 4 / math.sqrt(draws[0].size)
 
-    @pytest.mark.parametrize("bins", [1000, 1 << 18])
-    def test_recorded_bins_take_their_full_grid_variates(self, model, bins):
-        # a bin's variate is a function of (seed, bin), whichever bins are
-        # stored and however wide the grid is
-        base = _grid_config(model, n_avg=100.0, seed=99)
-        config = replace(base, resolution=-2.0 * base.f_lo / (bins - 1), grid_bins=bins)
-        index = np.unique(np.random.default_rng(3).integers(0, config.grid_bins, 500))
-        assert index[-1] > 0.9 * bins
-        part = synthesize_spectrum(model, replace(config, index=index))
-        full = synthesize_spectrum(model, config)
-        assert np.array_equal(part.index, index)
-        assert np.array_equal(part.psd, full.psd[index])
+    def test_stream_is_numpy_standard_gamma(self, model):
+        # the stream's definition: the model at the stored bins times one
+        # standard_gamma call of the record's seed, in synthesize_spectrum's order
+        seed = np.random.SeedSequence(1801, spawn_key=(3, 11))
+        index = np.arange(40, 2000, 7)
+        config = replace(_grid_config(model, n_avg=26_296.0, seed=seed), index=index)
+        psd = evaluate_psd(model, config.f_lo + config.resolution * index)
+        draws = np.random.default_rng(seed).standard_gamma(config.n_avg, index.size)
+        spec = synthesize_spectrum(model, config)
+        assert np.array_equal(spec.index, index)
+        assert np.array_equal(spec.psd, draws * (psd / config.n_avg))
+        noiseless = synthesize_spectrum(model, replace(config, n_avg=math.inf))
+        assert np.array_equal(noiseless.psd, psd)
 
     def test_noiseless_mode_returns_model(self, model):
         config = _grid_config(model, n_avg=math.inf)
@@ -127,80 +130,25 @@ class TestSynthesizeSpectrum:
         expected_var = model.floor**2 / 100.0
         assert np.var(values, ddof=1) == pytest.approx(expected_var, rel=0.10)
 
-    def test_off_resonant_bins_pass_ks_against_gamma_law(self, narrow_model):
+    @pytest.mark.parametrize("n_avg", [1.0, 4.0, 100.0, 26_296.0, 4.7e7])
+    def test_off_resonant_bins_pass_ks_against_gamma_law(self, narrow_model, n_avg):
         # fixed-seed regression at the 1e-3 level, 1e4 off-resonant bins
         model = narrow_model
-        config = _grid_config(model, n_avg=100.0, seed=20250810)
+        config = _grid_config(model, n_avg=n_avg, seed=20250810)
         spec = synthesize_spectrum(model, config)
         sel = np.abs(spec.frequencies) < model.omega_m - 100 * model.gamma_eff
         values = spec.psd[sel][:10_000]
-        result = stats.kstest(values, "gamma", args=(100.0, 0.0, model.floor / 100.0))
+        result = stats.kstest(values, "gamma", args=(n_avg, 0.0, model.floor / n_avg))
         assert result.pvalue > 1e-3
+        # adjacent bins are uncorrelated
+        lag1 = np.corrcoef(values[:-1], values[1:])[0, 1]
+        assert abs(lag1) < 4 / math.sqrt(values.size)
 
     def test_rejects_grid_missing_a_sideband(self, model):
         full = _grid_config(model, n_avg=10.0)
         config = replace(full, f_lo=0.0, grid_bins=full.grid_bins // 2 + 1)
         with pytest.raises(ValueError, match="span both sidebands"):
             synthesize_spectrum(model, config)
-
-
-class TestGridDraws:
-    """The counter-based Gamma sampler behind every noisy bin."""
-
-    N = 200_000
-
-    def test_uniforms_are_splitmix64_outputs(self):
-        # the reference generator's first outputs for seed 1234567
-        reference = [
-            6457827717110365317, 3203168211198807973, 9817491932198370423,
-            4593380528125082431, 16408922859458223821,
-        ]
-        expected = [((z >> 12) + 0.5) * 2.0**-52 for z in reference]
-        got = synth._uniforms(np.uint64(1234567), np.arange(5, dtype=np.uint64))
-        assert got.tolist() == expected
-
-    def test_uniforms_stay_below_one(self):
-        # Run SplitMix64's finalizer backwards from the all-ones word to
-        # the counter that gives it: xorshifts and odd multiplies are
-        # bijections of 64-bit words.  Rounding its top 53 bits up by half
-        # a step would land exactly on 1.0.
-        mask = 2**64 - 1
-
-        def unshift(z, s):
-            x = z
-            for _ in range(3):
-                x = z ^ (x >> s)
-            return x
-
-        key = int(np.random.SeedSequence(1).generate_state(1, np.uint64)[0])
-        z = unshift(mask, 31)
-        z = unshift(z * pow(0x94D049BB133111EB, -1, 2**64) & mask, 27)
-        z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask, 30)
-        counter = ((z - key) * pow(0x9E3779B97F4A7C15, -1, 2**64) - 1) & mask
-        assert counter == 14176195512581574652
-        u = synth._uniforms(np.uint64(key), np.array([counter], dtype=np.uint64))
-        assert u.tolist() == [1.0 - 2.0**-53]
-
-    @pytest.mark.parametrize(
-        "shape, seed", [(1.0, 1), (4.0, 2), (100.0, 3), (26_296.0, 4), (4.7e7, 5)]
-    )
-    def test_follows_the_gamma_law(self, shape, seed):
-        draws = synth._grid_draws(seed, shape, np.arange(self.N))
-        assert stats.kstest(draws, "gamma", args=(shape,)).pvalue > 1e-3
-        # mean and variance of Gamma(shape) within 4 sigma of their estimates
-        sigma_mean = math.sqrt(shape / self.N)
-        assert abs(draws.mean() - shape) < 4 * sigma_mean
-        sigma_var = shape * math.sqrt((2.0 + 6.0 / shape) / self.N)
-        assert abs(draws.var(ddof=1) - shape) < 4 * sigma_var
-        # adjacent bins are uncorrelated
-        lag1 = np.corrcoef(draws[:-1], draws[1:])[0, 1]
-        assert abs(lag1) < 4 / math.sqrt(self.N)
-
-    def test_seeds_give_independent_streams(self):
-        index = np.arange(self.N)
-        a = synth._grid_draws(np.random.SeedSequence(7, spawn_key=(0, 0)), 4.0, index)
-        b = synth._grid_draws(np.random.SeedSequence(7, spawn_key=(0, 1)), 4.0, index)
-        assert abs(np.corrcoef(a, b)[0, 1]) < 4 / math.sqrt(self.N)
 
     def test_cost_follows_recorded_bins_not_grid(self, narrow_model):
         # 4096 bins of a 2e10-bin grid: nothing is drawn for the others
