@@ -144,6 +144,22 @@ class TestSynthesizeSpectrum:
         lag1 = np.corrcoef(values[:-1], values[1:])[0, 1]
         assert abs(lag1) < 4 / math.sqrt(values.size)
 
+    @pytest.mark.parametrize(
+        "n_avg, seed", [(1.0, 1), (4.0, 2), (100.0, 3), (26_296.0, 4), (4.7e7, 5)]
+    )
+    def test_draws_hold_gamma_moments(self, narrow_model, n_avg, seed):
+        # every bin of the record, divided by its model value, is a Gamma(n_avg)
+        # draw: mean and variance within 4 sigma of their estimates
+        model = narrow_model
+        spec = synthesize_spectrum(model, _grid_config(model, n_avg=n_avg, seed=seed))
+        draws = spec.psd / (evaluate_psd(model, spec.frequencies) / n_avg)
+        n = draws.size
+        assert n > 100_000
+        sigma_mean = math.sqrt(n_avg / n)
+        assert abs(draws.mean() - n_avg) < 4 * sigma_mean
+        sigma_var = n_avg * math.sqrt((2.0 + 6.0 / n_avg) / n)
+        assert abs(draws.var(ddof=1) - n_avg) < 4 * sigma_var
+
     def test_rejects_grid_missing_a_sideband(self, model):
         full = _grid_config(model, n_avg=10.0)
         config = replace(full, f_lo=0.0, grid_bins=full.grid_bins // 2 + 1)
