@@ -417,6 +417,9 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
 
     Shared center offset and linewidth, independent amplitudes, free
     floor, always started from the data-driven :func:`_initial_guess`.
+    It reads the bins within ``WINDOW_LINEWIDTHS`` times the guess's width
+    of each line; that width reads 16/14 to 17/14 of the true linewidth on
+    noiseless default records, so the windows reach 22.9 to 24.3 linewidths.
     One bounded solve minimizes the Gamma(n_avg) deviance of the fitted
     bins, so the result is the maximum-likelihood fit under the bin-noise
     law.  The solver takes the analytic Jacobian of those residuals, and

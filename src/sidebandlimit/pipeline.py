@@ -8,16 +8,16 @@ Points own independent RNG streams derived from ``(master seed, detuning
 index, point index)``, so any execution order -- including process pools
 -- reproduces identical data.
 
-Points, and the files ``fit`` reads, fan out through ``queue_points``.  The
-pipeline opens the pool: ``run_cooling_curve``, ``analyze_spectrum_files``
-and ``run_points`` take ``jobs`` and open one ``worker_pool`` of at most
-``jobs`` workers, and no more than the tasks they queue; at one job the
-points run in this process.  ``run_cooling_curve`` runs the curves of
-``cool`` and ``sweep`` alike: it plans every curve, queues every point of
-every curve on the pool before it reads any result, then reduces the curves
-in order, each as soon as its own points are done, while the workers go on
-with later curves.  A plan stores only its independent values, so the queue
-holds little.
+Points, and the files ``fit`` reads, fan out through the ``map`` that
+``worker_map`` yields.  The pipeline opens the pool: ``run_cooling_curve``,
+``analyze_spectrum_files`` and ``run_points`` take ``jobs`` and open one
+``worker_map`` of at most ``jobs`` workers, and no more than the tasks they
+queue; at one job the points run in this process, through the builtin
+``map``.  ``run_cooling_curve`` runs the curves of ``cool`` and ``sweep``
+alike: it plans every curve, queues every point of every curve on the pool
+before it reads any result, then reduces the curves in order, each as soon
+as its own points are done, while the workers go on with later curves.  A
+plan stores only its independent values, so the queue holds little.
 
 ``cool``, ``fit`` and every curve of ``sweep`` share one path: a
 synthesized or a read spectrum becomes a ``PointOutcome`` in
@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,7 @@ from sidebandlimit.spectra import (
     build_model,
     laser_noise_bias,
 )
-from sidebandlimit.synth import SynthConfig, synthesize_spectrum
+from sidebandlimit.synth import synthesize_spectrum
 
 # A point averages n_avg_base * min(n_bar + 1, cap + 1)^2 periodograms:
 # longer acquisition where the asymmetry is fractionally tiny, up to a cap.
@@ -100,8 +100,9 @@ def _point_model(
 class PointPlan:
     """Everything needed to synthesize and fit one cooling-curve point.
 
-    A plan keeps its independent values and derives the grid when read,
-    so a queued sweep holds a few hundred bytes per point, not its bins.
+    A plan keeps its independent values, and the point's worker lays out
+    its ``acquisition_grid``, so a queued sweep holds a few hundred bytes
+    per point, not its bins.
     """
 
     index: int
@@ -109,12 +110,6 @@ class PointPlan:
     model: SpectrumModel
     n_avg: float
     seed: np.random.SeedSequence
-
-    @property
-    def synth(self) -> SynthConfig:
-        """Synthesis settings on the model's ``acquisition_grid``."""
-        f_lo, resolution, grid_bins, index = acquisition_grid(self.model)
-        return SynthConfig(f_lo, resolution, grid_bins, self.n_avg, self.seed, index)
 
 
 @dataclass(frozen=True)
@@ -163,7 +158,9 @@ def record_point(
     file_metadata: dict | None = None,
 ) -> HeterodyneSpectrum:
     """Synthesize one point and, given a directory, write it there."""
-    spectrum = synthesize_spectrum(plan.model, plan.synth)
+    spectrum = synthesize_spectrum(
+        plan.model, acquisition_grid(plan.model), plan.n_avg, plan.seed
+    )
     if spectra_dir is None:
         return spectrum
     path = Path(spectra_dir) / f"point_{plan.index:02d}.csv"
@@ -198,40 +195,27 @@ def fit_outcome(
 
 
 @contextmanager
-def worker_pool(jobs: int, tasks: int):
-    """A pool of up to ``jobs`` worker processes for ``tasks`` queued tasks.
+def worker_map(jobs: int, tasks: int):
+    """A ``map`` on up to ``jobs`` worker processes for ``tasks`` queued tasks.
 
-    A forking pool starts every worker at its first submit, so it opens no
-    more than ``tasks``.  With one worker or none, the context yields
-    ``None``.  A block that exits on an exception, a raising task or an
-    interrupt, cancels the tasks still queued instead of waiting for them.
+    With one worker or none it is the builtin ``map``, which runs each task
+    here as its result is read; otherwise a pool's ``map``, which queues
+    every task at once.  A forking pool starts every worker at its first
+    submit, so it opens no more than ``tasks``.  A block that exits on an
+    exception, a raising task or an interrupt, cancels the tasks still
+    queued by every ``map`` call, not only the raising one's, instead of
+    waiting for them.
     """
     workers = min(jobs, tasks)
     if workers <= 1:
-        yield None
+        yield map
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            yield pool
+            yield pool.map
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-
-
-def queue_points(
-    task: Callable,
-    items: list,
-    *args,
-    executor: Executor | None = None,
-) -> list[Callable[[], object]]:
-    """One call per item (a plan or a file) that returns ``task(item, *args)``.
-
-    With ``executor`` every task is submitted here and its call waits for
-    the result; without one, the call runs the task in this process.
-    """
-    if executor is None:
-        return [partial(task, item, *args) for item in items]
-    return [executor.submit(task, item, *args).result for item in items]
 
 
 def run_points(task: Callable, items: Sequence, *args, jobs: int = 1) -> list:
@@ -239,8 +223,8 @@ def run_points(task: Callable, items: Sequence, *args, jobs: int = 1) -> list:
 
     The first task to raise, in item order, raises here.
     """
-    with worker_pool(jobs, len(items)) as executor:
-        return [result() for result in queue_points(task, items, *args, executor=executor)]
+    with worker_map(jobs, len(items)) as mapped:
+        return list(mapped(task, items, *map(repeat, args)))
 
 
 @dataclass(frozen=True)
@@ -367,19 +351,18 @@ def run_cooling_curve(
     """
     dirs = spectra_dirs if spectra_dirs is not None else [None] * len(curves)
     runs = []
-    with worker_pool(jobs, len(curves) * len(config.gamma_opt_grid_hz)) as executor:
+    with worker_map(jobs, len(curves) * len(config.gamma_opt_grid_hz)) as mapped:
         queued = [
-            queue_points(
+            mapped(
                 run_point,
                 plan_curve(config, detuning_hz, master_seed, index, noiseless),
-                spectra_dir,
-                spectrum_metadata(config, detuning_hz, master_seed, index),
-                executor=executor,
+                repeat(spectra_dir),
+                repeat(spectrum_metadata(config, detuning_hz, master_seed, index)),
             )
             for (index, detuning_hz), spectra_dir in zip(curves, dirs)
         ]
         for (_, detuning_hz), results in zip(curves, queued):
-            outcomes = [result() for result in results]
+            outcomes = list(results)
             try:
                 runs.append(reduce_curve(outcomes, config, detuning_hz, master_seed))
             except AnalysisError as exc:

@@ -37,35 +37,6 @@ _MIN_SPAN_LINEWIDTHS = 3.0
 
 
 @dataclass(frozen=True)
-class SynthConfig:
-    """Synthesis settings for one spectrum.
-
-    The grid is ``f_lo + i * resolution`` for ``0 <= i < grid_bins``, as
-    in :class:`HeterodyneSpectrum`.  ``n_avg`` may be ``math.inf`` to
-    request the noiseless analytic limit.  ``seed`` accepts an integer or
-    a `numpy.random.SeedSequence` (the pipeline passes per-point children
-    of the master seed).  ``index`` names the grid bins to synthesize,
-    ascending; ``None`` means all.  The variates depend on ``seed`` and
-    the stored bins.
-    """
-
-    f_lo: float  # grid bin 0 (rad/s, relative to beat note)
-    resolution: float  # bin spacing (rad/s)
-    grid_bins: int  # grid extent
-    n_avg: float = 1000.0
-    seed: int | np.random.SeedSequence = 0
-    index: np.ndarray | None = None  # grid bins to synthesize (default: all)
-
-    def __post_init__(self) -> None:
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
-        if not self.grid_bins >= 2:
-            raise ValueError(f"grid_bins must be >= 2, got {self.grid_bins}")
-        if not self.n_avg >= 1:
-            raise ValueError(f"n_avg must be >= 1, got {self.n_avg}")
-
-
-@dataclass(frozen=True)
 class OscillatorRecord:
     """Demodulated complex quadrature record of the mechanical mode."""
 
@@ -79,34 +50,46 @@ class OscillatorRecord:
             raise ValueError("record must be 1-d")
 
 
-def synthesize_spectrum(model: SpectrumModel, config: SynthConfig) -> HeterodyneSpectrum:
-    """Draw a noisy spectrum from the model at the configured grid bins.
+def synthesize_spectrum(
+    model: SpectrumModel,
+    grid: tuple[float, float, int, np.ndarray | None],
+    n_avg: float,
+    seed: int | np.random.SeedSequence,
+) -> HeterodyneSpectrum:
+    """Draw a noisy spectrum from the model at the requested grid bins.
 
-    Each bin is an independent Gamma(n_avg) variate with mean equal to the
-    model PSD there -- the exact distribution of an average of n_avg
-    exponential periodogram bins.  ``n_avg = inf`` returns the model
-    evaluated at the bins.
+    ``grid`` is ``(f_lo, resolution, grid_bins, index)``, as
+    :func:`acquisition_grid` returns it: the grid is ``f_lo + i *
+    resolution`` for ``0 <= i < grid_bins``, as in
+    :class:`HeterodyneSpectrum`, and ``index`` names the grid bins to
+    synthesize, ascending, or is ``None`` for every bin.  Each bin is an
+    independent Gamma(n_avg) variate with mean equal to the model PSD there
+    -- the exact distribution of an average of n_avg exponential periodogram
+    bins.  ``n_avg = inf`` returns the model evaluated at the bins.
+    ``seed`` is an integer or a `numpy.random.SeedSequence` (the pipeline
+    passes per-point children of the master seed).
     """
-    margin = _MIN_SPAN_LINEWIDTHS * model.gamma_eff
-    f_hi = config.f_lo + (config.grid_bins - 1) * config.resolution
-    if config.f_lo > -(model.omega_m + margin) or f_hi < model.omega_m + margin:
+    f_lo, resolution, grid_bins, index = grid
+    if not n_avg >= 1:
+        raise ValueError(f"n_avg must be >= 1, got {n_avg}")
+    edge = model.omega_m + _MIN_SPAN_LINEWIDTHS * model.gamma_eff
+    f_hi = f_lo + (grid_bins - 1) * resolution
+    if not (f_lo <= -edge and f_hi >= edge):
         raise ValueError(
             "synthesis grid must span both sidebands: need at least "
-            f"[{-(model.omega_m + margin):.6g}, {model.omega_m + margin:.6g}] rad/s, "
-            f"got [{config.f_lo:.6g}, {f_hi:.6g}]"
+            f"[{-edge:.6g}, {edge:.6g}] rad/s, got [{f_lo:.6g}, {f_hi:.6g}]"
         )
-    index = np.arange(config.grid_bins) if config.index is None else np.asarray(config.index)
-    psd = evaluate_psd(model, config.f_lo + config.resolution * index)
-    if not math.isinf(config.n_avg):
-        draws = np.random.default_rng(config.seed).standard_gamma(config.n_avg, index.size)
-        psd = draws * (psd / config.n_avg)
+    index = np.arange(grid_bins) if index is None else np.asarray(index)
+    psd = evaluate_psd(model, f_lo + resolution * index)
+    if not math.isinf(n_avg):
+        psd = np.random.default_rng(seed).standard_gamma(n_avg, index.size) * (psd / n_avg)
     return HeterodyneSpectrum(
-        f_lo=config.f_lo,
-        resolution=config.resolution,
+        f_lo=f_lo,
+        resolution=resolution,
         psd=psd,
-        n_avg=config.n_avg,
+        n_avg=n_avg,
         index=index,
-        grid_bins=config.grid_bins,
+        grid_bins=grid_bins,
     )
 
 

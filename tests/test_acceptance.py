@@ -46,7 +46,7 @@ from sidebandlimit.spectra import (
     laser_noise_bias,
     lorentzian,
 )
-from sidebandlimit.synth import SynthConfig, estimate_psd, simulate_oscillator, synthesize_spectrum
+from sidebandlimit.synth import estimate_psd, simulate_oscillator, synthesize_spectrum
 
 TWO_PI = 2.0 * math.pi
 
@@ -300,14 +300,8 @@ def test_criterion_7_thermometry_identities():
     model = build_model(PARAMS, point, n_bar)
     span = model.omega_m + SPAN_LINEWIDTHS * model.gamma_eff
     resolution = model.gamma_eff / BINS_PER_LINEWIDTH
-    spectrum = synthesize_spectrum(
-        model,
-        SynthConfig(
-            f_lo=-span, resolution=resolution,
-            grid_bins=math.floor(2 * span / resolution) + 1,
-            n_avg=20000.0, seed=7,
-        ),
-    )
+    grid_bins = math.floor(2 * span / resolution) + 1
+    spectrum = synthesize_spectrum(model, (-span, resolution, grid_bins, None), 20000.0, 7)
     reference = occupation_from_ratio(
         fit_sidebands(spectrum).amplitude_ratio(), point.s_ratio
     )

@@ -26,7 +26,7 @@ from sidebandlimit.physics import (
 from sidebandlimit.config import default_config
 from sidebandlimit.io import read_spectrum_csv, write_spectrum_csv
 from sidebandlimit import spectra
-from sidebandlimit.pipeline import N_AVG_OCCUPATION_CAP, plan_curve
+from sidebandlimit.pipeline import N_AVG_OCCUPATION_CAP, plan_curve, record_point
 from sidebandlimit.spectra import (
     BINS_PER_LINEWIDTH,
     SPAN_LINEWIDTHS,
@@ -37,7 +37,7 @@ from sidebandlimit.spectra import (
     evaluate_psd,
     lorentzian,
 )
-from sidebandlimit.synth import SynthConfig, synthesize_spectrum
+from sidebandlimit.synth import synthesize_spectrum
 from sidebandlimit.analysis import (
     _SMOOTH_WIDTH,
     AnalysisError,
@@ -78,15 +78,9 @@ def make_model(params, n0, gamma_opt_hz, background_fraction=0.0, delta_hz=-1.62
 def synthesize(model, n_avg, seed=0, bins_per_linewidth=BINS_PER_LINEWIDTH):
     span = model.omega_m + SPAN_LINEWIDTHS * model.gamma_eff
     resolution = model.gamma_eff / bins_per_linewidth
-    config = SynthConfig(
-        f_lo=-span,
-        resolution=resolution,
-        # through +span, or the bin within rounding of it
-        grid_bins=math.floor(2 * span / resolution * (1 + 1e-12)) + 1,
-        n_avg=n_avg,
-        seed=seed,
-    )
-    return synthesize_spectrum(model, config)
+    # through +span, or the bin within rounding of it
+    grid_bins = math.floor(2 * span / resolution * (1 + 1e-12)) + 1
+    return synthesize_spectrum(model, (-span, resolution, grid_bins, None), n_avg, seed)
 
 
 class TestFitSidebands:
@@ -182,7 +176,7 @@ class TestFitSidebands:
         fits = []
         for seed in range(1, 61):
             plan = plan_curve(config, config.detunings_hz[0], seed)[-1]
-            fits.append(fit_sidebands(synthesize_spectrum(plan.model, plan.synth)))
+            fits.append(fit_sidebands(record_point(plan)))
         assert plan.gamma_opt_hz == 30e3
         for k, attr in ((0, "omega_m_fit"), (1, "gamma_eff_fit")):
             scatter = np.std([getattr(f, attr) for f in fits], ddof=1)
@@ -358,7 +352,7 @@ def test_fit_indices_merge_matches_unique_on_every_default_plan():
     overlapping = 0
     for index, detuning_hz in enumerate(config.detunings_hz):
         for plan in plan_curve(config, detuning_hz, 1, index):
-            spectrum = synthesize_spectrum(plan.model, plan.synth)
+            spectrum = record_point(plan)
             omega_m, window = plan.model.omega_m, WINDOW_LINEWIDTHS * plan.model.gamma_eff
             sl_pos = spectrum.index_range(omega_m - window, omega_m + window)
             sl_neg = spectrum.index_range(-omega_m - window, -omega_m + window)
@@ -411,14 +405,14 @@ def test_window_is_the_narrowest_within_one_percent_of_sixty_linewidths(monkeypa
     worst = {WINDOW_LINEWIDTHS: 1.0, narrower: 1.0}
     guesses, variances = [], []
     for plan in plans:
-        record = synthesize_spectrum(plan.model, plan.synth)
+        record = record_point(plan)
         guesses.append(_initial_guess(record)[:2])
         variances.append(
             {w: _ratio_variance_at_truth(record, plan.model, *guesses[-1], w) for w in worst}
         )
     monkeypatch.setattr(spectra, "SPAN_LINEWIDTHS", 80.0)
     for plan, guess, variance in zip(plans, guesses, variances):
-        wide = synthesize_spectrum(plan.model, plan.synth)
+        wide = record_point(plan)
         reference = _ratio_variance_at_truth(wide, plan.model, *guess, 60.0)
         for half_width in worst:
             worst[half_width] = max(worst[half_width], math.sqrt(variance[half_width] / reference))
@@ -439,7 +433,7 @@ def test_initial_floor_reads_the_tails_of_every_default_plan():
     config = default_config()
     for index, detuning_hz in enumerate(config.detunings_hz):
         for plan in plan_curve(config, detuning_hz, 1, index, noiseless=True):
-            floor0 = _initial_guess(synthesize_spectrum(plan.model, plan.synth))[4]
+            floor0 = _initial_guess(record_point(plan))[4]
             assert plan.model.floor <= floor0 <= 1.01 * plan.model.floor
 
 
@@ -530,9 +524,7 @@ class TestRecordLayouts:
         )
         assert n_avg == math.ceil(18000.0 * min(n_bar + 1.0, N_AVG_OCCUPATION_CAP + 1.0) ** 2)
         f_lo, res, grid_bins, index = acquisition_grid(model)
-        record = synthesize_spectrum(
-            model, SynthConfig(f_lo, res, grid_bins, n_avg, seed, index)
-        )
+        record = synthesize_spectrum(model, (f_lo, res, grid_bins, index), n_avg, seed)
         path = tmp_path / "zoomed.csv"
         write_spectrum_csv(path, record, {"gamma_opt_hz": gamma_opt_hz})
         assert path.read_text().startswith("# sidebandlimit-spectrum v2 ")
@@ -549,8 +541,9 @@ class TestRecordLayouts:
         # noiseless: the two recorded spans pin the same optimum
         _, _, model = make_model(params, bath_occupation, gamma_opt_hz)
         f_lo, res, grid_bins, index = acquisition_grid(model)
-        config = SynthConfig(f_lo=f_lo, resolution=res, grid_bins=grid_bins, n_avg=math.inf)
-        sparse = fit_sidebands(synthesize_spectrum(model, replace(config, index=index)))
+        sparse = fit_sidebands(
+            synthesize_spectrum(model, (f_lo, res, grid_bins, index), math.inf, 0)
+        )
         assert index.size < 10_000
         for got, truth in (
             (sparse.omega_m_fit, model.omega_m),
@@ -561,7 +554,9 @@ class TestRecordLayouts:
         ):
             assert got == pytest.approx(truth, rel=1e-6)
         if gamma_opt_hz >= 227.0:  # a full grid at 3 Hz holds 12M bins
-            full = fit_sidebands(synthesize_spectrum(model, config))
+            full = fit_sidebands(
+                synthesize_spectrum(model, (f_lo, res, grid_bins, None), math.inf, 0)
+            )
             assert sparse.amplitude_ratio() == pytest.approx(
                 full.amplitude_ratio(), rel=1e-9
             )

@@ -68,6 +68,10 @@ def test_traced_run_covers_every_layer(tmp_path):
         assert layer in names, f"no {layer} span"
     # cool, fit on its spectra, then one curve per detuning
     assert names.count("analysis.fit") == len(GRID_HZ) * (2 + len(DETUNINGS_HZ))
+    # cool and sweep synthesize and plan; fit reads what cool saved
+    assert names.count("synth.synthesize") == len(GRID_HZ) * (1 + len(DETUNINGS_HZ))
+    assert names.count("io.read") == len(GRID_HZ)
+    assert names.count("pipeline.plan") == 1 + len(DETUNINGS_HZ)
     for span in spans:
         if span["name"] in ENCLOSING or span["parent"] is None:
             continue

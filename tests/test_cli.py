@@ -9,7 +9,7 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +36,7 @@ from sidebandlimit.spectra import (
     HeterodyneSpectrum,
     build_model,
 )
-from sidebandlimit.synth import SynthConfig, synthesize_spectrum
+from sidebandlimit.synth import synthesize_spectrum
 
 from points_csv import read_points_csv
 
@@ -413,15 +413,8 @@ class TestFitCommand:
         model = build_model(params, point, 0.2)
         span = model.omega_m + SPAN_LINEWIDTHS * model.gamma_eff
         resolution = model.gamma_eff / BINS_PER_LINEWIDTH
-        full = synthesize_spectrum(
-            model,
-            SynthConfig(
-                f_lo=-span,
-                resolution=resolution,
-                grid_bins=math.floor(2 * span / resolution) + 1,
-                n_avg=math.inf,
-            ),
-        )
+        grid_bins = math.floor(2 * span / resolution) + 1
+        full = synthesize_spectrum(model, (-span, resolution, grid_bins, None), math.inf, 0)
         f_hi = full.f_lo + (full.grid_bins - 1) * full.resolution
         sl = full.index_range(-0.2 * model.omega_m, f_hi)
         truncated = HeterodyneSpectrum(
@@ -855,19 +848,13 @@ class TestConfigHandling:
         assert "--jobs" in capsys.readouterr().err
 
 
-class _InlinePool:
+class _InlinePool(Executor):
     """A synchronous stand-in for ProcessPoolExecutor that records its size."""
 
     sizes: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def submit(self, task, *args):
         future = Future()

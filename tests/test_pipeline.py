@@ -3,6 +3,7 @@
 import math
 import pickle
 import time
+from concurrent.futures import Executor
 from dataclasses import replace
 
 import numpy as np
@@ -15,13 +16,13 @@ from sidebandlimit.pipeline import (
     N_AVG_OCCUPATION_CAP,
     analyze_outcomes,
     plan_curve,
+    record_point,
     run_cooling_curve,
     run_point,
     run_points,
     systematics_biases,
 )
-from sidebandlimit.spectra import BINS_PER_LINEWIDTH, SPAN_LINEWIDTHS
-from sidebandlimit.synth import synthesize_spectrum
+from sidebandlimit.spectra import BINS_PER_LINEWIDTH, SPAN_LINEWIDTHS, acquisition_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,40 +68,41 @@ class TestPlanCurve:
         base = config.synthesis.n_avg_base
         for plan in plans:
             factor = min(plan.model.n_bar + 1.0, N_AVG_OCCUPATION_CAP + 1.0) ** 2
-            assert plan.synth.n_avg == math.ceil(base * factor)
+            assert plan.n_avg == math.ceil(base * factor)
         # stronger drive -> lower occupation -> less averaging
-        assert plans[-1].synth.n_avg < plans[0].synth.n_avg
+        assert plans[-1].n_avg < plans[0].n_avg
 
     def test_grid_resolution_tracks_linewidth(self, config):
         plans = plan_curve(config, config.detunings_hz[0], master_seed=1)
         for plan in plans:
-            assert plan.synth.resolution == pytest.approx(
-                plan.model.gamma_eff / BINS_PER_LINEWIDTH
-            )
+            f_lo, resolution, grid_bins, _ = acquisition_grid(plan.model)
+            assert resolution == pytest.approx(plan.model.gamma_eff / BINS_PER_LINEWIDTH)
             margin = SPAN_LINEWIDTHS * plan.model.gamma_eff
-            assert -plan.synth.f_lo >= plan.model.omega_m + 0.99 * margin
+            assert -f_lo >= plan.model.omega_m + 0.99 * margin
             # the grid is symmetric: its last bin sits at exactly -f_lo
-            last = plan.synth.f_lo + (plan.synth.grid_bins - 1) * plan.synth.resolution
-            assert last == -plan.synth.f_lo
+            last = f_lo + (grid_bins - 1) * resolution
+            assert last == -f_lo
 
     def test_recorded_bins_do_not_grow_as_lines_narrow(self):
         # weakest (1 Hz) and strongest (30 kHz) drive of the default curve
         plans = plan_curve(default_config(), -1.62e6, master_seed=1)
-        weak, strong = plans[0].synth, plans[-1].synth
-        assert weak.grid_bins > 1000 * weak.index.size
-        assert weak.index.size < 3 * strong.index.size
-        assert sum(p.synth.index.size for p in plans) < 250_000
+        grids = [acquisition_grid(p.model) for p in plans]
+        (_, _, weak_bins, weak), (_, _, _, strong) = grids[0], grids[-1]
+        assert weak_bins > 1000 * weak.size
+        assert weak.size < 3 * strong.size
+        assert sum(grid[3].size for grid in grids) < 250_000
 
     def test_recorded_spans_mirror_about_the_beat_note(self, config):
         for plan in plan_curve(config, config.detunings_hz[0], master_seed=1):
-            synth, model = plan.synth, plan.model
-            grid = np.arange(synth.grid_bins)
-            freqs = synth.f_lo + synth.resolution * grid
+            model = plan.model
+            f_lo, resolution, grid_bins, index = acquisition_grid(model)
+            grid = np.arange(grid_bins)
+            freqs = f_lo + resolution * grid
             near = (SPAN_LINEWIDTHS - 1) * model.gamma_eff
             span = grid[np.abs(np.abs(freqs) - model.omega_m) <= near]
             # every bin of both spans is stored, and so is its mirror image
-            assert np.isin(span, synth.index).all()
-            assert np.isin(synth.grid_bins - 1 - span, synth.index).all()
+            assert np.isin(span, index).all()
+            assert np.isin(grid_bins - 1 - span, index).all()
 
     def test_recorded_bins_lie_within_the_spans(self):
         # nothing is recorded beyond the two spans around the sidebands
@@ -108,23 +110,24 @@ class TestPlanCurve:
         most = 2 * (2 * SPAN_LINEWIDTHS * BINS_PER_LINEWIDTH + 1)
         for index, detuning_hz in enumerate(config.detunings_hz):
             for plan in plan_curve(config, detuning_hz, 1, index):
-                synth, model = plan.synth, plan.model
-                freqs = synth.f_lo + synth.resolution * synth.index
+                model = plan.model
+                f_lo, resolution, _, bins = acquisition_grid(model)
+                freqs = f_lo + resolution * bins
                 half = SPAN_LINEWIDTHS * model.gamma_eff
                 from_line = np.abs(np.abs(freqs) - model.omega_m)
-                assert from_line.max() <= half + 1e-6 * synth.resolution
-                assert synth.index.size <= most
+                assert from_line.max() <= half + 1e-6 * resolution
+                assert bins.size <= most
 
     def test_noiseless_plans(self, config):
         plans = plan_curve(config, config.detunings_hz[0], 1, noiseless=True)
-        assert all(math.isinf(p.synth.n_avg) for p in plans)
+        assert all(math.isinf(p.n_avg) for p in plans)
 
     def test_point_streams_are_independent(self, config):
         plans = plan_curve(config, config.detunings_hz[0], master_seed=1)
-        a = synthesize_spectrum(plans[3].model, plans[3].synth)
-        b = synthesize_spectrum(plans[4].model, plans[4].synth)
+        a = record_point(plans[3])
+        b = record_point(plans[4])
         assert a.n_bins != b.n_bins or not np.array_equal(a.psd, b.psd)
-        again = synthesize_spectrum(plans[3].model, plans[3].synth)
+        again = record_point(plans[3])
         assert np.array_equal(a.psd, again.psd)
 
     def test_plans_pickle_small(self):
@@ -139,12 +142,12 @@ class TestPlanCurve:
         detuning_hz = config.detunings_hz[0]
         a = plan_curve(config, detuning_hz, master_seed=1, detuning_index=0)
         b = plan_curve(config, detuning_hz, master_seed=1, detuning_index=1)
-        sa = synthesize_spectrum(a[0].model, a[0].synth)
-        sb = synthesize_spectrum(b[0].model, b[0].synth)
+        sa = record_point(a[0])
+        sb = record_point(b[0])
         assert not np.array_equal(sa.psd, sb.psd)
 
 
-class _RecordingPool:
+class _RecordingPool(Executor):
     """An in-process stand-in for ProcessPoolExecutor that logs each submit
     and each result read."""
 
@@ -152,12 +155,6 @@ class _RecordingPool:
 
     def __init__(self, max_workers):
         pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def submit(self, task, *args):
         self.log.append("submit")
@@ -168,9 +165,12 @@ class _Done:
     def __init__(self, log, value):
         self.log, self.value = log, value
 
-    def result(self):
+    def result(self, timeout=None):
         self.log.append("result")
         return self.value
+
+    def cancel(self):
+        return False
 
 
 def _fail_or_mark(item, marks):
@@ -213,6 +213,21 @@ class TestRunCoolingCurve:
             run_points(_fail_or_mark, items, tmp_path, jobs=2)
         ran = len(list(tmp_path.iterdir()))
         assert ran < len(items) // 2
+
+    def test_failing_point_cancels_later_curves(self, tmp_path):
+        # every point of curve 0 raises, as its spectra directory is a file;
+        # curve 1's points sit on the pool under a map whose results are
+        # never read, so only leaving the pool can cancel them
+        config = default_config()
+        curves = list(enumerate(config.detunings_hz[:2]))
+        blocked, written = tmp_path / "blocked", tmp_path / "written"
+        blocked.touch()
+        with pytest.raises(FileExistsError):
+            run_cooling_curve(
+                config, curves, 4, spectra_dirs=[str(blocked), str(written)], jobs=2
+            )
+        ran = len(list(written.glob("*.csv")))
+        assert ran < len(config.gamma_opt_grid_hz) // 2
 
     def test_reports_systematics_biases(self, reducible_config):
         config = reducible_config

@@ -7,7 +7,6 @@ are regression tests, not flaky hypothesis checks.
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from sidebandlimit.spectra import (
 )
 from sidebandlimit.synth import (
     OscillatorRecord,
-    SynthConfig,
     estimate_psd,
     simulate_oscillator,
     synthesize_spectrum,
@@ -57,32 +55,26 @@ def narrow_model():
     return build_model(params, point, n_bar)
 
 
-def _grid_config(model, n_avg=100.0, seed=0):
+def _full_grid(model):
+    """``(f_lo, resolution, grid_bins, index)`` of every bin across both spans."""
     span = model.omega_m + SPAN_LINEWIDTHS * model.gamma_eff
     resolution = model.gamma_eff / BINS_PER_LINEWIDTH
-    return SynthConfig(
-        f_lo=-span,
-        resolution=resolution,
-        grid_bins=math.floor(2 * span / resolution) + 1,
-        n_avg=n_avg,
-        seed=seed,
-    )
+    return -span, resolution, math.floor(2 * span / resolution) + 1, None
 
 
 class TestSynthesizeSpectrum:
     def test_deterministic_for_fixed_seed(self, model):
-        config = _grid_config(model, seed=1234)
-        a = synthesize_spectrum(model, config)
-        b = synthesize_spectrum(model, config)
+        a = synthesize_spectrum(model, _full_grid(model), 100.0, 1234)
+        b = synthesize_spectrum(model, _full_grid(model), 100.0, 1234)
         assert np.array_equal(a.psd, b.psd)
-        c = synthesize_spectrum(model, _grid_config(model, seed=1235))
+        c = synthesize_spectrum(model, _full_grid(model), 100.0, 1235)
         assert not np.array_equal(a.psd, c.psd)
 
     def test_seed_sequence_children_accepted(self, model):
         root = np.random.SeedSequence(7)
         children = root.spawn(2)
         specs = [
-            synthesize_spectrum(model, _grid_config(model, n_avg=50.0, seed=child))
+            synthesize_spectrum(model, _full_grid(model), 50.0, child)
             for child in children
         ]
         assert not np.array_equal(specs[0].psd, specs[1].psd)
@@ -95,23 +87,22 @@ class TestSynthesizeSpectrum:
         # standard_gamma call of the record's seed, in synthesize_spectrum's order
         seed = np.random.SeedSequence(1801, spawn_key=(3, 11))
         index = np.arange(40, 2000, 7)
-        config = replace(_grid_config(model, n_avg=26_296.0, seed=seed), index=index)
-        psd = evaluate_psd(model, config.f_lo + config.resolution * index)
-        draws = np.random.default_rng(seed).standard_gamma(config.n_avg, index.size)
-        spec = synthesize_spectrum(model, config)
+        f_lo, resolution, grid_bins, _ = _full_grid(model)
+        grid, n_avg = (f_lo, resolution, grid_bins, index), 26_296.0
+        psd = evaluate_psd(model, f_lo + resolution * index)
+        draws = np.random.default_rng(seed).standard_gamma(n_avg, index.size)
+        spec = synthesize_spectrum(model, grid, n_avg, seed)
         assert np.array_equal(spec.index, index)
-        assert np.array_equal(spec.psd, draws * (psd / config.n_avg))
-        noiseless = synthesize_spectrum(model, replace(config, n_avg=math.inf))
+        assert np.array_equal(spec.psd, draws * (psd / n_avg))
+        noiseless = synthesize_spectrum(model, grid, math.inf, seed)
         assert np.array_equal(noiseless.psd, psd)
 
     def test_noiseless_mode_returns_model(self, model):
-        config = _grid_config(model, n_avg=math.inf)
-        spec = synthesize_spectrum(model, config)
+        spec = synthesize_spectrum(model, _full_grid(model), math.inf, 0)
         assert spec.psd == pytest.approx(evaluate_psd(model, spec.frequencies), rel=1e-15)
 
     def test_mean_converges_at_large_averaging(self, model):
-        config = _grid_config(model, n_avg=1e6, seed=5)
-        spec = synthesize_spectrum(model, config)
+        spec = synthesize_spectrum(model, _full_grid(model), 1e6, 5)
         mean_model = evaluate_psd(model, spec.frequencies)
         # off-resonant slab: flat model, 5-sigma band on the grand mean
         sel = spec.frequencies > model.omega_m + 10 * model.gamma_eff
@@ -122,8 +113,7 @@ class TestSynthesizeSpectrum:
     def test_bin_variance_follows_gamma_law(self, narrow_model):
         # variance ~ model^2 / n_avg over an off-resonant window
         model = narrow_model
-        config = _grid_config(model, n_avg=100.0, seed=11)
-        spec = synthesize_spectrum(model, config)
+        spec = synthesize_spectrum(model, _full_grid(model), 100.0, 11)
         sel = np.abs(spec.frequencies) < model.omega_m - 100 * model.gamma_eff
         values = spec.psd[sel][:10_000]
         assert values.size == 10_000
@@ -134,8 +124,7 @@ class TestSynthesizeSpectrum:
     def test_off_resonant_bins_pass_ks_against_gamma_law(self, narrow_model, n_avg):
         # fixed-seed regression at the 1e-3 level, 1e4 off-resonant bins
         model = narrow_model
-        config = _grid_config(model, n_avg=n_avg, seed=20250810)
-        spec = synthesize_spectrum(model, config)
+        spec = synthesize_spectrum(model, _full_grid(model), n_avg, 20250810)
         sel = np.abs(spec.frequencies) < model.omega_m - 100 * model.gamma_eff
         values = spec.psd[sel][:10_000]
         result = stats.kstest(values, "gamma", args=(n_avg, 0.0, model.floor / n_avg))
@@ -151,7 +140,7 @@ class TestSynthesizeSpectrum:
         # every bin of the record, divided by its model value, is a Gamma(n_avg)
         # draw: mean and variance within 4 sigma of their estimates
         model = narrow_model
-        spec = synthesize_spectrum(model, _grid_config(model, n_avg=n_avg, seed=seed))
+        spec = synthesize_spectrum(model, _full_grid(model), n_avg, seed)
         draws = spec.psd / (evaluate_psd(model, spec.frequencies) / n_avg)
         n = draws.size
         assert n > 100_000
@@ -161,25 +150,20 @@ class TestSynthesizeSpectrum:
         assert abs(draws.var(ddof=1) - n_avg) < 4 * sigma_var
 
     def test_rejects_grid_missing_a_sideband(self, model):
-        full = _grid_config(model, n_avg=10.0)
-        config = replace(full, f_lo=0.0, grid_bins=full.grid_bins // 2 + 1)
+        _, resolution, grid_bins, _ = _full_grid(model)
+        grid = (0.0, resolution, grid_bins // 2 + 1, None)
         with pytest.raises(ValueError, match="span both sidebands"):
-            synthesize_spectrum(model, config)
+            synthesize_spectrum(model, grid, 10.0, 0)
 
     def test_cost_follows_recorded_bins_not_grid(self, narrow_model):
         # 4096 bins of a 2e10-bin grid: nothing is drawn for the others
         model = narrow_model
         span = model.omega_m + SPAN_LINEWIDTHS * model.gamma_eff
-        config = SynthConfig(
-            f_lo=-span, resolution=span / 1e10, grid_bins=2 * 10**10 + 1, n_avg=1e4, seed=8
-        )
-        index = np.unique(
-            np.random.default_rng(8).integers(0, config.grid_bins, 4200)
-        )[:4096]
-        config = replace(config, index=index)
+        grid_bins = 2 * 10**10 + 1
+        index = np.unique(np.random.default_rng(8).integers(0, grid_bins, 4200))[:4096]
         tracemalloc.start()
         try:
-            spec = synthesize_spectrum(model, config)
+            spec = synthesize_spectrum(model, (-span, span / 1e10, grid_bins, index), 1e4, 8)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -187,15 +171,17 @@ class TestSynthesizeSpectrum:
         assert spec.psd.size == 4096 and np.all(spec.psd > 0)
 
 
-class TestSynthConfigValidation:
-    def test_rejects_low_averaging(self):
+class TestSynthesisValidation:
+    @pytest.mark.parametrize("n_avg", [0.5, 0.0, math.nan])
+    def test_rejects_low_averaging(self, model, n_avg):
+        # n_avg = 0 must stop before the draw divides by it
         with pytest.raises(ValueError, match="n_avg"):
-            SynthConfig(f_lo=-1.0, resolution=0.1, grid_bins=21, n_avg=0.5)
+            synthesize_spectrum(model, (-1.0, 0.1, 21, None), n_avg, 0)
 
-    def test_rejects_empty_span(self):
+    def test_rejects_empty_span(self, model):
         for grid_bins in (0, 1):
-            with pytest.raises(ValueError, match="grid_bins"):
-                SynthConfig(f_lo=1.0, resolution=0.1, grid_bins=grid_bins)
+            with pytest.raises(ValueError, match="span both sidebands"):
+                synthesize_spectrum(model, (1.0, 0.1, grid_bins, None), 1000.0, 0)
 
 
 class TestSimulateOscillator:
