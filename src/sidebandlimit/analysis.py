@@ -289,19 +289,21 @@ def _fit_indices(
     spectrum: HeterodyneSpectrum, omega_m: float, window: float
 ) -> np.ndarray:
     """Stored bins the fit reads: both sideband windows, whose outer bins
-    sit at floor level.
+    sit at floor level, in whole grid bins about the line's bin and its
+    mirror about the beat note (by the rule :func:`_initial_guess` folds
+    with), so the same grid bins are read whatever else a record stores.
 
     Returns positions into ``spectrum.psd``.
     """
-    sl_pos = spectrum.index_range(omega_m - window, omega_m + window)
-    sl_neg = spectrum.index_range(-omega_m - window, -omega_m + window)
-    if (sl_neg.stop - sl_neg.start) + (sl_pos.stop - sl_pos.start) < 20:
+    line = round((omega_m - spectrum.f_lo) / spectrum.resolution)
+    mirror = round(-2.0 * spectrum.f_lo / spectrum.resolution) - line
+    half = round(window / spectrum.resolution)
+    index = spectrum.index.astype(np.int64, copy=False)
+    # the windows overlap once line - mirror <= 2 * half; the mask merges them
+    idx = np.flatnonzero((np.abs(index - line) <= half) | (np.abs(index - mirror) <= half))
+    if idx.size < 20:
         raise SpectrumCoverageError("sideband windows contain too few bins")
-    # the windows overlap once 2 * window > 2 * omega_m; a mask merges them
-    keep = np.zeros(spectrum.n_bins, dtype=bool)
-    keep[sl_neg] = True
-    keep[sl_pos] = True
-    return np.flatnonzero(keep)
+    return idx
 
 
 def _deviance(p, freqs, data, n_w):
@@ -418,8 +420,9 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     Shared center offset and linewidth, independent amplitudes, free
     floor, always started from the data-driven :func:`_initial_guess`.
     It reads the bins within ``WINDOW_LINEWIDTHS`` times the guess's width
-    of each line; that width reads 16/14 to 17/14 of the true linewidth on
-    noiseless default records, so the windows reach 22.9 to 24.3 linewidths.
+    of each line, in whole grid bins (:func:`_fit_indices`); that width reads
+    16/14 to 17/14 of the true linewidth on noiseless default records, so the
+    windows reach 22.9 or 24.3 linewidths.
     One bounded solve minimizes the Gamma(n_avg) deviance of the fitted
     bins, so the result is the maximum-likelihood fit under the bin-noise
     law.  The solver takes the analytic Jacobian of those residuals, and
@@ -433,7 +436,7 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     omega_m0, gamma0 = x0[0], x0[1]
     window = WINDOW_LINEWIDTHS * gamma0
     idx = _fit_indices(spectrum, omega_m0, window)
-    freqs = spectrum.frequencies_at(idx)
+    freqs = spectrum.frequencies[idx]
     data = spectrum.psd[idx]
     if not np.all(data > 0):
         raise AnalysisError(

@@ -43,9 +43,10 @@ LASER_NOISE_OCCUPATION_SCALE = 0.006 / 0.022
 # of the fit window (the narrowest whose Fisher sigma_R is within 1% of a
 # 60-linewidth window's, as a test checks) and of the recorded span.  The fit
 # scales the window by the initial guess's width, which reads 16/14 to 17/14
-# of the true linewidth on noiseless default records, so fitted windows reach
-# 22.9 to 24.3 linewidths and overlap the span's outer quarter (from 20
-# linewidths out), where the initial guess reads its floor.
+# of the true linewidth on noiseless default records, and lays it out in
+# whole grid bins, mirrored about the beat note: 320 or 340 bins (22.9 or
+# 24.3 linewidths) either side of each line, overlapping the span's outer
+# quarter (from 20 linewidths out), where the initial guess reads its floor.
 BINS_PER_LINEWIDTH = 14
 WINDOW_LINEWIDTHS = 20.0
 SPAN_LINEWIDTHS = WINDOW_LINEWIDTHS / 0.75
@@ -81,13 +82,6 @@ class SpectrumModel:
             raise ValueError("peak heights must be non-negative")
         if not self.floor >= 1:
             raise ValueError(f"floor must be >= 1, got {self.floor}")
-
-
-def _grid_slice(f_lo: float, resolution: float, n_bins: int, lo: float, hi: float) -> slice:
-    """Bins of the grid ``f_lo + i * resolution`` (``0 <= i < n_bins``) in [lo, hi]."""
-    i0 = max(0, math.ceil((lo - f_lo) / resolution))
-    i1 = min(n_bins, math.floor((hi - f_lo) / resolution) + 1)
-    return slice(i0, max(i0, i1))
 
 
 @dataclass(frozen=True)
@@ -139,16 +133,6 @@ class HeterodyneSpectrum:
     def frequencies(self) -> np.ndarray:
         """Frequencies of the stored bins (rad/s)."""
         return self.f_lo + self.resolution * self.index
-
-    def index_range(self, lo: float, hi: float) -> slice:
-        """Slice of the stored bins lying in the closed frequency interval [lo, hi]."""
-        grid = _grid_slice(self.f_lo, self.resolution, self.grid_bins, lo, hi)
-        start, stop = np.searchsorted(self.index, [grid.start, grid.stop])
-        return slice(int(start), int(stop))
-
-    def frequencies_at(self, sel) -> np.ndarray:
-        """Frequencies of the stored bins picked by a slice or position array."""
-        return self.f_lo + self.resolution * self.index[sel]
 
 
 def build_model(
@@ -209,10 +193,10 @@ def acquisition_grid(model: SpectrumModel) -> tuple[float, float, int, np.ndarra
     half = SPAN_LINEWIDTHS * model.gamma_eff
     h = math.ceil((model.omega_m + half) / resolution)
     f_lo, grid_bins = -h * resolution, 2 * h + 1
-    anti_stokes = _grid_slice(
-        f_lo, resolution, grid_bins, model.omega_m - half, model.omega_m + half
-    )
-    anti_stokes = np.arange(anti_stokes.start, anti_stokes.stop)
+    # the grid bins in [omega_m - half, omega_m + half]
+    start = max(0, math.ceil((model.omega_m - half - f_lo) / resolution))
+    stop = min(grid_bins, math.floor((model.omega_m + half - f_lo) / resolution) + 1)
+    anti_stokes = np.arange(start, max(start, stop))
     bins = np.sort(np.concatenate([2 * h - anti_stokes, anti_stokes]))
     # the spans overlap once they are wider than the sideband offset; drop
     # the bins they share (np.union1d would import numpy.ma, about 1 MiB)

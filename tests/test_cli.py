@@ -415,12 +415,11 @@ class TestFitCommand:
         resolution = model.gamma_eff / BINS_PER_LINEWIDTH
         grid_bins = math.floor(2 * span / resolution) + 1
         full = synthesize_spectrum(model, (-span, resolution, grid_bins, None), math.inf, 0)
-        f_hi = full.f_lo + (full.grid_bins - 1) * full.resolution
-        sl = full.index_range(-0.2 * model.omega_m, f_hi)
+        kept = full.frequencies >= -0.2 * model.omega_m
         truncated = HeterodyneSpectrum(
-            f_lo=full.frequencies_at(sl)[0],
+            f_lo=full.frequencies[kept][0],
             resolution=full.resolution,
-            psd=full.psd[sl],
+            psd=full.psd[kept],
             n_avg=full.n_avg,
         )
         bad = tmp_path / "truncated.csv"

@@ -158,12 +158,6 @@ class TestEvaluatePsd:
 
 
 class TestHeterodyneSpectrum:
-    def test_index_range(self):
-        spec = HeterodyneSpectrum(f_lo=0.0, resolution=1.0, psd=np.ones(11), n_avg=1)
-        sl = spec.index_range(2.5, 7.5)
-        assert (sl.start, sl.stop) == (3, 8)
-        assert spec.frequencies_at(sl) == pytest.approx(np.arange(3.0, 8.0))
-
     def test_sparse_record_addresses_grid_bins(self):
         spec = HeterodyneSpectrum(
             f_lo=0.0, resolution=1.0, psd=np.ones(5), n_avg=1,
@@ -172,9 +166,6 @@ class TestHeterodyneSpectrum:
         assert spec.n_bins == 5
         assert spec.f_lo + (spec.grid_bins - 1) * spec.resolution == 11.0
         assert spec.frequencies == pytest.approx([1.0, 2.0, 6.0, 7.0, 9.0])
-        sl = spec.index_range(2.0, 7.5)
-        assert (sl.start, sl.stop) == (1, 4)
-        assert spec.frequencies_at(sl) == pytest.approx([2.0, 6.0, 7.0])
 
     def test_full_record_is_the_default_index(self):
         spec = HeterodyneSpectrum(f_lo=-2.0, resolution=0.5, psd=np.ones(9), n_avg=1)

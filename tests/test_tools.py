@@ -25,4 +25,5 @@ def test_floor_stats_is_identical_for_any_jobs(tmp_path):
     assert [row["curves"] for row in report["detunings"]] == [2] * 5
     assert report["pooled"]["reduced"] == 10
     assert [row["fits"] for row in report["drives"]] == [10] * 20
+    assert all(row["bins_fitted_mean"] > 0 for row in report["drives"])
     assert report["failed_fits"] == []

@@ -17,8 +17,9 @@ It writes to ``OUT`` a JSON of:
   (ddof 0), the shares of |z| <= 1 and <= 2, and the curves whose floor is
   flagged ``n_ba_unidentifiable``;
 * ``drives``: per drive of the grid, the mean and std (ddof 0) of the ratio pulls
-  (R - R_true) / sigma_R against the rate equation's R_true, and the mean
-  Gamma deviance per degree of freedom of the sideband fits;
+  (R - R_true) / sigma_R against the rate equation's R_true, the mean
+  Gamma deviance per degree of freedom of the sideband fits, and the mean
+  count of bins they fitted, which shows any change of the fit windows;
 * ``failed_fits``: each point whose fit failed and each curve whose
   reduction failed.
 
@@ -71,7 +72,7 @@ def curve_stats(seed: int, detuning_index: int) -> dict:
             if math.isfinite(variance) and variance > 0
             else None
         )
-        points.append({"pull": pull, "deviance": fit.residual_norm})
+        points.append({"pull": pull, "deviance": fit.residual_norm, "bins": fit.n_bins_used})
     curve = {"seed": seed, "detuning_hz": detuning_hz, "points": points}
     try:
         _, fitted, flags = analyze_outcomes(
@@ -112,13 +113,14 @@ def floor_summary(curves: list[dict]) -> dict:
 
 
 def drive_summary(curves: list[dict], drives: list[float]) -> list[dict]:
-    """Ratio pulls and deviance per drive, over every curve."""
+    """Ratio pulls, deviance and bins fitted per drive, over every curve."""
     rows = []
     for i, gamma_opt_hz in enumerate(drives):
         fitted = [c["points"][i] for c in curves if "error" not in c["points"][i]]
         pulls = [p["pull"] for p in fitted if p["pull"] is not None]
         pull_mean, pull_std = _mean_std(pulls)
         deviance_mean, _ = _mean_std([p["deviance"] for p in fitted])
+        bins_mean, _ = _mean_std([p["bins"] for p in fitted])
         rows.append(
             {
                 "gamma_opt_hz": gamma_opt_hz,
@@ -127,6 +129,7 @@ def drive_summary(curves: list[dict], drives: list[float]) -> list[dict]:
                 "pull_mean": pull_mean,
                 "pull_std": pull_std,
                 "deviance_per_dof_mean": deviance_mean,
+                "bins_fitted_mean": bins_mean,
             }
         )
     return rows
