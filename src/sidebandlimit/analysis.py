@@ -18,8 +18,6 @@ The chain mirrors how the measurement is actually reduced:
    of the classical-window points cross-checks s.
 4. :func:`occupation_series` -- per-point occupations for the reports,
    inverted with the fitted s, with first-order uncertainties.
-5. :func:`detuning_sweep_summary` -- the saturation floor versus detuning
-   compared against the closed-form backaction limit.
 
 A fit that measures no ratio (an amplitude at its bound of 0) is left
 out of the curve fit.  It, and any point whose ratio fell at or below
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -516,7 +514,6 @@ class CoolingCurveResult:
     sigma_t0: float
     s_classical: float | None = None
     sigma_classical: float | None = None
-    n_ba_predicted: float | None = None
     flags: tuple[str, ...] = ()
 
 
@@ -531,8 +528,6 @@ def fit_cooling_curve(
     sigma_ratio: Sequence[float],
     gamma_0: float,
     omega_m: float,
-    *,
-    n_ba_predicted: float | None = None,
 ) -> CoolingCurveResult:
     """One weighted fit of R = s (1 + 1/n_bar) with (s, n0, n_ba) free.
 
@@ -630,7 +625,6 @@ def fit_cooling_curve(
         sigma_t0=t0_fit * sigma_n0 / n0_fit,
         s_classical=s_classical,
         sigma_classical=sigma_classical,
-        n_ba_predicted=n_ba_predicted,
         flags=tuple(flags),
     )
 
@@ -668,62 +662,3 @@ def occupation_series(
         sigma_n = math.hypot(n * n / s * sigma_r, n * (n + 1.0) / s * sigma_s)
         points.append(OccupationPoint(n, sigma_n))
     return points
-
-
-# Detunings closer to the cavity than this fraction of omega_m sit in the
-# region where the backaction limit is blowing up toward the resonance.
-_NEAR_DIVERGENCE_FRACTION = 0.1
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    detuning: float  # the summary's key, in the unit of its omega_m
-    min_n_bar: float  # fitted saturation floor
-    sigma: float
-    n_ba_predicted: float
-    flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    """Fitted cooling floors versus detuning, against the closed form."""
-
-    rows: tuple[SweepRow, ...]
-    global_min_detuning: float | None  # None when there is no row
-    flags: tuple[str, ...] = ()
-
-
-def detuning_sweep_summary(
-    results: Mapping[float, CoolingCurveResult], omega_m: float
-) -> SweepSummary:
-    """Tabulate fitted floors against the predicted backaction limit.
-
-    The detuning keys and ``omega_m`` may be in any one unit; rows keep the keys.
-    An empty mapping gives no rows and no global minimum.
-    """
-    rows = []
-    for detuning in sorted(results):
-        curve = results[detuning]
-        row_flags = list(curve.flags)
-        if abs(detuning) < _NEAR_DIVERGENCE_FRACTION * omega_m:
-            row_flags.append("near_divergence")
-        predicted = (
-            curve.n_ba_predicted
-            if curve.n_ba_predicted is not None
-            else math.nan
-        )
-        rows.append(
-            SweepRow(
-                detuning=detuning,
-                min_n_bar=curve.n_ba_fit,
-                sigma=curve.sigma_n_ba,
-                n_ba_predicted=predicted,
-                flags=tuple(row_flags),
-            )
-        )
-    best = min(rows, key=lambda r: r.min_n_bar, default=None)
-    return SweepSummary(
-        rows=tuple(rows),
-        global_min_detuning=None if best is None else best.detuning,
-        flags=("degenerate_sweep",) if len(rows) < 3 else (),
-    )

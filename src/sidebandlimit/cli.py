@@ -25,7 +25,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from sidebandlimit import __version__
-from sidebandlimit.analysis import AnalysisError, detuning_sweep_summary
+from sidebandlimit.analysis import AnalysisError
 from sidebandlimit.config import (
     ConfigError,
     ExperimentConfig,
@@ -51,6 +51,7 @@ from sidebandlimit.physics import (
 from sidebandlimit.pipeline import (
     CurveRun,
     analyze_spectrum_files,
+    detuning_sweep_summary,
     plan_curve,
     record_point,
     run_cooling_curve,
@@ -185,7 +186,7 @@ def _write_curve_outputs(
             "n0": curve.n0_fit,
             "n_ba": curve.n_ba_fit,
             "t0_k": curve.t0_fit,
-            "n_ba_predicted": curve.n_ba_predicted,
+            "n_ba_predicted": run.n_ba_predicted,
         },
         "uncertainties": {
             "sigma_s": curve.sigma_s,
@@ -215,9 +216,8 @@ def _finish_curve(run: CurveRun, config: ExperimentConfig, seed: int, out_dir: P
     print(f"s_hat = {curve.s_hat:.6f} +- {curve.sigma_s:.2g}")
     print(f"n0 = {curve.n0_fit:.4g} +- {curve.sigma_n0:.2g}")
     print(f"t0 = {curve.t0_fit * 1e3:.1f} +- {curve.sigma_t0 * 1e3:.1f} mK")
-    predicted = curve.n_ba_predicted
-    predicted_text = f" (closed form {predicted:.4f})" if predicted is not None else ""
-    print(f"n_ba = {curve.n_ba_fit:.4f} +- {curve.sigma_n_ba:.4f}{predicted_text}")
+    closed_form = "" if run.n_ba_predicted is None else f" (closed form {run.n_ba_predicted:.4f})"
+    print(f"n_ba = {curve.n_ba_fit:.4f} +- {curve.sigma_n_ba:.4f}{closed_form}")
     print(f"flags: {', '.join(sorted(set(run.flags))) or 'none'}")
     print(f"outputs in {out_dir}")
     return EXIT_OK if clean else EXIT_FAILURE
@@ -292,7 +292,6 @@ def _cmd_sweep(args) -> int:
     spectra_dirs = [str(d / "spectra") for d in out_dirs] if args.save_spectra else None
     runs = run_cooling_curve(config, curves, seed, args.no_noise, spectra_dirs, args.jobs)
 
-    fitted = {}
     errors = {}
     clean = True
     for (_, detuning_hz), out_dir, run in zip(curves, out_dirs, runs):
@@ -302,19 +301,10 @@ def _cmd_sweep(args) -> int:
             print(f"detuning {label}: failed: {run}", file=sys.stderr)
             continue
         clean &= _write_curve_outputs(run, config, seed, out_dir, f"detuning {label}: ")
-        fitted[detuning_hz] = run.curve
 
+    fitted = [run for run in runs if isinstance(run, CurveRun)]
     summary = detuning_sweep_summary(fitted, config.system.omega_m_hz)
-    rows = [
-        {
-            "detuning_hz": row.detuning,
-            "min_n_bar": row.min_n_bar,
-            "sigma": row.sigma,
-            "n_ba_predicted": row.n_ba_predicted,
-            "flags": list(row.flags),
-        }
-        for row in summary.rows
-    ]
+    rows = summary["rows"]
     write_points_csv(out_root / "sweep_summary.csv", rows, SWEEP_COLUMNS)
     write_report_json(
         out_root / "sweep.json",
@@ -322,9 +312,7 @@ def _cmd_sweep(args) -> int:
             "schema": "sidebandlimit-sweep v1",
             "seed": seed,
             "config_hash": config_hash(config.hash_dict()),
-            "global_min_detuning_hz": summary.global_min_detuning,
-            "flags": list(summary.flags),
-            "rows": rows,
+            **summary,
             "errors": {_detuning_label(d): message for d, message in errors.items()},
         },
     )
@@ -335,7 +323,7 @@ def _cmd_sweep(args) -> int:
             f"{row['detuning_hz'] / 1e6:12.4f} {row['min_n_bar']:9.4f} "
             f"{row['sigma']:8.4f} {row['n_ba_predicted']:11.4f}"
         )
-    minimum = summary.global_min_detuning
+    minimum = summary["global_min_detuning_hz"]
     lead = "" if minimum is None else f"global minimum at {minimum / 1e6:.4f} MHz; "
     print(f"{lead}outputs in {out_root}")
     return EXIT_OK if clean and not errors else EXIT_FAILURE

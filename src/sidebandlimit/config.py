@@ -209,6 +209,8 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return from_dict(data)

@@ -109,9 +109,17 @@ def metadata_number(path, metadata: Mapping[str, str], key: str, kind: type = fl
         raise SchemaError(path, 1, f"malformed metadata value for {key!r}: {exc}") from exc
 
 
+def _open(path):
+    """A spectrum file opened for reading; one that cannot be is a schema error."""
+    try:
+        return Path(path).open("r")
+    except OSError as exc:
+        raise SchemaError(path, None, f"cannot read ({exc.strerror})") from exc
+
+
 def read_spectrum_header(path) -> dict[str, str]:
     """The ``key=value`` items of a spectrum file's header, without reading its rows."""
-    with Path(path).open("r") as handle:
+    with _open(path) as handle:
         return _parse_metadata(path, handle.readline())[1]
 
 
@@ -151,7 +159,7 @@ def write_spectrum_csv(
 def read_spectrum_csv(path) -> tuple[HeterodyneSpectrum, dict[str, str]]:
     """Read a v1 or v2 spectrum file, validating the schema with line numbers."""
     path = Path(path)
-    with path.open("r") as handle:
+    with _open(path) as handle:
         magic, metadata = _parse_metadata(path, handle.readline())
         v2 = magic == SPECTRUM_MAGIC_V2
         expected = SPECTRUM_COLUMNS_V2 if v2 else SPECTRUM_COLUMNS

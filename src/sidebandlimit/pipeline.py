@@ -24,7 +24,9 @@ synthesized or a read spectrum becomes a ``PointOutcome`` in
 ``fit_outcome``, and a curve's outcomes become the ``CurveRun`` that
 ``run_cooling_curve`` and ``analyze_spectrum_files`` return in
 ``reduce_curve``.  Records carry the configured ``gamma_opt_hz``; only
-``analyze_outcomes`` converts it to rad/s.
+``analyze_outcomes`` converts it to rad/s.  Given the detuning,
+``reduce_curve`` also adds the closed-form floor ``n_ba_predicted`` and both
+systematics; ``detuning_sweep_summary`` tabulates the reduced curves for ``sweep``.
 """
 
 from __future__ import annotations
@@ -237,30 +239,19 @@ class CurveRun:
     occupation: tuple[OccupationPoint, ...]
     curve: CoolingCurveResult
     flags: tuple[str, ...]
+    n_ba_predicted: float | None = None
     bias_laser: float | None = None
     bias_substrate: float | None = None
 
 
 def analyze_outcomes(
-    outcomes: list[PointOutcome],
-    params: SystemParams,
-    detuning: float | None = None,
+    outcomes: list[PointOutcome], params: SystemParams
 ) -> tuple[list[OccupationPoint], CoolingCurveResult, tuple[str, ...]]:
     """Reduce per-point fits to a cooling curve; failures stay flagged."""
     fitted = [o for o in outcomes if o.fit is not None]
     gamma_opt = [TWO_PI * o.gamma_opt_hz for o in fitted]
     ratio, sigma_ratio = ratio_series([o.fit for o in fitted])
-    n_ba_predicted = (
-        float(backaction_limit(detuning, params)) if detuning is not None else None
-    )
-    curve = fit_cooling_curve(
-        gamma_opt,
-        ratio,
-        sigma_ratio,
-        params.gamma_0,
-        params.omega_m,
-        n_ba_predicted=n_ba_predicted,
-    )
+    curve = fit_cooling_curve(gamma_opt, ratio, sigma_ratio, params.gamma_0, params.omega_m)
     points = iter(occupation_series(ratio, sigma_ratio, curve.s_hat, curve.sigma_s))
     occupation = [
         next(points)
@@ -305,18 +296,19 @@ def reduce_curve(
     detuning_hz: float | None,
     seed: int | None,
 ) -> CurveRun:
-    """Reduce one curve's outcomes; the systematics need a detuning.
+    """Reduce one curve's outcomes; the closed form and the systematics need a detuning.
 
     An error that stops the reduction names each failed point.
     """
-    detuning = TWO_PI * detuning_hz if detuning_hz is not None else None
+    params = config.system_params()
     try:
-        occupation, curve, flags = analyze_outcomes(outcomes, config.system_params(), detuning)
+        occupation, curve, flags = analyze_outcomes(outcomes, params)
     except AnalysisError as exc:
         failed = "".join(f"\n  {o.name} failed: {o.error}" for o in outcomes if o.fit is None)
         raise AnalysisError(f"{exc}{failed}") from exc
-    bias_laser = bias_substrate = None
+    n_ba_predicted = bias_laser = bias_substrate = None
     if detuning_hz is not None:
+        n_ba_predicted = backaction_limit(TWO_PI * detuning_hz, params)
         bias_laser, bias_substrate = systematics_biases(
             config, detuning_hz, max(o.gamma_opt_hz for o in outcomes)
         )
@@ -327,9 +319,43 @@ def reduce_curve(
         occupation=tuple(occupation),
         curve=curve,
         flags=flags,
+        n_ba_predicted=n_ba_predicted,
         bias_laser=bias_laser,
         bias_substrate=bias_substrate,
     )
+
+
+# Detunings closer to the cavity than this fraction of omega_m sit in the
+# region where the backaction limit is blowing up toward the resonance.
+_NEAR_DIVERGENCE_FRACTION = 0.1
+
+
+def detuning_sweep_summary(runs: Sequence[CurveRun], omega_m_hz: float) -> dict:
+    """Fitted floors against the closed form, in order of detuning.
+
+    Returns the ``rows``, ``global_min_detuning_hz`` (None without a row)
+    and ``flags`` of ``sweep.json``.
+    """
+    rows = []
+    for run in sorted(runs, key=lambda run: run.detuning_hz):
+        flags = list(run.curve.flags)
+        if abs(run.detuning_hz) < _NEAR_DIVERGENCE_FRACTION * omega_m_hz:
+            flags.append("near_divergence")
+        rows.append(
+            {
+                "detuning_hz": run.detuning_hz,
+                "min_n_bar": run.curve.n_ba_fit,
+                "sigma": run.curve.sigma_n_ba,
+                "n_ba_predicted": run.n_ba_predicted,
+                "flags": flags,
+            }
+        )
+    best = min(rows, key=lambda row: row["min_n_bar"], default=None)
+    return {
+        "rows": rows,
+        "global_min_detuning_hz": None if best is None else best["detuning_hz"],
+        "flags": ["degenerate_sweep"] if len(rows) < 3 else [],
+    }
 
 
 def run_cooling_curve(

@@ -19,7 +19,6 @@ from sidebandlimit.physics import (
     backaction_limit,
     cooling_point,
     occupation_from_ratio,
-    sideband_ratio,
     steady_state_occupation,
     thermal_occupation,
 )
@@ -49,7 +48,6 @@ from sidebandlimit.analysis import (
     _smooth,
     _solve_bounded,
     SpectrumCoverageError,
-    detuning_sweep_summary,
     fit_cooling_curve,
     fit_sidebands,
     occupation_series,
@@ -595,20 +593,21 @@ class TestRecordLayouts:
 
 
 def _fit_series(params, n0, gamma_opt_hz_list, n_avg_base, entropy):
-    """Synthesize and fit a cooling series, returning (gamma_opt, fit) pairs."""
+    """Synthesize and fit a cooling series, returning (gamma_opt, fit) pairs.
+
+    A noiseless series records the two sideband spans of
+    ``acquisition_grid``, as the pipeline does, since a full grid at a few
+    Hz of drive holds millions of bins; a noisy one records the full grid.
+    """
     series = []
     for i, g_hz in enumerate(gamma_opt_hz_list):
         point, n_bar, model = make_model(params, n0, g_hz)
-        n_avg = (
-            math.inf
-            if math.isinf(n_avg_base)
-            else math.ceil(n_avg_base * min(n_bar + 1.0, N_AVG_OCCUPATION_CAP + 1.0) ** 2)
-        )
-        spectrum = synthesize(
-            model,
-            float(n_avg),
-            seed=np.random.SeedSequence(entropy=entropy, spawn_key=(i,)),
-        )
+        seed = np.random.SeedSequence(entropy=entropy, spawn_key=(i,))
+        if math.isinf(n_avg_base):
+            spectrum = synthesize_spectrum(model, acquisition_grid(model), math.inf, seed)
+        else:
+            n_avg = math.ceil(n_avg_base * min(n_bar + 1.0, N_AVG_OCCUPATION_CAP + 1.0) ** 2)
+            spectrum = synthesize(model, float(n_avg), seed=seed)
         series.append((point.gamma_opt, fit_sidebands(spectrum)))
     return series
 
@@ -869,60 +868,3 @@ class TestFitCoolingCurve:
         )
         with pytest.raises(AnalysisError, match="at least 4"):
             fit_cooling_curve(*series, params.gamma_0, params.omega_m)
-
-
-class TestDetuningSweepSummary:
-    # closed-form floors for the five standard detunings (independent
-    # arithmetic on the susceptibility quotient, in MHz where 2 pi cancels)
-    EXPECTED = {
-        -0.5e6: 2.6504 / 2.96,
-        -1.0e6: 1.9204 / 5.92,
-        -1.62e6: 1.7096 / 9.5904,
-        -1.97e6: 1.9301 / 11.6624,
-        -2.5e6: 2.7304 / 14.8,
-    }
-
-    def _curve_for(self, params, n0, delta_hz, rel_sigma=0.0, entropy=None):
-        delta = TWO_PI * delta_hz
-        n_ba = backaction_limit(delta, params)
-        series = _fabricated_ratios(
-            params, n0, n_ba, GRID_FULL_HZ, rel_sigma, entropy=entropy,
-            s=sideband_ratio(delta, params),
-        )
-        return fit_cooling_curve(
-            *series, params.gamma_0, params.omega_m, n_ba_predicted=n_ba
-        )
-
-    def test_five_point_sweep_tracks_closed_form(self, params, bath_occupation):
-        results = {
-            TWO_PI * d: self._curve_for(params, bath_occupation, d)
-            for d in self.EXPECTED
-        }
-        summary = detuning_sweep_summary(results, params.omega_m)
-        for row in summary.rows:
-            delta_hz = row.detuning / TWO_PI
-            expected = next(
-                v for k, v in self.EXPECTED.items() if math.isclose(k, delta_hz)
-            )
-            assert row.n_ba_predicted == pytest.approx(expected, rel=1e-10)
-            assert row.min_n_bar == pytest.approx(expected, rel=2e-2)
-        # global minimum at the grid point nearest the optimal detuning
-        assert summary.global_min_detuning == pytest.approx(-TWO_PI * 1.97e6)
-
-    def test_near_divergence_flagged(self, params, bath_occupation):
-        delta = -TWO_PI * 0.05e6
-        n_ba = backaction_limit(delta, params)
-        assert n_ba == pytest.approx(3.7349 / 0.296, rel=1e-10)  # = 12.618
-        curve = self._curve_for(params, bath_occupation, -0.05e6)
-        summary = detuning_sweep_summary({delta: curve}, params.omega_m)
-        assert "near_divergence" in summary.rows[0].flags
-        assert "degenerate_sweep" in summary.flags
-
-    def test_single_detuning_is_degenerate_but_valid(self, params, bath_occupation):
-        delta = -TWO_PI * 1.62e6
-        summary = detuning_sweep_summary(
-            {delta: self._curve_for(params, bath_occupation, -1.62e6)},
-            params.omega_m,
-        )
-        assert len(summary.rows) == 1
-        assert summary.global_min_detuning == delta

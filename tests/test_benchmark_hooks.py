@@ -25,6 +25,22 @@ LAYERS = (
     "analysis.fit",
     "pipeline.reduce",
 )
+# every module global that traced.install wraps, by the span's call field
+CALLS = (
+    "load_config",
+    "run_cooling_curve",
+    "analyze_spectrum_files",
+    "write_points_csv",
+    "write_report_json",
+    "detuning_sweep_summary",
+    "plan_curve",
+    "synthesize_spectrum",
+    "write_spectrum_csv",
+    "read_spectrum_csv",
+    "fit_sidebands",
+    "analyze_outcomes",
+    "systematics_biases",
+)
 # spans that enclose layer calls rather than measure one
 ENCLOSING = ("step", "curve")
 
@@ -66,6 +82,12 @@ def test_traced_run_covers_every_layer(tmp_path):
     names = [s["name"] for s in spans]
     for layer in LAYERS:
         assert layer in names, f"no {layer} span"
+    # a layer can hold several calls, so each wrapped call must record its own
+    calls = [s.get("call") for s in spans]
+    for call in CALLS:
+        assert call in calls, f"no span from {call}"
+    # sweep, the third step, tabulates its curves once, through cli's global
+    assert [s["step"] for s in spans if s.get("call") == "detuning_sweep_summary"] == [2]
     # cool, fit on its spectra, then one curve per detuning
     assert names.count("analysis.fit") == len(GRID_HZ) * (2 + len(DETUNINGS_HZ))
     # cool and sweep synthesize and plan; fit reads what cool saved

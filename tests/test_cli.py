@@ -106,7 +106,10 @@ class TestCoolCommand:
         report = json.loads((out_dir / "summary.json").read_text())
         assert report["schema"] == "sidebandlimit-cool v1"
         assert report["seed"] == 11
-        assert report["estimates"]["n_ba_predicted"] == pytest.approx(0.17826, rel=1e-4)
+        params = load_config(small_config).system_params()
+        assert report["estimates"]["n_ba_predicted"] == backaction_limit(
+            TWO_PI * -1.62e6, params
+        )
         assert (
             abs(report["estimates"]["n_ba"] - 0.17826)
             < 4 * report["uncertainties"]["sigma_n_ba"]
@@ -162,12 +165,15 @@ class TestCoolCommand:
 
     def test_detuning_override(self, small_config, tmp_path):
         # argparse takes "-5e5" after a space for an option; joined by "=" it is a value
+        params = load_config(small_config).system_params()
         for detuning in (["--detuning", "-500000"], ["--detuning=-5e5"]):
             assert run_cli("cool", "--config", small_config, *detuning) == 0
             report = json.loads(
                 (tmp_path / "out" / "cool_-500000Hz" / "summary.json").read_text()
             )
-            assert report["estimates"]["n_ba_predicted"] == pytest.approx(0.89541, rel=1e-4)
+            assert report["estimates"]["n_ba_predicted"] == backaction_limit(
+                TWO_PI * -0.5e6, params
+            )
 
     def test_rejects_blue_detuning_override(self, small_config):
         assert run_cli("cool", "--config", small_config, "--detuning", "500000") == 2
@@ -526,6 +532,30 @@ class TestFitCommand:
             assert "orphan.csv" in err and "garbled.csv" not in err
 
 
+@pytest.mark.parametrize(
+    "command, name", [("cool", "nope.json"), ("fit", "nope.csv"), ("fit", "spectra")]
+)
+def test_unreadable_input_is_a_usage_error(command, name, tmp_path):
+    # a missing file, or a directory, exits 2 naming it, without a traceback
+    (tmp_path / "spectra").mkdir()
+    path = tmp_path / name
+    out = tmp_path / "out"
+    src = Path(sidebandlimit.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "sidebandlimit.cli", command, "--out", str(out),
+            *(["--config", str(path)] if command == "cool" else [str(path)]),
+        ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert f"error: {path}: cannot read" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 class TestUnreducibleCurve:
     @pytest.fixture
     def thin_config(self, tmp_path):
@@ -657,12 +687,12 @@ class TestSweepCommand:
         assert run_cli("sweep", "--config", small_config) == 0
         sweep = json.loads((tmp_path / "out" / "sweep" / "sweep.json").read_text())
         assert sweep["schema"] == "sidebandlimit-sweep v1"
-        assert len(sweep["rows"]) == 2
-        by_detuning = {row["detuning_hz"]: row for row in sweep["rows"]}
-        assert by_detuning[-1.62e6]["n_ba_predicted"] == pytest.approx(
-            0.17826, rel=1e-4
-        )
-        assert by_detuning[-0.5e6]["n_ba_predicted"] == pytest.approx(0.89541, rel=1e-4)
+        assert [row["detuning_hz"] for row in sweep["rows"]] == [-1.62e6, -0.5e6]
+        params = load_config(small_config).system_params()
+        for row in sweep["rows"]:
+            assert row["n_ba_predicted"] == backaction_limit(
+                TWO_PI * row["detuning_hz"], params
+            )
         assert sweep["global_min_detuning_hz"] == pytest.approx(-1.62e6)
         csv_lines = (tmp_path / "out" / "sweep" / "sweep_summary.csv").read_text()
         assert csv_lines.splitlines()[0] == (

@@ -10,11 +10,20 @@ import numpy as np
 import pytest
 
 from sidebandlimit import pipeline
+from sidebandlimit.analysis import fit_cooling_curve
 from sidebandlimit.config import default_config, from_dict
-from sidebandlimit.physics import steady_state_occupation, thermal_occupation
+from sidebandlimit.physics import (
+    SystemParams,
+    backaction_limit,
+    sideband_ratio,
+    steady_state_occupation,
+    thermal_occupation,
+)
 from sidebandlimit.pipeline import (
     N_AVG_OCCUPATION_CAP,
+    CurveRun,
     analyze_outcomes,
+    detuning_sweep_summary,
     plan_curve,
     record_point,
     run_cooling_curve,
@@ -23,6 +32,8 @@ from sidebandlimit.pipeline import (
     systematics_biases,
 )
 from sidebandlimit.spectra import BINS_PER_LINEWIDTH, SPAN_LINEWIDTHS, acquisition_grid
+
+from test_analysis import GRID_FULL_HZ, _fabricated_ratios
 
 TWO_PI = 2.0 * math.pi
 
@@ -258,9 +269,7 @@ class TestAnalyzeOutcomes:
         for i, amplitude in ((1, "amp_stokes"), (4, "amp_antistokes")):
             fit = replace(outcomes[i].fit, **{amplitude: 0.0})
             outcomes[i] = replace(outcomes[i], fit=fit)
-        occupation, curve, _ = analyze_outcomes(
-            outcomes, config.system_params(), -TWO_PI * 1.62e6
-        )
+        occupation, curve, _ = analyze_outcomes(outcomes, config.system_params())
         for i, point in enumerate(occupation):
             if i in (1, 4):
                 assert point.flags == ("unphysical_ratio",)
@@ -268,6 +277,55 @@ class TestAnalyzeOutcomes:
             else:
                 assert not point.flags
         assert curve.n_ba_fit == pytest.approx(0.1782615949282616, rel=1e-4)
+
+
+class TestDetuningSweepSummary:
+    # closed-form floors for the five standard detunings (independent
+    # arithmetic on the susceptibility quotient, in MHz where 2 pi cancels)
+    EXPECTED = {
+        -0.5e6: 2.6504 / 2.96,
+        -1.0e6: 1.9204 / 5.92,
+        -1.62e6: 1.7096 / 9.5904,
+        -1.97e6: 1.9301 / 11.6624,
+        -2.5e6: 2.7304 / 14.8,
+    }
+    OMEGA_M_HZ = 1.48e6
+
+    @classmethod
+    def _run_for(cls, delta_hz):
+        """A reduced curve fitted to the noiseless ratios of the rate equation."""
+        params = SystemParams.from_hz(2.6e6, cls.OMEGA_M_HZ, 0.18, 0.04)
+        n0 = thermal_occupation(0.36, params.omega_m)
+        delta = TWO_PI * delta_hz
+        n_ba = backaction_limit(delta, params)
+        series = _fabricated_ratios(
+            params, n0, n_ba, GRID_FULL_HZ, 0.0, s=sideband_ratio(delta, params)
+        )
+        curve = fit_cooling_curve(*series, params.gamma_0, params.omega_m)
+        return CurveRun(delta_hz, None, (), (), curve, curve.flags, n_ba_predicted=n_ba)
+
+    def test_five_point_sweep_tracks_closed_form(self):
+        runs = [self._run_for(d) for d in self.EXPECTED]
+        summary = detuning_sweep_summary(runs, self.OMEGA_M_HZ)
+        assert [row["detuning_hz"] for row in summary["rows"]] == sorted(self.EXPECTED)
+        for row in summary["rows"]:
+            expected = self.EXPECTED[row["detuning_hz"]]
+            assert row["n_ba_predicted"] == pytest.approx(expected, rel=1e-10)
+            assert row["min_n_bar"] == pytest.approx(expected, rel=2e-2)
+        # global minimum at the grid point nearest the optimal detuning
+        assert summary["global_min_detuning_hz"] == pytest.approx(-1.97e6)
+
+    def test_near_divergence_flagged(self):
+        run = self._run_for(-0.05e6)
+        assert run.n_ba_predicted == pytest.approx(3.7349 / 0.296, rel=1e-10)  # = 12.618
+        summary = detuning_sweep_summary([run], self.OMEGA_M_HZ)
+        assert "near_divergence" in summary["rows"][0]["flags"]
+        assert "degenerate_sweep" in summary["flags"]
+
+    def test_single_detuning_is_degenerate_but_valid(self):
+        summary = detuning_sweep_summary([self._run_for(-1.62e6)], self.OMEGA_M_HZ)
+        assert len(summary["rows"]) == 1
+        assert summary["global_min_detuning_hz"] == -1.62e6
 
 
 class TestModuleDefaults:

@@ -9,7 +9,8 @@ directory).  For every seed from A through B and every detuning of the
 default configuration (its index in ``detunings_hz`` is the curve's
 detuning index, as in ``sweep``), it plans the curve with ``plan_curve``,
 fits each point with ``run_point`` and reduces the curve with
-``analyze_outcomes``, one curve per task on up to N worker processes.
+``analyze_outcomes``, one curve per task on up to N worker processes,
+and takes the closed form from ``backaction_limit``.
 It writes to ``OUT`` a JSON of:
 
 * ``detunings`` and ``pooled``: the floor's z = (n_ba - closed form) /
@@ -51,7 +52,7 @@ def curve_stats(seed: int, detuning_index: int) -> dict:
     """Fit one default curve; its floor, its points' pulls and its failures."""
     from sidebandlimit.analysis import AnalysisError
     from sidebandlimit.config import default_config
-    from sidebandlimit.physics import TWO_PI
+    from sidebandlimit.physics import TWO_PI, backaction_limit
     from sidebandlimit.pipeline import analyze_outcomes, plan_curve, run_point
 
     config = default_config()
@@ -74,14 +75,14 @@ def curve_stats(seed: int, detuning_index: int) -> dict:
         )
         points.append({"pull": pull, "deviance": fit.residual_norm, "bins": fit.n_bins_used})
     curve = {"seed": seed, "detuning_hz": detuning_hz, "points": points}
+    params = config.system_params()
     try:
-        _, fitted, flags = analyze_outcomes(
-            outcomes, config.system_params(), TWO_PI * detuning_hz
-        )
+        _, fitted, flags = analyze_outcomes(outcomes, params)
     except AnalysisError as exc:
         curve["error"] = f"{type(exc).__name__}: {exc}"
         return curve
-    curve["z"] = (fitted.n_ba_fit - fitted.n_ba_predicted) / fitted.sigma_n_ba
+    closed_form = backaction_limit(TWO_PI * detuning_hz, params)
+    curve["z"] = (fitted.n_ba_fit - closed_form) / fitted.sigma_n_ba
     curve["flagged"] = "n_ba_unidentifiable" in flags
     return curve
 
