@@ -56,7 +56,6 @@ from sidebandlimit.pipeline import (
     record_point,
     run_cooling_curve,
     run_points,
-    spectrum_metadata,
 )
 
 SEED_ENV_VAR = "SIDEBAND_LIMIT_SEED"
@@ -155,11 +154,20 @@ def _detuning_label(detuning_hz: float) -> str:
     return f"{detuning_hz:.10g}Hz"
 
 
+def _output_dir(path: Path) -> Path:
+    """Create the output directory ``path``; one that cannot be made is a usage error."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot create ({exc.strerror})") from exc
+    return path
+
+
 def _write_curve_outputs(
     run: CurveRun, config: ExperimentConfig, seed: int, out_dir: Path, prefix: str = ""
 ) -> bool:
     """Write one curve's files and name each failed point on stderr; True if none failed."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _output_dir(out_dir)
     rows = [
         {
             "gamma_opt_hz": o.gamma_opt_hz,
@@ -272,7 +280,7 @@ def _cmd_cool(args) -> int:
     seed = _resolve_seed(args, config.seed)
     detuning_hz = _resolve_detuning_hz(args, config)
     out_dir = Path(config.output_dir) / f"cool_{_detuning_label(detuning_hz)}"
-    spectra_dirs = [str(out_dir / "spectra")] if args.save_spectra else None
+    spectra_dirs = [str(_output_dir(out_dir / "spectra"))] if args.save_spectra else None
     (run,) = run_cooling_curve(
         config, [(0, detuning_hz)], seed, args.no_noise, spectra_dirs, args.jobs
     )
@@ -284,12 +292,13 @@ def _cmd_cool(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args)
     seed = _resolve_seed(args, config.seed)
-    out_root = Path(config.output_dir) / "sweep"
-    out_root.mkdir(parents=True, exist_ok=True)
+    out_root = _output_dir(Path(config.output_dir) / "sweep")
 
     curves = list(enumerate(config.detunings_hz))
     out_dirs = [out_root / f"d{i:02d}_{_detuning_label(d)}" for i, d in curves]
-    spectra_dirs = [str(d / "spectra") for d in out_dirs] if args.save_spectra else None
+    spectra_dirs = None
+    if args.save_spectra:
+        spectra_dirs = [str(_output_dir(d / "spectra")) for d in out_dirs]
     runs = run_cooling_curve(config, curves, seed, args.no_noise, spectra_dirs, args.jobs)
 
     errors = {}
@@ -346,9 +355,9 @@ def _cmd_synth(args) -> int:
     seed = _resolve_seed(args, config.seed)
     detuning_hz = _resolve_detuning_hz(args, config)
     out_dir = Path(config.output_dir) / f"synth_{_detuning_label(detuning_hz)}"
-    plans = plan_curve(config, detuning_hz, seed, 0, noiseless=args.no_noise)
-    metadata = spectrum_metadata(config, detuning_hz, seed, 0)
-    run_points(record_point, plans, str(out_dir), metadata, jobs=args.jobs)
+    plans = plan_curve(config, detuning_hz, seed, 0, args.no_noise, str(out_dir))
+    _output_dir(out_dir)
+    run_points(record_point, plans, args.jobs)
     print(f"wrote {len(plans)} spectra to {out_dir}")
     return EXIT_OK
 

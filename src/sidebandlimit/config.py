@@ -155,6 +155,11 @@ def validate(config: ExperimentConfig) -> None:
     _require(s.omega_m_hz > 0, "config.system.omega_m_hz", "must be positive")
     _require(s.gamma_0_hz > 0, "config.system.gamma_0_hz", "must be positive")
     _require(
+        s.gamma_0_hz < s.omega_m_hz,
+        "config.system.gamma_0_hz",
+        f"must be below omega_m_hz (a high-Q mode), got {s.gamma_0_hz}",
+    )
+    _require(
         0 < s.efficiency <= 1, "config.system.efficiency", "must be in (0, 1]"
     )
     _require(
@@ -217,7 +222,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
+    path = Path(path)
+    try:
+        path.write_text(json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write ({exc.strerror})") from exc
 
 
 def default_config() -> ExperimentConfig:

@@ -17,7 +17,8 @@ queue; at one job the points run in this process, through the builtin
 alike: it plans every curve, queues every point of every curve on the pool
 before it reads any result, then reduces the curves in order, each as soon
 as its own points are done, while the workers go on with later curves.  A
-plan stores only its independent values, so the queue holds little.
+plan stores only its independent values, so the queue holds little; one that
+saves its spectrum also names the file and its header.
 
 ``cool``, ``fit`` and every curve of ``sweep`` share one path: a
 synthesized or a read spectrum becomes a ``PointOutcome`` in
@@ -36,7 +37,6 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +104,8 @@ class PointPlan:
 
     A plan keeps its independent values, and the point's worker lays out
     its ``acquisition_grid``, so a queued sweep holds a few hundred bytes
-    per point, not its bins.
+    per point, not its bins.  A plan whose spectrum is saved names its file,
+    ``path``, and the ``header`` written there; otherwise both are None.
     """
 
     index: int
@@ -112,6 +113,8 @@ class PointPlan:
     model: SpectrumModel
     n_avg: float
     seed: np.random.SeedSequence
+    path: Path | None = None
+    header: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -124,63 +127,50 @@ class PointOutcome:
     error: str | None = None
 
 
-def spectrum_metadata(
-    config: ExperimentConfig, detuning_hz: float, seed: int, detuning_index: int
-) -> dict:
-    """File metadata shared by every spectrum of one curve."""
-    return {
-        "detuning_hz": detuning_hz,
-        "seed": seed,
-        "detuning_index": detuning_index,
-        "config_hash": config_hash(config.hash_dict()),
-    }
-
-
 def plan_curve(
     config: ExperimentConfig,
     detuning_hz: float,
     master_seed: int,
     detuning_index: int = 0,
     noiseless: bool = False,
+    spectra_dir: str | None = None,
 ) -> list[PointPlan]:
-    """Lay out synthesis plans for every drive setting of one curve."""
+    """Lay out every drive setting's plan for one curve, saving into ``spectra_dir`` if given."""
+    if spectra_dir is not None:
+        curve_header = {
+            "detuning_hz": detuning_hz,
+            "seed": master_seed,
+            "detuning_index": detuning_index,
+            "config_hash": config_hash(config.hash_dict()),
+        }
     plans = []
     for i, gamma_opt_hz in enumerate(config.gamma_opt_grid_hz):
         model = _point_model(config, detuning_hz, gamma_opt_hz)
         factor = min(model.n_bar + 1.0, N_AVG_OCCUPATION_CAP + 1.0) ** 2
         n_avg = math.inf if noiseless else float(math.ceil(config.synthesis.n_avg_base * factor))
         seed = np.random.SeedSequence(entropy=master_seed, spawn_key=(detuning_index, i))
-        plans.append(PointPlan(i, gamma_opt_hz, model, n_avg, seed))
+        path = header = None
+        if spectra_dir is not None:
+            path = Path(spectra_dir) / f"point_{i:02d}.csv"
+            header = {**curve_header, "gamma_opt_hz": gamma_opt_hz, "point_index": i}
+        plans.append(PointPlan(i, gamma_opt_hz, model, n_avg, seed, path, header))
     return plans
 
 
-def record_point(
-    plan: PointPlan,
-    spectra_dir: str | None = None,
-    file_metadata: dict | None = None,
-) -> HeterodyneSpectrum:
-    """Synthesize one point and, given a directory, write it there."""
+def record_point(plan: PointPlan) -> HeterodyneSpectrum:
+    """Synthesize one point and, if its plan names a file, write it there."""
     spectrum = synthesize_spectrum(
         plan.model, acquisition_grid(plan.model), plan.n_avg, plan.seed
     )
-    if spectra_dir is None:
-        return spectrum
-    path = Path(spectra_dir) / f"point_{plan.index:02d}.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    metadata = dict(file_metadata or {})
-    metadata["gamma_opt_hz"] = plan.gamma_opt_hz
-    metadata["point_index"] = plan.index
-    write_spectrum_csv(path, spectrum, metadata)
+    if plan.path is not None:
+        plan.path.parent.mkdir(parents=True, exist_ok=True)
+        write_spectrum_csv(plan.path, spectrum, plan.header)
     return spectrum
 
 
-def run_point(
-    plan: PointPlan,
-    spectra_dir: str | None = None,
-    file_metadata: dict | None = None,
-) -> PointOutcome:
-    """Synthesize one point, optionally persist it, and fit it."""
-    spectrum = record_point(plan, spectra_dir, file_metadata)
+def run_point(plan: PointPlan) -> PointOutcome:
+    """Synthesize one point, save it if its plan says so, and fit it."""
+    spectrum = record_point(plan)
     name = f"point {plan.index} (gamma_opt = {plan.gamma_opt_hz:.6g} Hz)"
     return fit_outcome(spectrum, name, plan.gamma_opt_hz)
 
@@ -220,13 +210,13 @@ def worker_map(jobs: int, tasks: int):
             raise
 
 
-def run_points(task: Callable, items: Sequence, *args, jobs: int = 1) -> list:
-    """``task(item, *args)`` for every item on up to ``jobs`` workers, results in order.
+def run_points(task: Callable, items: Sequence, jobs: int) -> list:
+    """``task(item)`` for every item on up to ``jobs`` workers, results in order.
 
     The first task to raise, in item order, raises here.
     """
     with worker_map(jobs, len(items)) as mapped:
-        return list(mapped(task, items, *map(repeat, args)))
+        return list(mapped(task, items))
 
 
 @dataclass(frozen=True)
@@ -381,9 +371,7 @@ def run_cooling_curve(
         queued = [
             mapped(
                 run_point,
-                plan_curve(config, detuning_hz, master_seed, index, noiseless),
-                repeat(spectra_dir),
-                repeat(spectrum_metadata(config, detuning_hz, master_seed, index)),
+                plan_curve(config, detuning_hz, master_seed, index, noiseless, spectra_dir),
             )
             for (index, detuning_hz), spectra_dir in zip(curves, dirs)
         ]
@@ -462,5 +450,5 @@ def analyze_spectrum_files(
         identity[key] = next(iter(first_at), None)
     if seed is not None and identity["seed"] not in (None, seed):
         raise ConfigError(f"seed {seed} differs from seed {identity['seed']} that drew the spectra")
-    outcomes = sorted(run_points(read_and_fit, files, jobs=jobs), key=lambda o: o.gamma_opt_hz)
+    outcomes = sorted(run_points(read_and_fit, files, jobs), key=lambda o: o.gamma_opt_hz)
     return reduce_curve(outcomes, config, identity["detuning_hz"], identity["seed"])

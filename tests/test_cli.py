@@ -556,6 +556,39 @@ def test_unreadable_input_is_a_usage_error(command, name, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["init-config", "missing/c.json"], "missing/c.json"),
+        (["init-config", "blocker/c.json"], "blocker/c.json"),
+        (["cool", "--out", "blocker"], "blocker"),
+        (["cool", "--out", "blocker", "--save-spectra", "--jobs", "2"], "blocker"),
+        (["sweep", "--out", "blocker"], "blocker"),
+        (["synth", "--out", "blocker"], "blocker"),
+        (["fit", "--out", "blocker"], "blocker"),
+    ],
+)
+def test_unwritable_output_is_a_usage_error(argv, path, small_config, tmp_path):
+    # an output under a missing directory, or under a file, exits 2 naming
+    # it, without a traceback from this process or from a worker
+    (tmp_path / "blocker").write_text("a file, not a directory\n")
+    config = [] if argv[0] == "init-config" else ["--config", str(small_config)]
+    if argv[0] == "fit":
+        assert run_cli("synth", "--config", small_config) == 0
+        config += sorted(str(p) for p in (tmp_path / "out").glob("synth_*/*.csv"))
+    src = Path(sidebandlimit.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "sidebandlimit.cli", *argv, *config],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: {path}")
+    assert "Traceback" not in done.stderr
+
+
 class TestUnreducibleCurve:
     @pytest.fixture
     def thin_config(self, tmp_path):
@@ -750,6 +783,16 @@ class TestSynthCommand:
         assert [p.name for p in one] == [p.name for p in two]
         assert all(a.read_bytes() == b.read_bytes() for a, b in zip(one, two))
 
+    def test_writes_the_spectra_cool_saves(self, small_config, tmp_path):
+        # both writers name and head each file from the same plan_curve
+        assert run_cli("synth", "--config", small_config, "--seed", 7) == 0
+        assert run_cli("cool", "--config", small_config, "--seed", 7, "--save-spectra") == 0
+        synth = sorted((tmp_path / "out" / "synth_-1620000Hz").glob("*.csv"))
+        cool = sorted((tmp_path / "out" / "cool_-1620000Hz" / "spectra").glob("*.csv"))
+        assert [p.name for p in synth] == [p.name for p in cool]
+        assert len(synth) == len(SMALL_GRID_HZ)
+        assert all(a.read_bytes() == b.read_bytes() for a, b in zip(synth, cool))
+
     def test_writes_without_fitting(self, small_config, tmp_path, monkeypatch):
         def no_fit(spectrum):
             raise AssertionError("synth must not fit the spectra it writes")
@@ -805,6 +848,8 @@ class TestConfigHandling:
             (["model"], {"gamma_opt_grid_hz": [math.inf]}),
             (["cool", "--seed", "-1"], {}),
             (["cool"], {"seed": -4}),
+            (["model"], {"system": {"gamma_0_hz": 2e6}}),
+            (["cool"], {"system": {"gamma_0_hz": 1.48e6}}),
         ],
     )
     def test_malformed_or_non_finite_input_is_a_usage_error(

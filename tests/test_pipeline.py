@@ -1,5 +1,6 @@
 """Tests for cooling-curve planning and orchestration."""
 
+import functools
 import math
 import pickle
 import time
@@ -221,7 +222,7 @@ class TestRunCoolingCurve:
         # without cancelling, leaving the pool would wait for all 40 tasks
         items = range(41)
         with pytest.raises(ValueError, match="first task fails"):
-            run_points(_fail_or_mark, items, tmp_path, jobs=2)
+            run_points(functools.partial(_fail_or_mark, marks=tmp_path), items, jobs=2)
         ran = len(list(tmp_path.iterdir()))
         assert ran < len(items) // 2
 

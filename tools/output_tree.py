@@ -8,13 +8,16 @@ Runs ``sideband-limit`` from the tree at ``SRC`` (its ``src`` directory)
 over a fixed matrix and writes the results under ``OUT``, which must not
 exist yet.  The matrix is ``cool``, ``cool --save-spectra``, ``fit`` of
 the saved spectra, ``cool --no-noise``, ``synth`` and ``sweep``, each at
-``--jobs`` 1 and 2 with ``--seed 7``, on the default configuration (no
-``--config``) and on the configurations of the benchmark's workloads in
-``SRC/perfbench/workloads.py``.
+``--jobs`` 1 and 2 with ``--seed 7``, plus ``model`` and ``model --json``,
+on the default configuration (no ``--config``) and on the configurations
+of the benchmark's workloads in ``SRC/perfbench/workloads.py``, and one
+``init-config``.
 
 Each command gets a directory ``OUT/<config>/jobs<N>/<command>`` holding
 the files it wrote under ``files/`` plus ``exit_code``, ``stdout`` and
-``stderr``.  Commands run with ``OUT/<config>/jobs<N>`` as the working
+``stderr``; ``model`` records under ``OUT/<config>/<command>``, and
+``init-config`` writes ``OUT/init-config/config.json`` beside its record.
+Commands run with the directory above their record as the working
 directory and take relative paths, so the printed paths match between
 trees, and ``diff -r`` of two outputs compares everything::
 
@@ -33,6 +36,8 @@ from pathlib import Path
 
 SEED = "7"
 JOBS = (1, 2)
+# (directory, arguments); model takes no --seed, --jobs or --out
+MODEL_COMMANDS = (("model", ["model"]), ("model_json", ["model", "--json"]))
 # (directory, arguments after the command's --out); "fit" reads cool_save's spectra
 COMMANDS = (
     ("cool", ["cool"]),
@@ -44,8 +49,8 @@ COMMANDS = (
 )
 
 
-def workload_configs(src: Path, out: Path) -> dict[str, list[str]]:
-    """``--config`` arguments per configuration name, relative to ``out/<name>/jobs<N>``.
+def workload_configs(src: Path, out: Path) -> dict[str, Path | None]:
+    """The configuration file of each configuration name, None for the default.
 
     The workloads' configurations are written to ``out``.
     """
@@ -54,11 +59,10 @@ def workload_configs(src: Path, out: Path) -> dict[str, list[str]]:
     from sidebandlimit.config import save_config
     from workloads import WORKLOADS
 
-    configs = {"default": []}
+    configs = {"default": None}
     for name, workload in WORKLOADS.items():
-        path = out / f"{name}.json"
-        save_config(workload.config(), path)
-        configs[name] = ["--config", f"../../{path.name}"]
+        configs[name] = out / f"{name}.json"
+        save_config(workload.config(), configs[name])
     return configs
 
 
@@ -86,10 +90,16 @@ def main() -> int:
     out.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(src / "src")}
     env.pop("SIDEBAND_LIMIT_SEED", None)
-    for config, config_args in workload_configs(src, out).items():
+    run(out, "init-config", ["init-config", "init-config/config.json"], env)
+    for config, path in workload_configs(src, out).items():
+        (out / config).mkdir()
+        for name, argv in MODEL_COMMANDS:
+            config_args = [] if path is None else ["--config", f"../{path.name}"]
+            run(out / config, name, [*argv, *config_args], env)
         for jobs in JOBS:
             cwd = out / config / f"jobs{jobs}"
-            cwd.mkdir(parents=True)
+            cwd.mkdir()
+            config_args = [] if path is None else ["--config", f"../../{path.name}"]
             for name, (command, *flags) in COMMANDS:
                 argv = [command, *config_args, "--seed", SEED, "--jobs", str(jobs),
                         "--out", f"{name}/files", *flags]
