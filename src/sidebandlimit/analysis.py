@@ -426,7 +426,9 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     law.  The solver takes the analytic Jacobian of those residuals, and
     the covariance comes from it at the optimum.  Raises
     :class:`AnalysisError` if a fitted bin is not positive (the Gamma law
-    has no zero), and :class:`FitConvergenceError`
+    has no zero) or if the residuals or their Jacobian are not finite at
+    the solve's result (a record beyond float range), and
+    :class:`FitConvergenceError`
     (carrying the best-so-far state) if the solve runs out of evaluations
     before it converges.
     """
@@ -448,6 +450,8 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     x, r, jac, converged = _solve_bounded(
         lambda p: _deviance(p, freqs, data, n_w), np.clip(x0, lower, upper), lower, upper
     )
+    if not (np.isfinite(r).all() and np.isfinite(jac).all()):
+        raise AnalysisError("the sideband fit's residuals or Jacobian are not finite")
     dof = max(idx.size - 5, 1)
     covariance = _covariance(jac)
     fit = SidebandFit(

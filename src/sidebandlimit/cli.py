@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -30,6 +29,7 @@ from sidebandlimit.config import (
     ConfigError,
     ExperimentConfig,
     default_config,
+    detuning_problem,
     load_config,
     save_config,
 )
@@ -142,10 +142,8 @@ def _resolve_seed(args, default: int | None) -> int | None:
 
 def _resolve_detuning_hz(args, config: ExperimentConfig) -> float:
     if getattr(args, "detuning", None) is not None:
-        if not (math.isfinite(args.detuning) and args.detuning < 0):
-            raise ConfigError(
-                "--detuning: must be finite and negative (red-detuned), in Hz"
-            )
+        if problem := detuning_problem(args.detuning, config):
+            raise ConfigError(f"--detuning: {problem}")
         return args.detuning
     return config.detunings_hz[0]
 
@@ -357,7 +355,8 @@ def _cmd_synth(args) -> int:
     out_dir = Path(config.output_dir) / f"synth_{_detuning_label(detuning_hz)}"
     plans = plan_curve(config, detuning_hz, seed, 0, args.no_noise, str(out_dir))
     _output_dir(out_dir)
-    run_points(record_point, plans, args.jobs)
+    for _ in run_points(record_point, plans, args.jobs):
+        pass
     print(f"wrote {len(plans)} spectra to {out_dir}")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sidebandlimit.physics import SystemParams
+from sidebandlimit.physics import TWO_PI, SystemParams, sideband_ratio
 
 
 class ConfigError(ValueError):
@@ -139,6 +139,35 @@ def _leaves(data, name: str):
         yield name, data
 
 
+def detuning_problem(detuning_hz: float, config: ExperimentConfig) -> str | None:
+    """Why no curve of ``config``'s system can be planned at ``detuning_hz``, else None.
+
+    A detuning must be finite and red, and its sideband ratio s in (0, 1),
+    as n_ba = s / (1 - s) needs: s rounds to 1 where the detuning is tiny,
+    or huge against kappa_hz and omega_m_hz.
+    """
+    if not -math.inf < detuning_hz < 0:
+        return f"must be finite and negative (red), got {detuning_hz}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = sideband_ratio(TWO_PI * detuning_hz, config.system_params())
+    if not 0 < s < 1:
+        return f"gives sideband ratio s = {s}, outside (0, 1), at {detuning_hz}"
+    return None
+
+
+def drive_problem(gamma_opt_hz: float, config: ExperimentConfig) -> str | None:
+    """Why ``gamma_opt_hz`` is no drive of ``config``'s system, else None.
+
+    A drive must be finite and positive, and leave the mode high-Q: its
+    linewidth gamma_0_hz + gamma_opt_hz stays below omega_m_hz.
+    """
+    if not 0 < gamma_opt_hz < math.inf:
+        return f"must be finite and positive, got {gamma_opt_hz}"
+    if not config.system.gamma_0_hz + gamma_opt_hz < config.system.omega_m_hz:
+        return f"must keep gamma_0_hz + gamma_opt_hz below omega_m_hz (high-Q), got {gamma_opt_hz}"
+    return None
+
+
 def validate(config: ExperimentConfig) -> None:
     settings = asdict(config)
     del settings["output_dir"]  # the one setting that is not a number
@@ -166,9 +195,8 @@ def validate(config: ExperimentConfig) -> None:
         len(config.detunings_hz) > 0, "config.detunings_hz", "must not be empty"
     )
     for i, d in enumerate(config.detunings_hz):
-        _require(
-            d < 0, f"config.detunings_hz[{i}]", f"must be negative (red), got {d}"
-        )
+        problem = detuning_problem(d, config)
+        _require(problem is None, f"config.detunings_hz[{i}]", problem)
         # a sweep reports its curves by detuning, so a repeat would overwrite one
         _require(
             d not in config.detunings_hz[:i],
@@ -181,9 +209,8 @@ def validate(config: ExperimentConfig) -> None:
         "must not be empty",
     )
     for i, g in enumerate(config.gamma_opt_grid_hz):
-        _require(
-            g > 0, f"config.gamma_opt_grid_hz[{i}]", f"must be positive, got {g}"
-        )
+        problem = drive_problem(g, config)
+        _require(problem is None, f"config.gamma_opt_grid_hz[{i}]", problem)
         # `fit` orders spectra by drive, so `cool` must too for its outputs to match
         _require(
             i == 0 or g > config.gamma_opt_grid_hz[i - 1],

@@ -8,17 +8,17 @@ Points own independent RNG streams derived from ``(master seed, detuning
 index, point index)``, so any execution order -- including process pools
 -- reproduces identical data.
 
-Points, and the files ``fit`` reads, fan out through the ``map`` that
-``worker_map`` yields.  The pipeline opens the pool: ``run_cooling_curve``,
-``analyze_spectrum_files`` and ``run_points`` take ``jobs`` and open one
-``worker_map`` of at most ``jobs`` workers, and no more than the tasks they
-queue; at one job the points run in this process, through the builtin
-``map``.  ``run_cooling_curve`` runs the curves of ``cool`` and ``sweep``
-alike: it plans every curve, queues every point of every curve on the pool
-before it reads any result, then reduces the curves in order, each as soon
-as its own points are done, while the workers go on with later curves.  A
-plan stores only its independent values, so the queue holds little; one that
-saves its spectrum also names the file and its header.
+Points, and the files ``fit`` reads, fan out through one generator,
+``run_points``, which yields each task's result in item order: at one job
+through the builtin ``map`` in this process, otherwise from a pool of at
+most ``jobs`` workers and no more than the tasks, whose queued tasks are
+cancelled however the generator stops.  ``run_cooling_curve`` runs the
+curves of ``cool`` and ``sweep`` alike: it plans every curve, maps every
+point of every curve through one ``run_points`` call, then reduces the
+curves in order, each as soon as its own points are done, while the workers
+go on with later curves.  A plan stores only its independent values, so the
+queue holds little; one that saves its spectrum also names the file and its
+header.
 
 ``cool``, ``fit`` and every curve of ``sweep`` share one path: a
 synthesized or a read spectrum becomes a ``PointOutcome`` in
@@ -33,10 +33,11 @@ systematics; ``detuning_sweep_summary`` tabulates the reduced curves for ``sweep
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ from sidebandlimit.analysis import (
     occupation_series,
     ratio_series,
 )
-from sidebandlimit.config import ConfigError, ExperimentConfig
+from sidebandlimit.config import ConfigError, ExperimentConfig, detuning_problem, drive_problem
 from sidebandlimit.io import (
     SchemaError,
     config_hash,
@@ -186,37 +187,25 @@ def fit_outcome(
     return PointOutcome(name, gamma_opt_hz, fit, error)
 
 
-@contextmanager
-def worker_map(jobs: int, tasks: int):
-    """A ``map`` on up to ``jobs`` worker processes for ``tasks`` queued tasks.
+def run_points(task: Callable, items: Sequence, jobs: int) -> Iterator:
+    """Yield ``task(item)`` for every item, in item order, on up to ``jobs`` workers.
 
-    With one worker or none it is the builtin ``map``, which runs each task
-    here as its result is read; otherwise a pool's ``map``, which queues
-    every task at once.  A forking pool starts every worker at its first
-    submit, so it opens no more than ``tasks``.  A block that exits on an
-    exception, a raising task or an interrupt, cancels the tasks still
-    queued by every ``map`` call, not only the raising one's, instead of
-    waiting for them.
+    At one worker each task runs here, through the builtin ``map``, as its
+    result is read.  Otherwise the first result read queues every task on
+    a pool of no more than ``min(jobs, len(items))`` workers.  The first
+    task to raise, in item order, raises here.  However the generator
+    stops -- a raising task, an interrupt, or the caller closing it -- the
+    tasks still queued are cancelled, not waited for.
     """
-    workers = min(jobs, tasks)
+    workers = min(jobs, len(items))
     if workers <= 1:
-        yield map
+        yield from map(task, items)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            yield pool.map
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
-def run_points(task: Callable, items: Sequence, jobs: int) -> list:
-    """``task(item)`` for every item on up to ``jobs`` workers, results in order.
-
-    The first task to raise, in item order, raises here.
-    """
-    with worker_map(jobs, len(items)) as mapped:
-        return list(mapped(task, items))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(task, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -358,25 +347,22 @@ def run_cooling_curve(
 ) -> list[CurveRun | AnalysisError]:
     """Synthesize, fit and reduce one cooling curve per ``(detuning index, detuning_hz)``.
 
-    On a pool of up to ``jobs`` workers, one task per drive point of each
-    curve, every curve is planned and its points queued before any result
-    is read; the curves are reduced in order, each once its own points are
-    done.  A curve whose reduction raises ``AnalysisError`` gets that error
-    in place of its ``CurveRun``.  Given ``spectra_dirs``, one per curve,
-    each point's spectrum is written there.
+    Every curve is planned, then one ``run_points`` call maps every point of
+    every curve on up to ``jobs`` workers; the curves are reduced in order,
+    each once its own points are done, and leaving early cancels the points
+    still queued.  A curve whose reduction raises ``AnalysisError`` gets that
+    error in place of its ``CurveRun``.  Given ``spectra_dirs``, one per
+    curve, each point's spectrum is written there.
     """
     dirs = spectra_dirs if spectra_dirs is not None else [None] * len(curves)
+    plans = [
+        plan_curve(config, detuning_hz, master_seed, index, noiseless, spectra_dir)
+        for (index, detuning_hz), spectra_dir in zip(curves, dirs)
+    ]
     runs = []
-    with worker_map(jobs, len(curves) * len(config.gamma_opt_grid_hz)) as mapped:
-        queued = [
-            mapped(
-                run_point,
-                plan_curve(config, detuning_hz, master_seed, index, noiseless, spectra_dir),
-            )
-            for (index, detuning_hz), spectra_dir in zip(curves, dirs)
-        ]
-        for (_, detuning_hz), results in zip(curves, queued):
-            outcomes = list(results)
+    with closing(run_points(run_point, list(chain(*plans)), jobs)) as results:
+        for (_, detuning_hz), curve_plans in zip(curves, plans):
+            outcomes = list(islice(results, len(curve_plans)))
             try:
                 runs.append(reduce_curve(outcomes, config, detuning_hz, master_seed))
             except AnalysisError as exc:
@@ -388,10 +374,12 @@ def run_cooling_curve(
 _IDENTITY_KEYS = (("detuning_hz", float, "detuning"), ("seed", int, "seed"))
 
 
-def read_identity(path) -> dict:
+def read_identity(path, config: ExperimentConfig) -> dict:
     """A spectrum file's identity keys, read and checked from its header alone.
 
-    The header must name a finite, positive ``gamma_opt_hz``.
+    The header must name a ``gamma_opt_hz`` that ``drive_problem`` accepts,
+    and a ``detuning_hz``, if any, that ``detuning_problem`` accepts, both
+    on ``config``'s system.
     """
     metadata = read_spectrum_header(path)
     gamma_opt_hz = metadata_number(path, metadata, "gamma_opt_hz")
@@ -401,10 +389,10 @@ def read_identity(path) -> dict:
         if key in metadata
     }
     detuning_hz, seed = identity.get("detuning_hz"), identity.get("seed", 0)
-    if not 0 < gamma_opt_hz < math.inf:
-        raise SchemaError(path, 1, f"gamma_opt_hz must be finite and positive, got {gamma_opt_hz}")
-    if detuning_hz is not None and not -math.inf < detuning_hz < 0:
-        raise SchemaError(path, 1, f"detuning_hz must be finite and negative, got {detuning_hz}")
+    if problem := drive_problem(gamma_opt_hz, config):
+        raise SchemaError(path, 1, f"gamma_opt_hz {problem}")
+    if detuning_hz is not None and (problem := detuning_problem(detuning_hz, config)):
+        raise SchemaError(path, 1, f"detuning_hz {problem}")
     if seed < 0:
         raise SchemaError(path, 1, f"seed must be a non-negative integer, got {seed}")
     return identity
@@ -422,17 +410,17 @@ def analyze_spectrum_files(
 ) -> CurveRun:
     """Run the reduction chain on externally provided spectrum files.
 
-    Files must follow the spectra CSV schema and carry a finite, positive
-    ``gamma_opt_hz``.  The identity keys are optional: a finite, negative
-    ``detuning_hz`` only feeds the closed-form comparison value, and a
-    non-negative ``seed`` becomes the run's seed, but files naming two
-    values of either are not one curve, and a ``seed`` the caller names
-    must be theirs.  Every header is checked, in input order, before any
-    file is fitted, so those errors cost no fit; a schema error names the
-    first bad header, else the first bad file.  The pipeline opens a pool
-    of up to ``jobs`` workers, no more than the files, to read and fit them.
+    Files must follow the spectra CSV schema and carry a ``gamma_opt_hz``
+    that ``drive_problem`` accepts.  The identity keys are optional: a
+    ``detuning_hz`` that ``detuning_problem`` accepts only feeds the
+    closed-form comparison value, and a non-negative ``seed`` becomes the
+    run's seed, but files naming two values of either are not one curve, and
+    a ``seed`` the caller names must be theirs.  Every header is checked, in
+    input order, before any file is fitted, so those errors cost no fit; a
+    schema error names the first bad header, else the first bad file.  The
+    files are read and fitted through ``run_points`` on up to ``jobs`` workers.
     """
-    identities = [read_identity(path) for path in files]
+    identities = [read_identity(path, config) for path in files]
     identity = {}
     for key, _, noun in _IDENTITY_KEYS:
         first_at: dict = {}

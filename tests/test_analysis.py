@@ -214,6 +214,15 @@ class TestFitSidebands:
             )
             assert n_scaled == pytest.approx(n_ref, rel=1e-6)
 
+    def test_record_beyond_float_range_raises_analysis_error(self):
+        # a default record scaled by 1e305 overflows the Jacobian; the fit
+        # fails there instead of handing inf to the covariance's SVD
+        config = default_config()
+        spectrum = record_point(plan_curve(config, config.detunings_hz[0], 1)[0])
+        scaled = replace(spectrum, psd=spectrum.psd * 1e305)
+        with pytest.warns(RuntimeWarning), pytest.raises(AnalysisError, match="not finite"):
+            fit_sidebands(scaled)
+
     def test_insufficient_visibility_raises(self, params, bath_occupation):
         _, _, model = make_model(params, bath_occupation, 30e3)
         with pytest.raises(InsufficientVisibilityError):

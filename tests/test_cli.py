@@ -386,6 +386,11 @@ class TestFitCommand:
             pytest.param(
                 {"gamma_opt_hz": 300.0, "detuning_hz": math.nan}, "detuning_hz", id="nan-detuning"
             ),
+            # s rounds to 1, and a drive's linewidth reaches omega_m
+            pytest.param(
+                {"gamma_opt_hz": 300.0, "detuning_hz": -1e-300}, "detuning_hz", id="unit-s-detuning"
+            ),
+            pytest.param({"gamma_opt_hz": 1e300}, "gamma_opt_hz", id="drive-past-omega_m"),
             # a seed, as on the command line, is a non-negative integer
             pytest.param({"gamma_opt_hz": 300.0, "seed": -3}, "seed", id="negative-seed"),
             pytest.param(
@@ -850,6 +855,11 @@ class TestConfigHandling:
             (["cool"], {"seed": -4}),
             (["model"], {"system": {"gamma_0_hz": 2e6}}),
             (["cool"], {"system": {"gamma_0_hz": 1.48e6}}),
+            (["cool"], {"detunings_hz": [-1e-300]}),
+            (["cool"], {"system": {"kappa_hz": 1e20}}),
+            (["cool", "--detuning=-1e-300"], {}),
+            (["cool"], {"gamma_opt_grid_hz": [1.0, 1e300]}),
+            (["synth"], {"gamma_opt_grid_hz": [1.0, 1e300]}),
         ],
     )
     def test_malformed_or_non_finite_input_is_a_usage_error(
@@ -859,6 +869,40 @@ class TestConfigHandling:
         path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **patch}))
         assert run_cli(*argv, "--config", path) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, patch, name",
+        [
+            (["cool"], {"detunings_hz": [-1.62e6, -1e-300]}, "config.detunings_hz[1]"),
+            (["sweep"], {"system": {"kappa_hz": 1e20}}, "config.detunings_hz[0]"),
+            (["synth", "--detuning=-1e-300"], {}, "--detuning"),
+            (["cool"], {"gamma_opt_grid_hz": [1.0, 1e300]}, "config.gamma_opt_grid_hz[1]"),
+            (["cool"], {"gamma_opt_grid_hz": [1.0, 1.48e6]}, "config.gamma_opt_grid_hz[1]"),
+        ],
+    )
+    def test_unplannable_detuning_or_drive_names_its_source(
+        self, argv, patch, name, tmp_path, capsys
+    ):
+        # s must round below 1, and gamma_0 + gamma_opt must stay below omega_m
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"output_dir": str(tmp_path / "out"), **patch}))
+        assert run_cli(*argv, "--config", path) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_bath_beyond_float_range_fails_each_point(self, tmp_path, capsys):
+        # the weak drives' fits of a 1e300 K bath overflow: each failure is
+        # named and the command exits 1, where it hung in the covariance's SVD
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({"output_dir": str(tmp_path / "out"), "bath_temperature_k": 1e300})
+        )
+        with pytest.warns(RuntimeWarning):
+            assert run_cli("cool", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "point 0 (gamma_opt = 1 Hz) failed: AnalysisError: " in err
+        assert "not finite" in err
 
     @pytest.mark.parametrize(
         "command, name, values, where",

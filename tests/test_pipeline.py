@@ -222,7 +222,7 @@ class TestRunCoolingCurve:
         # without cancelling, leaving the pool would wait for all 40 tasks
         items = range(41)
         with pytest.raises(ValueError, match="first task fails"):
-            run_points(functools.partial(_fail_or_mark, marks=tmp_path), items, jobs=2)
+            list(run_points(functools.partial(_fail_or_mark, marks=tmp_path), items, jobs=2))
         ran = len(list(tmp_path.iterdir()))
         assert ran < len(items) // 2
 
@@ -240,6 +240,27 @@ class TestRunCoolingCurve:
             )
         ran = len(list(written.glob("*.csv")))
         assert ran < len(config.gamma_opt_grid_hz) // 2
+
+    def test_raising_reduction_cancels_queued_points(self, tmp_path, monkeypatch):
+        # curve 0 of five raises on reduction while the pool holds the other
+        # four curves' points; closing the generator cancels them
+        def fail(outcomes, config, detuning_hz, seed):
+            raise ValueError("reduction interrupted")
+
+        monkeypatch.setattr(pipeline, "reduce_curve", fail)
+        config = default_config()
+        curves = list(enumerate(config.detunings_hz))
+        dirs = [str(tmp_path / f"d{index}") for index, _ in curves]
+        # the kept traceback keeps run_cooling_curve's frame alive, so only
+        # an explicit close, not garbage collection, can stop the pool here
+        with pytest.raises(ValueError, match="reduction interrupted") as raised:
+            run_cooling_curve(config, curves, 4, spectra_dirs=dirs, jobs=2)
+        ran = len(list(tmp_path.glob("d*/*.csv")))
+        assert ran < len(curves) * len(config.gamma_opt_grid_hz) // 2
+        # the pool is shut down: no worker writes another file
+        time.sleep(0.2)
+        assert len(list(tmp_path.glob("d*/*.csv"))) == ran
+        assert raised.tb is not None
 
     def test_reports_systematics_biases(self, reducible_config):
         config = reducible_config

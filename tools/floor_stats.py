@@ -9,8 +9,9 @@ directory).  For every seed from A through B and every detuning of the
 default configuration (its index in ``detunings_hz`` is the curve's
 detuning index, as in ``sweep``), it plans the curve with ``plan_curve``,
 fits each point with ``run_point`` and reduces the curve with
-``analyze_outcomes``, one curve per task on up to N worker processes,
-and takes the closed form from ``backaction_limit``.
+``analyze_outcomes``, one curve per task through the tree's
+``run_points`` on up to N worker processes, and takes the closed form from
+``backaction_limit``.
 It writes to ``OUT`` a JSON of:
 
 * ``detunings`` and ``pooled``: the floor's z = (n_ba - closed form) /
@@ -37,19 +38,12 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from pathlib import Path
 
 
-def use_tree(src: str) -> None:
-    """Import ``sidebandlimit`` from ``src``, writing no cache files there."""
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, src)
-
-
-def curve_stats(seed: int, detuning_index: int) -> dict:
-    """Fit one default curve; its floor, its points' pulls and its failures."""
+def curve_stats(task: tuple[int, int]) -> dict:
+    """Fit the default curve of one ``(seed, detuning index)``; its floor, pulls and failures."""
+    seed, detuning_index = task
     from sidebandlimit.analysis import AnalysisError
     from sidebandlimit.config import default_config
     from sidebandlimit.physics import TWO_PI, backaction_limit
@@ -157,22 +151,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         parser.error(f"--jobs must be a positive integer, got {args.jobs}")
 
-    src = str(args.src.resolve() / "src")
-    use_tree(src)
+    # import sidebandlimit from SRC, writing no cache files there; forked
+    # workers inherit the path
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(args.src.resolve() / "src"))
     from sidebandlimit.config import default_config
+    from sidebandlimit.pipeline import run_points
 
     config = default_config()
     tasks = [(seed, d) for d in range(len(config.detunings_hz)) for seed in args.seeds]
-    if args.jobs == 1:
-        curves = [curve_stats(*task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(args.jobs, len(tasks)),
-            mp_context=get_context("spawn"),
-            initializer=use_tree,
-            initargs=(src,),
-        ) as pool:
-            curves = list(pool.map(curve_stats, *zip(*tasks)))
+    curves = list(run_points(curve_stats, tasks, args.jobs))
 
     detunings = []
     for detuning_hz in config.detunings_hz:
