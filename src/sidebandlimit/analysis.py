@@ -366,7 +366,8 @@ def _solve_bounded(fun, x0, lower, upper):
     by 3, else lam rises by 4 and the step is retried.  The solve stops
     once the scaled projected gradient is at most _GRADIENT_TOL ||r||,
     once a kept step lowers the sum of squares by at most 1e-14 of it, or
-    once lam exceeds 1e16.
+    once lam exceeds 1e16; a start whose r or J is not finite is returned
+    at once, before any step.
 
     Returns (x, r, J, converged) at the best point reached, with the r and
     J that ``fun`` gave there; converged is False only when _MAX_EVALS
@@ -374,8 +375,12 @@ def _solve_bounded(fun, x0, lower, upper):
     """
     max_evals = _MAX_EVALS  # read per call, so a patched budget applies
     x = x0
-    r, jacobian = fun(x)
-    J = jacobian()
+    # a start beyond float range is returned before its overflow can warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, jacobian = fun(x)
+        J = jacobian()
+    if not (np.isfinite(r).all() and np.isfinite(J).all()):
+        return x, r, J, True
     cost = r @ r
     evals = 1
     lam = 1e-3
@@ -427,7 +432,8 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     the covariance comes from it at the optimum.  Raises
     :class:`AnalysisError` if a fitted bin is not positive (the Gamma law
     has no zero) or if the residuals or their Jacobian are not finite at
-    the solve's result (a record beyond float range), and
+    the solve's start, before any step and any numpy warning, or at its
+    result (a record beyond float range), and
     :class:`FitConvergenceError`
     (carrying the best-so-far state) if the solve runs out of evaluations
     before it converges.

@@ -23,6 +23,11 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+# One BLAS thread per process, set before numpy is first imported: the
+# workers of a pool already share the cores.  A value the user sets wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from sidebandlimit import __version__
 from sidebandlimit.analysis import AnalysisError
 from sidebandlimit.config import (
@@ -77,7 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON configuration file")
         p.add_argument("--seed", type=int, help="master RNG seed")
         p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="worker processes, at most one per curve of sweep, spectrum of synth "
+            "or file of fit; cool runs its one curve here",
+        )
 
     # argparse reads "-1.62e6" after a space as an option, so the value is joined by "="
     detuning_help = "override detuning, negative, in Hz: --detuning=HZ"

@@ -8,17 +8,16 @@ Points own independent RNG streams derived from ``(master seed, detuning
 index, point index)``, so any execution order -- including process pools
 -- reproduces identical data.
 
-Points, and the files ``fit`` reads, fan out through one generator,
-``run_points``, which yields each task's result in item order: at one job
-through the builtin ``map`` in this process, otherwise from a pool of at
-most ``jobs`` workers and no more than the tasks, whose queued tasks are
-cancelled however the generator stops.  ``run_cooling_curve`` runs the
-curves of ``cool`` and ``sweep`` alike: it plans every curve, maps every
-point of every curve through one ``run_points`` call, then reduces the
-curves in order, each as soon as its own points are done, while the workers
-go on with later curves.  A plan stores only its independent values, so the
-queue holds little; one that saves its spectrum also names the file and its
-header.
+Curves, the points of ``synth`` and the files ``fit`` reads fan out
+through one generator, ``run_points``, which yields each task's result in
+item order: at one job through the builtin ``map`` in this process,
+otherwise from a pool of at most ``jobs`` workers and no more than the
+tasks, whose queued tasks are cancelled however the generator stops.
+``run_cooling_curve`` runs the curves of ``cool`` and ``sweep`` alike: each
+curve is one task, ``run_curve``, which plans, synthesizes, fits and reduces
+it where it runs, so the process that queues the curves only collects each
+``CurveRun``.  A plan stores only its independent values; one that saves its
+spectrum also names the file and its header.
 
 ``cool``, ``fit`` and every curve of ``sweep`` share one path: a
 synthesized or a read spectrum becomes a ``PointOutcome`` in
@@ -34,10 +33,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -103,9 +99,9 @@ def _point_model(
 class PointPlan:
     """Everything needed to synthesize and fit one cooling-curve point.
 
-    A plan keeps its independent values, and the point's worker lays out
-    its ``acquisition_grid``, so a queued sweep holds a few hundred bytes
-    per point, not its bins.  A plan whose spectrum is saved names its file,
+    A plan keeps its independent values, and ``record_point`` lays out
+    its ``acquisition_grid``, so a plan holds a few hundred bytes, not its
+    bins.  A plan whose spectrum is saved names its file,
     ``path``, and the ``header`` written there; otherwise both are None.
     """
 
@@ -191,16 +187,19 @@ def run_points(task: Callable, items: Sequence, jobs: int) -> Iterator:
     """Yield ``task(item)`` for every item, in item order, on up to ``jobs`` workers.
 
     At one worker each task runs here, through the builtin ``map``, as its
-    result is read.  Otherwise the first result read queues every task on
-    a pool of no more than ``min(jobs, len(items))`` workers.  The first
-    task to raise, in item order, raises here.  However the generator
-    stops -- a raising task, an interrupt, or the caller closing it -- the
-    tasks still queued are cancelled, not waited for.
+    result is read, and nothing loads ``multiprocessing``.  Otherwise the
+    first result read queues every task on a pool of no more than
+    ``min(jobs, len(items))`` workers.  The first task to raise, in item
+    order, raises here.  However the generator stops -- a raising task, an
+    interrupt, or the caller closing it -- the tasks still queued are
+    cancelled, not waited for.
     """
     workers = min(jobs, len(items))
     if workers <= 1:
         yield from map(task, items)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         yield from pool.map(task, items)
@@ -337,6 +336,22 @@ def detuning_sweep_summary(runs: Sequence[CurveRun], omega_m_hz: float) -> dict:
     }
 
 
+def run_curve(task: tuple) -> CurveRun | AnalysisError:
+    """Plan, synthesize, fit and reduce one curve, where this task runs.
+
+    ``task`` is ``(config, master_seed, noiseless, detuning index,
+    detuning_hz, spectra_dir)``.  A reduction that raises ``AnalysisError``
+    returns that error in place of the ``CurveRun``.
+    """
+    config, master_seed, noiseless, index, detuning_hz, spectra_dir = task
+    plans = plan_curve(config, detuning_hz, master_seed, index, noiseless, spectra_dir)
+    outcomes = [run_point(plan) for plan in plans]
+    try:
+        return reduce_curve(outcomes, config, detuning_hz, master_seed)
+    except AnalysisError as exc:
+        return exc
+
+
 def run_cooling_curve(
     config: ExperimentConfig,
     curves: Sequence[tuple[int, float]],
@@ -347,27 +362,18 @@ def run_cooling_curve(
 ) -> list[CurveRun | AnalysisError]:
     """Synthesize, fit and reduce one cooling curve per ``(detuning index, detuning_hz)``.
 
-    Every curve is planned, then one ``run_points`` call maps every point of
-    every curve on up to ``jobs`` workers; the curves are reduced in order,
-    each once its own points are done, and leaving early cancels the points
-    still queued.  A curve whose reduction raises ``AnalysisError`` gets that
-    error in place of its ``CurveRun``.  Given ``spectra_dirs``, one per
-    curve, each point's spectrum is written there.
+    Each curve is one ``run_curve`` task, and one ``run_points`` call runs
+    them on up to ``jobs`` workers; a curve that raises cancels the curves
+    still queued.  A curve whose reduction raises ``AnalysisError`` gets
+    that error in place of its ``CurveRun``.  Given ``spectra_dirs``, one
+    per curve, each point's spectrum is written there.
     """
     dirs = spectra_dirs if spectra_dirs is not None else [None] * len(curves)
-    plans = [
-        plan_curve(config, detuning_hz, master_seed, index, noiseless, spectra_dir)
+    tasks = [
+        (config, master_seed, noiseless, index, detuning_hz, spectra_dir)
         for (index, detuning_hz), spectra_dir in zip(curves, dirs)
     ]
-    runs = []
-    with closing(run_points(run_point, list(chain(*plans)), jobs)) as results:
-        for (_, detuning_hz), curve_plans in zip(curves, plans):
-            outcomes = list(islice(results, len(curve_plans)))
-            try:
-                runs.append(reduce_curve(outcomes, config, detuning_hz, master_seed))
-            except AnalysisError as exc:
-                runs.append(exc)
-    return runs
+    return list(run_points(run_curve, tasks, jobs))
 
 
 # Optional header keys that name the curve a file belongs to: key, type, noun.

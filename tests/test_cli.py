@@ -320,6 +320,63 @@ def test_commands_load_no_scipy(small_config, tmp_path):
     assert done.stdout.splitlines()[-1] == "[0, 0, 0] [] False"
 
 
+# A fresh interpreter logs the process of every fit and reduction of a
+# two-worker sweep, and prints its exit code, its own pid and whether it
+# loaded numpy.random.  Forked workers inherit the logging wrappers.
+_WORKER_SCRIPT = """
+import os, sys
+from sidebandlimit.cli import main
+from sidebandlimit import pipeline
+
+config, out, log = sys.argv[1:]
+
+def logged(name, inner):
+    def call(*args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{name} {os.getpid()}\\n")
+        return inner(*args, **kwargs)
+    return call
+
+for name in ("fit_sidebands", "reduce_curve"):
+    setattr(pipeline, name, logged(name, getattr(pipeline, name)))
+code = main(["sweep", "--config", config, "--out", out, "--jobs", "2"])
+print(code, os.getpid(), "numpy.random" in sys.modules)
+"""
+
+
+def test_sweep_fits_and_reduces_every_curve_in_a_worker(small_config, tmp_path):
+    log = tmp_path / "calls.log"
+    done = subprocess.run(
+        [sys.executable, "-c", _WORKER_SCRIPT, str(small_config), str(tmp_path / "run"), str(log)],
+        env={**os.environ, "PYTHONPATH": str(Path(sidebandlimit.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, parent, loaded_random = done.stdout.splitlines()[-1].split()
+    assert (code, loaded_random) == ("0", "False")
+    calls = [line.split() for line in log.read_text().splitlines()]
+    curves = len(json.loads(small_config.read_text())["detunings_hz"])
+    assert sorted(name for name, _ in calls) == (
+        ["fit_sidebands"] * curves * len(SMALL_GRID_HZ) + ["reduce_curve"] * curves
+    )
+    assert parent not in {pid for _, pid in calls}
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_blas_threads_default_to_one_unless_set():
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(sidebandlimit.__file__).resolve().parents[1])
+    env["OMP_NUM_THREADS"] = "3"
+    script = f"import os, sidebandlimit.cli; print([os.environ[k] for k in {_BLAS_VARS}])"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "['1', '3', '1']\n"
+
+
 # A fresh interpreter imports the package root and prints its version and
 # every sidebandlimit submodule and numpy module that import loaded.
 _ROOT_IMPORT_SCRIPT = """
@@ -897,12 +954,30 @@ class TestConfigHandling:
         path.write_text(
             json.dumps({"output_dir": str(tmp_path / "out"), "bath_temperature_k": 1e300})
         )
-        with pytest.warns(RuntimeWarning):
-            assert run_cli("cool", "--config", path) == 1
+        assert run_cli("cool", "--config", path) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "point 0 (gamma_opt = 1 Hz) failed: AnalysisError: " in err
         assert "not finite" in err
+
+    def test_bath_beyond_float_range_prints_no_numpy_warning(self, tmp_path):
+        # a fresh interpreter keeps numpy's default warning filters, so an
+        # overflow at the fit's start would reach stderr as a RuntimeWarning
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({"output_dir": str(tmp_path / "out"), "bath_temperature_k": 1e300})
+        )
+        src = Path(sidebandlimit.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "sidebandlimit.cli", "cool", "--config", str(path)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 1
+        failed = [line.split(" (")[0] for line in done.stderr.splitlines()]
+        assert failed == [f"point {i}" for i in range(8)]
+        assert "RuntimeWarning" not in done.stderr
 
     @pytest.mark.parametrize(
         "command, name, values, where",
@@ -981,12 +1056,12 @@ class _InlinePool(Executor):
 
 
 def test_pool_opens_no_more_workers_than_tasks(small_config, tmp_path, monkeypatch):
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     for command in ("cool", "sweep", "synth"):
         assert run_cli(command, "--config", small_config, "--jobs", 64) == 0
     spectra = sorted((tmp_path / "out" / "synth_-1620000Hz").glob("*.csv"))[:4]
     assert run_cli("fit", "--config", small_config, "--jobs", 64, *spectra) == 0
     grid = len(SMALL_GRID_HZ)
-    # sweep queues every point of both detunings on one pool
-    assert _InlinePool.sizes == [grid, 2 * grid, grid, 4]
+    # cool runs its one curve here; sweep queues its two curves on one pool
+    assert _InlinePool.sizes == [2, grid, 4]

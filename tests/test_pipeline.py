@@ -60,6 +60,13 @@ def reducible_config(config):
     return replace(config, synthesis=replace(config.synthesis, n_avg_base=3200.0))
 
 
+@pytest.fixture
+def many_curves():
+    """Thirty default curves: far more than two workers and their call queue
+    of three can hold, so a pool that is left early has curves to cancel."""
+    return from_dict({"detunings_hz": [-0.5e6 - 0.07e6 * i for i in range(30)]})
+
+
 class TestPlanCurve:
     def test_plans_follow_the_grid(self, config):
         plans = plan_curve(config, config.detunings_hz[0], master_seed=1)
@@ -202,16 +209,15 @@ class TestRunCoolingCurve:
         assert one.curve.n0_fit == two.curve.n0_fit
         assert one.curve.s_hat == two.curve.s_hat
 
-    def test_every_point_is_queued_before_any_result_is_read(
+    def test_every_curve_is_queued_before_any_result_is_read(
         self, reducible_config, monkeypatch
     ):
         config = reducible_config
         curves = list(enumerate(config.detunings_hz[:2]))
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "log", [])
         runs = run_cooling_curve(config, curves, master_seed=4, jobs=2)
-        points = len(curves) * len(config.gamma_opt_grid_hz)
-        assert _RecordingPool.log == ["submit"] * points + ["result"] * points
+        assert _RecordingPool.log == ["submit"] * len(curves) + ["result"] * len(curves)
         # each curve keeps its own detuning index, so its own streams
         for (index, detuning_hz), run in zip(curves, runs):
             (alone,) = run_cooling_curve(config, [(index, detuning_hz)], master_seed=4)
@@ -226,33 +232,32 @@ class TestRunCoolingCurve:
         ran = len(list(tmp_path.iterdir()))
         assert ran < len(items) // 2
 
-    def test_failing_point_cancels_later_curves(self, tmp_path):
+    def test_failing_point_cancels_later_curves(self, many_curves, tmp_path):
         # every point of curve 0 raises, as its spectra directory is a file;
-        # curve 1's points sit on the pool under a map whose results are
-        # never read, so only leaving the pool can cancel them
-        config = default_config()
-        curves = list(enumerate(config.detunings_hz[:2]))
+        # only the curves a worker holds or its call queue has taken still
+        # run, and leaving the pool cancels the rest
+        config = many_curves
+        curves = list(enumerate(config.detunings_hz))
         blocked, written = tmp_path / "blocked", tmp_path / "written"
         blocked.touch()
+        dirs = [str(blocked)] + [str(written / f"d{index}") for index, _ in curves[1:]]
         with pytest.raises(FileExistsError):
-            run_cooling_curve(
-                config, curves, 4, spectra_dirs=[str(blocked), str(written)], jobs=2
-            )
-        ran = len(list(written.glob("*.csv")))
-        assert ran < len(config.gamma_opt_grid_hz) // 2
+            run_cooling_curve(config, curves, 4, spectra_dirs=dirs, jobs=2)
+        ran = len(list(written.glob("d*/*.csv")))
+        assert ran < (len(curves) - 1) * len(config.gamma_opt_grid_hz) // 2
 
-    def test_raising_reduction_cancels_queued_points(self, tmp_path, monkeypatch):
-        # curve 0 of five raises on reduction while the pool holds the other
-        # four curves' points; closing the generator cancels them
+    def test_raising_reduction_cancels_queued_points(self, many_curves, tmp_path, monkeypatch):
+        # curve 0 raises on reduction, in its worker, while the pool holds
+        # the later curves; leaving the pool cancels those not yet taken
         def fail(outcomes, config, detuning_hz, seed):
             raise ValueError("reduction interrupted")
 
         monkeypatch.setattr(pipeline, "reduce_curve", fail)
-        config = default_config()
+        config = many_curves
         curves = list(enumerate(config.detunings_hz))
         dirs = [str(tmp_path / f"d{index}") for index, _ in curves]
         # the kept traceback keeps run_cooling_curve's frame alive, so only
-        # an explicit close, not garbage collection, can stop the pool here
+        # an explicit shutdown, not garbage collection, can stop the pool here
         with pytest.raises(ValueError, match="reduction interrupted") as raised:
             run_cooling_curve(config, curves, 4, spectra_dirs=dirs, jobs=2)
         ran = len(list(tmp_path.glob("d*/*.csv")))
