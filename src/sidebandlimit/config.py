@@ -170,7 +170,10 @@ def drive_problem(gamma_opt_hz: float, config: ExperimentConfig) -> str | None:
 
 def validate(config: ExperimentConfig) -> None:
     settings = asdict(config)
-    del settings["output_dir"]  # the one setting that is not a number
+    output_dir = settings.pop("output_dir")  # the one setting that is not a number
+    _require(
+        isinstance(output_dir, str), "config.output_dir", f"must be a string, got {output_dir!r}"
+    )
     for name, value in _leaves(settings, "config"):
         _require(
             isinstance(value, (int, float))
@@ -240,9 +243,11 @@ def validate(config: ExperimentConfig) -> None:
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot read (not UTF-8 text)") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     return from_dict(data)

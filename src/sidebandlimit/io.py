@@ -7,33 +7,35 @@ JSON keys are sorted, and no timestamps or environment details are
 embedded.  Oscillator time series, the time-domain oracle's input, stay
 in memory and have no file format.
 
-Spectrum CSV schema (one file per spectrum).  A record that stores only
-some bins of its grid -- the two sideband spans a zoomed acquisition
-keeps -- is written as v2, with the grid bin of each row::
+Spectrum CSV schema (one file per spectrum).  Every record is written as
+v2, with the grid bin of each row, whether it stores every bin of its
+grid or only some -- the two sideband spans a zoomed acquisition keeps::
 
     # sidebandlimit-spectrum v2 key=value key=value ...
     bin,frequency_hz,psd_sn
     110954,-1.6199...e6,1.0023...
 
-A record that stores every bin of its grid is written as v1, without the
-bin column (row ``i`` is bin ``i``)::
+v1, which stores every bin of its grid without the bin column (row ``i``
+is bin ``i``), is still read, as ``estimate_psd`` records and external
+full-grid data use it::
 
     # sidebandlimit-spectrum v1 key=value key=value ...
     frequency_hz,psd_sn
     -1.6199...e6,1.0023...
 
-Both versions are read.  The header metadata carries the exact grid
-(``f_lo_rad``, ``resolution_rad``, and for v2 ``grid_bins``), the
-averaging count, the number of rows (``n_bins``) and the drive context
-(``gamma_opt_hz``, ``detuning_hz``), so an analysis of the file is
-bit-identical to an analysis of the in-memory spectrum it was written
-from.
+The header metadata carries the exact grid (``f_lo_rad``,
+``resolution_rad``, and for v2 ``grid_bins``), the averaging count, the
+number of rows (``n_bins``) and the drive context (``gamma_opt_hz``,
+``detuning_hz``), so an analysis of the file is bit-identical to an
+analysis of the in-memory spectrum it was written from.  A file that is
+not UTF-8 text, or whose header names a key twice, is a schema error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -95,6 +97,8 @@ def _parse_metadata(path, line: str) -> tuple[str, dict[str, str]]:
         if "=" not in item:
             raise SchemaError(path, 1, f"malformed metadata item {item!r}")
         key, value = item.split("=", 1)
+        if key in metadata:
+            raise SchemaError(path, 1, f"metadata key {key!r} appears twice")
         metadata[key] = value
     return magic, metadata
 
@@ -109,12 +113,16 @@ def metadata_number(path, metadata: Mapping[str, str], key: str, kind: type = fl
         raise SchemaError(path, 1, f"malformed metadata value for {key!r}: {exc}") from exc
 
 
+@contextmanager
 def _open(path):
-    """A spectrum file opened for reading; one that cannot be is a schema error."""
+    """A spectrum file open for reading; one that cannot be read as text is a schema error."""
     try:
-        return Path(path).open("r")
+        with Path(path).open("r", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
         raise SchemaError(path, None, f"cannot read ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(path, None, "cannot read (not UTF-8 text)") from exc
 
 
 def read_spectrum_header(path) -> dict[str, str]:
@@ -126,34 +134,22 @@ def read_spectrum_header(path) -> dict[str, str]:
 def write_spectrum_csv(
     path, spectrum: HeterodyneSpectrum, metadata: Mapping[str, Any] | None = None
 ) -> None:
-    """Write a spectrum with its exact grid and context in the header.
-
-    A record storing its whole grid is written as v1, any other as v2.
-    """
-    full = spectrum.n_bins == spectrum.grid_bins
+    """Write a spectrum as v2, with its exact grid and context in the header."""
     meta = dict(metadata or {})
     meta.update(
         f_lo_rad=float(spectrum.f_lo),
         resolution_rad=float(spectrum.resolution),
         n_avg=float(spectrum.n_avg),
         n_bins=spectrum.n_bins,
+        grid_bins=spectrum.grid_bins,
     )
-    columns = [spectrum.frequencies / TWO_PI, spectrum.psd]
-    row = "%.17g,%.17g\n"
-    if full:
-        magic, header = SPECTRUM_MAGIC, SPECTRUM_COLUMNS
-    else:
-        magic, header = SPECTRUM_MAGIC_V2, SPECTRUM_COLUMNS_V2
-        meta["grid_bins"] = spectrum.grid_bins
-        columns.insert(0, spectrum.index)
-        row = "%d," + row
-    path = Path(path)
-    with path.open("w") as handle:
-        handle.write(f"# {magic} {_format_metadata(meta)}\n")
-        handle.write(header + "\n")
+    columns = (spectrum.index, spectrum.frequencies / TWO_PI, spectrum.psd)
+    with Path(path).open("w") as handle:
+        handle.write(f"# {SPECTRUM_MAGIC_V2} {_format_metadata(meta)}\n")
+        handle.write(SPECTRUM_COLUMNS_V2 + "\n")
         for start in range(0, spectrum.n_bins, _CHUNK_ROWS):
             cells = (column[start : start + _CHUNK_ROWS].tolist() for column in columns)
-            handle.write("".join(map(row.__mod__, zip(*cells))))
+            handle.write("".join(map("%d,%.17g,%.17g\n".__mod__, zip(*cells))))
 
 
 def read_spectrum_csv(path) -> tuple[HeterodyneSpectrum, dict[str, str]]:

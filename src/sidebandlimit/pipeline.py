@@ -377,7 +377,11 @@ def run_cooling_curve(
 
 
 # Optional header keys that name the curve a file belongs to: key, type, noun.
-_IDENTITY_KEYS = (("detuning_hz", float, "detuning"), ("seed", int, "seed"))
+_IDENTITY_KEYS = (
+    ("detuning_hz", float, "detuning"),
+    ("seed", int, "seed"),
+    ("config_hash", str, "configuration"),
+)
 
 
 def read_identity(path, config: ExperimentConfig) -> dict:
@@ -419,12 +423,13 @@ def analyze_spectrum_files(
     Files must follow the spectra CSV schema and carry a ``gamma_opt_hz``
     that ``drive_problem`` accepts.  The identity keys are optional: a
     ``detuning_hz`` that ``detuning_problem`` accepts only feeds the
-    closed-form comparison value, and a non-negative ``seed`` becomes the
-    run's seed, but files naming two values of either are not one curve, and
-    a ``seed`` the caller names must be theirs.  Every header is checked, in
-    input order, before any file is fitted, so those errors cost no fit; a
-    schema error names the first bad header, else the first bad file.  The
-    files are read and fitted through ``run_points`` on up to ``jobs`` workers.
+    closed-form comparison value, a non-negative ``seed`` becomes the run's
+    seed, and a ``config_hash`` is only compared, but files naming two values
+    of any of them are not one curve, and a ``seed`` the caller names must be
+    theirs.  Every header is checked, in input order, before any file is
+    fitted, so those errors cost no fit; a schema error names the first bad
+    header, else the first bad file.  The files are read and fitted through
+    ``run_points`` on up to ``jobs`` workers.
     """
     identities = [read_identity(path, config) for path in files]
     identity = {}

@@ -54,6 +54,8 @@ from sidebandlimit.analysis import (
     ratio_series,
 )
 
+from spectrum_v1 import write_v1_csv
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -501,8 +503,9 @@ def _full_grid_record(params, n0, gamma_opt_hz, n_avg, seed):
 
 
 class TestRecordLayouts:
-    # Exact fits of two full-grid records written and read back as v1:
-    # records that store every bin must keep fitting to these numbers.
+    # Exact fits of two full-grid records written and read back as v1, the
+    # format external full-grid data use: records that store every bin must
+    # keep fitting to these numbers, from a v1 file or from a v2 one.
     PINNED = {
         2100.0: (
             2.0e5, 5,
@@ -524,16 +527,19 @@ class TestRecordLayouts:
     ):
         n_avg, seed, expected, ratio_variance = self.PINNED[gamma_opt_hz]
         record = _full_grid_record(params, bath_occupation, gamma_opt_hz, n_avg, seed)
-        path = tmp_path / "full.csv"
-        write_spectrum_csv(path, record, {"gamma_opt_hz": gamma_opt_hz})
-        assert path.read_text().startswith("# sidebandlimit-spectrum v1 ")
-        fit = fit_sidebands(read_spectrum_csv(path)[0])
-        got = (
-            fit.omega_m_fit, fit.gamma_eff_fit, fit.amp_stokes, fit.amp_antistokes,
-            fit.floor_fit, fit.residual_norm, fit.n_bins_used,
-        )
-        assert got == expected
-        assert fit.ratio_variance() == ratio_variance
+        v1, v2 = tmp_path / "full_v1.csv", tmp_path / "full_v2.csv"
+        write_v1_csv(v1, record, {"gamma_opt_hz": gamma_opt_hz})
+        write_spectrum_csv(v2, record, {"gamma_opt_hz": gamma_opt_hz})
+        assert v1.read_text().startswith("# sidebandlimit-spectrum v1 ")
+        assert v2.read_text().startswith("# sidebandlimit-spectrum v2 ")
+        for path in (v1, v2):
+            fit = fit_sidebands(read_spectrum_csv(path)[0])
+            got = (
+                fit.omega_m_fit, fit.gamma_eff_fit, fit.amp_stokes, fit.amp_antistokes,
+                fit.floor_fit, fit.residual_norm, fit.n_bins_used,
+            )
+            assert got == expected
+            assert fit.ratio_variance() == ratio_variance
 
     # Exact fits of two default-acquisition records, the two sideband spans
     # at the pipeline's averaging, written and read back as v2.

@@ -556,6 +556,33 @@ class TestFitCommand:
         assert str(first[0]) in err and str(second[0]) in err
         assert not refit.exists()
 
+    def test_spectra_of_two_configurations_are_a_schema_error(
+        self, small_config, tmp_path, capsys
+    ):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**json.loads(small_config.read_text()), "synthesis": {}}))
+        for config, out in ((small_config, tmp_path / "a"), (other, tmp_path / "b")):
+            assert run_cli("synth", "--config", config, "--seed", 3, "--out", out) == 0
+        first = sorted((tmp_path / "a" / "synth_-1620000Hz").glob("*.csv"))
+        second = sorted((tmp_path / "b" / "synth_-1620000Hz").glob("*.csv"))
+        refit = tmp_path / "refit"
+        assert run_cli("fit", "--config", small_config, "--out", refit, *first, *second) == 2
+        err = capsys.readouterr().err
+        assert "spectra of one curve must share one configuration" in err
+        assert str(first[0]) in err and str(second[0]) in err
+        assert not refit.exists()
+
+    def test_output_dir_that_is_not_a_string_is_a_usage_error(
+        self, small_config, tmp_path, capsys
+    ):
+        assert run_cli("synth", "--config", small_config) == 0
+        spectra = sorted((tmp_path / "out" / "synth_-1620000Hz").glob("*.csv"))
+        config = json.loads(small_config.read_text())
+        small_config.write_text(json.dumps({**config, "output_dir": None}))
+        capsys.readouterr()
+        assert run_cli("fit", "--config", small_config, *spectra) == 2
+        assert capsys.readouterr().err == "error: config.output_dir: must be a string, got None\n"
+
     def test_output_independent_of_jobs(self, small_config, tmp_path, monkeypatch):
         pools = []
         init = ProcessPoolExecutor.__init__
@@ -595,19 +622,40 @@ class TestFitCommand:
 
 
 @pytest.mark.parametrize(
-    "command, name", [("cool", "nope.json"), ("fit", "nope.csv"), ("fit", "spectra")]
+    "command, name",
+    [
+        ("cool", "nope.json"),
+        ("fit", "nope.csv"),
+        ("fit", "spectra"),
+        # a \xff byte: at a config's start, or in a spectrum's header or on
+        # its data row 20, which the header read decodes with it
+        ("cool", "binary.json"),
+        ("model", "binary.json"),
+        ("fit", "binary_header.csv"),
+        ("fit --jobs 2", "binary_row20.csv"),
+    ],
 )
 def test_unreadable_input_is_a_usage_error(command, name, tmp_path):
-    # a missing file, or a directory, exits 2 naming it, without a traceback
+    # a missing file, a directory, or a file that is not UTF-8 text exits 2
+    # naming it, without a traceback
     (tmp_path / "spectra").mkdir()
+    (tmp_path / "binary.json").write_bytes(b"\xff{}")
+    spectrum = HeterodyneSpectrum(f_lo=-1e7, resolution=1e4, psd=np.ones(2001), n_avg=10.0)
+    for line, binary in (
+        (0, tmp_path / "binary_header.csv"), (21, tmp_path / "binary_row20.csv")
+    ):
+        write_spectrum_csv(binary, spectrum, {"gamma_opt_hz": 300.0})
+        lines = binary.read_bytes().split(b"\n")
+        lines[line] += b"\xff"
+        binary.write_bytes(b"\n".join(lines))
     path = tmp_path / name
-    out = tmp_path / "out"
     src = Path(sidebandlimit.__file__).resolve().parents[1]
     done = subprocess.run(
         [
-            sys.executable, "-m", "sidebandlimit.cli", command, "--out", str(out),
-            *(["--config", str(path)] if command == "cool" else [str(path)]),
+            sys.executable, "-m", "sidebandlimit.cli", *command.split(),
+            *([str(path)] if command.startswith("fit") else ["--config", str(path)]),
         ],
+        cwd=tmp_path,  # where the default output_dir, "out", would be made
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
@@ -615,7 +663,7 @@ def test_unreadable_input_is_a_usage_error(command, name, tmp_path):
     assert done.returncode == 2
     assert f"error: {path}: cannot read" in done.stderr
     assert "Traceback" not in done.stderr
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -917,6 +965,9 @@ class TestConfigHandling:
             (["cool", "--detuning=-1e-300"], {}),
             (["cool"], {"gamma_opt_grid_hz": [1.0, 1e300]}),
             (["synth"], {"gamma_opt_grid_hz": [1.0, 1e300]}),
+            (["cool"], {"output_dir": 5}),
+            (["synth"], {"output_dir": None}),
+            (["sweep"], {"output_dir": ["a"]}),
         ],
     )
     def test_malformed_or_non_finite_input_is_a_usage_error(

@@ -9,7 +9,6 @@ import pytest
 from sidebandlimit.io import (
     _CHUNK_ROWS,
     POINTS_COLUMNS,
-    SPECTRUM_COLUMNS,
     SPECTRUM_COLUMNS_V2,
     SchemaError,
     config_hash,
@@ -20,6 +19,7 @@ from sidebandlimit.io import (
 from sidebandlimit.spectra import HeterodyneSpectrum
 
 from points_csv import read_points_csv
+from spectrum_v1 import write_v1_csv
 
 
 @pytest.fixture
@@ -49,8 +49,23 @@ class TestSpectrumFiles:
         path = tmp_path / "spec.csv"
         write_spectrum_csv(path, spectrum, {"gamma_opt_hz": 300.0})
         lines = path.read_text().splitlines()
-        assert lines[0].startswith("# sidebandlimit-spectrum v1 ")
-        assert lines[1] == SPECTRUM_COLUMNS
+        assert lines[0].startswith("# sidebandlimit-spectrum v2 ")
+        assert lines[1] == SPECTRUM_COLUMNS_V2
+
+    def test_v1_file_reads_as_its_v2_record(self, tmp_path, spectrum):
+        # v1 is still read: a hand-written full-grid file gives the record,
+        # bit for bit, that the file written from it as v2 gives
+        v1, v2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
+        write_v1_csv(v1, spectrum, {"gamma_opt_hz": 300.0})
+        write_spectrum_csv(v2, spectrum, {"gamma_opt_hz": 300.0})
+        (from_v1, meta_v1), (from_v2, meta_v2) = read_spectrum_csv(v1), read_spectrum_csv(v2)
+        assert from_v2.psd.tobytes() == spectrum.psd.tobytes()
+        for name in ("psd", "index"):
+            one, two = getattr(from_v1, name), getattr(from_v2, name)
+            assert one.dtype == two.dtype and one.tobytes() == two.tobytes()
+        for name in ("f_lo", "resolution", "n_avg", "grid_bins"):
+            assert getattr(from_v1, name) == getattr(from_v2, name) == getattr(spectrum, name)
+        assert meta_v1 == {k: v for k, v in meta_v2.items() if k != "grid_bins"}
 
     def test_missing_header_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -81,6 +96,13 @@ class TestSpectrumFiles:
         text = path.read_text().replace(" resolution_rad=987.654321", " resolution_rad=1e3Hz")
         path.write_text(text)
         with pytest.raises(SchemaError, match=r"spec\.csv:1: malformed metadata value for 'resolution_rad'"):
+            read_spectrum_csv(path)
+
+    def test_repeated_metadata_key_named(self, tmp_path, spectrum):
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(path, spectrum, {"seed": 8})
+        path.write_text(path.read_text().replace(" seed=8", " seed=8 seed=7"))
+        with pytest.raises(SchemaError, match=r"spec\.csv:1: metadata key 'seed' appears twice"):
             read_spectrum_csv(path)
 
     def test_truncated_data_detected(self, tmp_path, spectrum):
@@ -177,7 +199,9 @@ class TestSpectrumBytes:
         path = tmp_path / "full.csv"
         write_spectrum_csv(path, spectrum)
         written, reference = self._data_rows(
-            path, [spectrum.frequencies / (2.0 * math.pi), spectrum.psd], ["%.17g", "%.17g"]
+            path,
+            [np.arange(size), spectrum.frequencies / (2.0 * math.pi), spectrum.psd],
+            ["%d", "%.17g", "%.17g"],
         )
         assert written.count("\n") == size
         assert written == reference
