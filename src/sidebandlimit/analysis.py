@@ -7,8 +7,8 @@ The chain mirrors how the measurement is actually reduced:
    fitted by maximum likelihood under the Gamma(n_avg) bin-noise law:
    one bounded solve on Gamma deviance residuals, which
    :func:`_deviance` returns with their Jacobian in closed form, built
-   only where the solver keeps a step.  Both fits
-   here use the one bounded least-squares solver, :func:`_solve_bounded`.
+   only where the solver keeps a step.  Both fits here use the one
+   bounded least-squares solver, :func:`_solve_bounded`.
 2. :func:`ratio_series` -- each fit's amplitude ratio R and its
    uncertainty.
 3. :func:`fit_cooling_curve` -- one weighted fit of the measured ratios,
@@ -43,7 +43,7 @@ from sidebandlimit.spectra import WINDOW_LINEWIDTHS, HeterodyneSpectrum, lorentz
 # fit residuals and the floor-noise estimate finite.
 _MAX_WEIGHT_AVERAGES = 1e12
 
-_GRADIENT_TOL = 1e-10
+_STALL_TOL = 1e-10  # a relative fall of the sum of squares that ends a solve
 _MAX_EVALS = 2000
 
 # Where |d| = |data/model - 1| is below this, the Jacobian takes d/r, the
@@ -65,7 +65,7 @@ class InsufficientVisibilityError(AnalysisError):
 
 
 class FitConvergenceError(AnalysisError):
-    """Bounded-iteration fit did not reach the gradient tolerance.
+    """Bounded-iteration fit used up its evaluation budget before it stopped.
 
     Carries the best-so-far parameter state in ``best``.
     """
@@ -363,11 +363,10 @@ def _solve_bounded(fun, x0, lower, upper):
     (J^T J + lam I) dx = -J^T r over the free parameters -- those not
     held on a bound by a gradient pushing outward -- and is clipped to
     the box; it is kept if the sum of squares falls, and lam then falls
-    by 3, else lam rises by 4 and the step is retried.  The solve stops
-    once the scaled projected gradient is at most _GRADIENT_TOL ||r||,
-    once a kept step lowers the sum of squares by at most 1e-14 of it, or
-    once lam exceeds 1e16; a start whose r or J is not finite is returned
-    at once, before any step.
+    by 3, else lam rises by 4 and the step is retried.  Nearly every solve
+    ends on the stall rule, a kept step that lowers the sum of squares by
+    at most _STALL_TOL of it; one also stops when the clipped trial equals
+    x, or lam exceeds 1e16, or at once if r or J is not finite at x0.
 
     Returns (x, r, J, converged) at the best point reached, with the r and
     J that ``fun`` gave there; converged is False only when _MAX_EVALS
@@ -384,24 +383,25 @@ def _solve_bounded(fun, x0, lower, upper):
     cost = r @ r
     evals = 1
     lam = 1e-3
-    stalled = False
     while True:
         g = J.T @ r
         free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
         norms = np.linalg.norm(J[:, free], axis=0)
         norms[norms == 0] = 1.0
         g_free = g[free] / norms
-        if stalled or np.max(np.abs(g_free), initial=0.0) <= _GRADIENT_TOL * math.sqrt(cost):
-            return x, r, J, True
         J_free = J[:, free] / norms
         normal = J_free.T @ J_free
+        diagonal = normal.diagonal().copy()
         while True:
             if evals >= max_evals:
                 return x, r, J, False
-            step = np.linalg.solve(normal + lam * np.eye(normal.shape[0]), -g_free)
+            np.fill_diagonal(normal, diagonal + lam)
+            step = np.linalg.solve(normal, -g_free)
             trial = x.copy()
             trial[free] += step / norms
             trial = np.clip(trial, lower, upper)
+            if np.array_equal(trial, x):
+                return x, r, J, True
             del jacobian  # free the last point's arrays before evaluating the next
             r_trial, jacobian = fun(trial)
             evals += 1
@@ -412,9 +412,10 @@ def _solve_bounded(fun, x0, lower, upper):
             if lam > 1e16:
                 return x, r, J, True
         lam /= 3.0
-        stalled = cost - cost_trial <= 1e-14 * cost
-        x, r, cost = trial, r_trial, cost_trial
+        x, r, previous, cost = trial, r_trial, cost, cost_trial
         J = jacobian()
+        if previous - cost <= _STALL_TOL * previous:
+            return x, r, J, True
 
 
 def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
@@ -433,10 +434,9 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     :class:`AnalysisError` if a fitted bin is not positive (the Gamma law
     has no zero) or if the residuals or their Jacobian are not finite at
     the solve's start, before any step and any numpy warning, or at its
-    result (a record beyond float range), and
-    :class:`FitConvergenceError`
-    (carrying the best-so-far state) if the solve runs out of evaluations
-    before it converges.
+    result (a record beyond float range), and :class:`FitConvergenceError`
+    (carrying the best-so-far state) if the solve uses up its budget of
+    ``_MAX_EVALS`` evaluations before it stops.
     """
     x0 = _initial_guess(spectrum)
     omega_m0, gamma0 = x0[0], x0[1]
@@ -472,8 +472,7 @@ def fit_sidebands(spectrum: HeterodyneSpectrum) -> SidebandFit:
     )
     if not converged:
         raise FitConvergenceError(
-            f"sideband fit stopped after {_MAX_EVALS} evaluations without "
-            f"reaching gradient tolerance {_GRADIENT_TOL:g}",
+            f"sideband fit used its budget of {_MAX_EVALS} evaluations before it stopped",
             best=fit,
         )
     # Whole-record visibility: neither fitted amplitude beats its own

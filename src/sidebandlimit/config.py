@@ -124,10 +124,10 @@ def from_dict(data: dict) -> ExperimentConfig:
 
 
 def _leaves(data, name: str):
-    """``(field name, value)`` for every set leaf of nested settings.
+    """``(field name, value)`` for every leaf of nested settings.
 
     Only dicts and tuples (the sequence fields) are walked, so a JSON list
-    where one number belongs is a leaf, and is rejected as one.
+    or ``null`` where one number belongs is a leaf, and is rejected as one.
     """
     if isinstance(data, dict):
         for key, value in data.items():
@@ -135,7 +135,7 @@ def _leaves(data, name: str):
     elif isinstance(data, tuple):
         for i, value in enumerate(data):
             yield from _leaves(value, f"{name}[{i}]")
-    elif data is not None:
+    else:
         yield name, data
 
 

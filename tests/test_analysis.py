@@ -39,6 +39,7 @@ from sidebandlimit.spectra import (
 from sidebandlimit.synth import synthesize_spectrum
 from sidebandlimit.analysis import (
     _SMOOTH_WIDTH,
+    _STALL_TOL,
     AnalysisError,
     InsufficientVisibilityError,
     _covariance,
@@ -351,6 +352,72 @@ def test_solver_returns_the_residuals_and_jacobian_of_its_point():
     assert np.array_equal(jac, jacobian_at_x())
 
 
+def _assert_stalls_without_repeats(calls, x):
+    """``calls`` holds each (point, sum of squares) in evaluation order, and
+    ``x`` the point the solve returned.  A trial is kept exactly when it
+    lowers the best sum of squares so far.
+    """
+    kept, best, previous = calls[0][0], calls[0][1], None
+    for trial, cost in calls[1:]:
+        assert not np.array_equal(trial, kept)  # no evaluation at the kept point
+        if cost < best:
+            kept, best, previous = trial, cost, best
+    # the last evaluation is the point returned, a kept step that stalled
+    assert np.array_equal(calls[-1][0], x)
+    assert calls[-1][1] == best
+    assert previous - best <= _STALL_TOL * previous
+
+
+def test_bounded_solve_ends_on_the_stall_rule_without_repeats():
+    # the bounded Rosenbrock valley of the test above
+    calls = []
+
+    def fun(x):
+        r = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        calls.append((x.copy(), r @ r))
+        return r, lambda: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    x, _, _, converged = _solve_bounded(
+        fun, np.array([-1.2, 1.0]), np.array([-2.0, -2.0]), np.array([0.5, 2.0])
+    )
+    assert converged
+    assert x[0] == 0.5
+    _assert_stalls_without_repeats(calls, x)
+
+
+def test_sideband_fit_ends_on_the_stall_rule_without_repeats(monkeypatch):
+    from sidebandlimit import analysis
+
+    calls = []
+
+    def deviance(p, *args):
+        r, jacobian = _deviance(p, *args)
+        calls.append((p.copy(), r @ r))
+        return r, jacobian
+
+    # the 3.4 kHz point of the default curve: a solve that ran on to a
+    # 1e-14 stall, retrying until lam passed 1e16, evaluates 14 trials there
+    # that equal its kept point
+    plan = plan_curve(default_config(), -1.62e6, 1)[15]
+    record = record_point(plan)
+    monkeypatch.setattr(analysis, "_deviance", deviance)
+    fit = fit_sidebands(record)
+    x = np.array(
+        [fit.omega_m_fit, fit.gamma_eff_fit, fit.amp_stokes, fit.amp_antistokes, fit.floor_fit]
+    )
+    _assert_stalls_without_repeats(calls, x)
+
+
+def test_nonconvergence_names_the_evaluation_budget(params, bath_occupation, monkeypatch):
+    from sidebandlimit import analysis
+    from sidebandlimit.analysis import FitConvergenceError
+
+    _, _, model = make_model(params, bath_occupation, 30e3)
+    monkeypatch.setattr(analysis, "_MAX_EVALS", 3)
+    with pytest.raises(FitConvergenceError, match="budget of 3 evaluations"):
+        fit_sidebands(synthesize(model, 5000.0, seed=3))
+
+
 def test_fit_indices_merge_matches_unique_on_every_default_plan():
     # 20 gamma_eff < omega_m on every default plan, so a 75 kHz drive is
     # added: its window, 20 x 75 kHz = 1.5 MHz, exceeds omega_m = 1.48 MHz
@@ -509,15 +576,15 @@ class TestRecordLayouts:
     PINNED = {
         2100.0: (
             2.0e5, 5,
-            (9299163.121994423, 12980.842472839699, 0.04713475792020871,
-             0.11608557462349776, 1.0028067855880538, 0.9254650190105044, 1282),
-            4.4146811379349844e-05,
+            (9299163.121992582, 12980.842449937903, 0.047134757980915425,
+             0.1160855747150483, 1.002806785590245, 0.9254650190105049, 1282),
+            4.414681139841181e-05,
         ),
         30000.0: (
             2.6e4, 6,
-            (9297217.559440823, 201120.34213301772, 0.03425872855177369,
-             0.038459764154159824, 1.0028943583655723, 1.000437521110436, 1362),
-            0.004217616666449139,
+            (9297217.532368774, 201120.39190123774, 0.034258726531614415,
+             0.038459757920274444, 1.002894358203924, 1.000437521110463, 1362),
+            0.004217617348235869,
         ),
     }
 
@@ -546,15 +613,15 @@ class TestRecordLayouts:
     PINNED_V2 = {
         200.0: (
             592134.0, 7,
-            (9299113.41690594, 1257.8831113581432, 0.16352490923389087,
-             0.8922093077803624, 1.0026678896536305, 0.9794046050367657, 1282),
-            2.669967063264179e-07,
+            (9299113.416905947, 1257.883111432786, 0.16352490923259094,
+             0.8922093077534758, 1.0026678896531669, 0.97940460503677, 1282),
+            2.669967063269678e-07,
         ),
         30000.0: (
             26296.0, 8,
-            (9297291.855014587, 187716.70931205276, 0.031655648869810316,
-             0.041707923237325126, 1.002741678569774, 1.0384546860066122, 1362),
-            0.0033373285024139287,
+            (9297291.871801276, 187716.13872484482, 0.03165570258622151,
+             0.04170797731972155, 1.0027416803557199, 1.0384546860080663, 1362),
+            0.003337331257330586,
         ),
     }
 

@@ -979,6 +979,20 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "patch, name",
+        [
+            ({"bath_temperature_k": None}, "config.bath_temperature_k"),
+            ({"system": {"kappa_hz": None}}, "config.system.kappa_hz"),
+            ({"synthesis": {"n_avg_base": None}}, "config.synthesis.n_avg_base"),
+        ],
+    )
+    def test_null_setting_is_a_usage_error_naming_it(self, patch, name, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(patch))
+        assert run_cli("model", "--config", path) == 2
+        assert capsys.readouterr().err == f"error: {name}: must be a finite number, got None\n"
+
+    @pytest.mark.parametrize(
         "argv, patch, name",
         [
             (["cool"], {"detunings_hz": [-1.62e6, -1e-300]}, "config.detunings_hz[1]"),

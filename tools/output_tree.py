@@ -3,6 +3,7 @@
 Usage::
 
     python3 tools/output_tree.py SRC OUT
+    python3 tools/output_tree.py compare A B
 
 Runs ``sideband-limit`` from the tree at ``SRC`` (its ``src`` directory)
 over a fixed matrix and writes the results under ``OUT``, which must not
@@ -24,11 +25,25 @@ trees, and ``diff -r`` of two outputs compares everything::
     python3 tools/output_tree.py parent/ /tmp/a
     python3 tools/output_tree.py . /tmp/b
     diff -r /tmp/a /tmp/b && echo identical
+
+Where a change moves fitted numbers on purpose, the compare form states
+by how much::
+
+    python3 tools/output_tree.py compare /tmp/a /tmp/b
+
+It reads every JSON and CSV file of both trees as numbers in a fixed
+layout and prints the largest relative move of any number, the largest
+move of a fitted floor (``estimates.n_ba`` of each ``summary.json``) in
+units of A's ``uncertainties.sigma_n_ba``, and every other file that
+differs or is in one tree only.  It exits 0 when the trees are identical
+and 1 when any file differs.
 """
 
 from __future__ import annotations
 
 import glob
+import json
+import math
 import os
 import subprocess
 import sys
@@ -82,7 +97,83 @@ def run(cwd: Path, name: str, argv: list[str], env: dict) -> None:
     (record / "stderr").write_text(done.stderr)
 
 
+def _layout(value, numbers: list[float]):
+    """``value`` with each number replaced by "#" and appended to ``numbers``."""
+    if isinstance(value, dict):
+        return {key: _layout(item, numbers) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_layout(item, numbers) for item in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        numbers.append(float(value))
+        return "#"
+    return value
+
+
+def _cell(text: str, numbers: list[float]) -> str:
+    try:
+        numbers.append(float(text))
+    except ValueError:
+        return text
+    return "#"
+
+
+def read_numbers(path: Path) -> tuple[object, list[float]]:
+    """A JSON or CSV file's layout, with its numbers as "#", and the numbers in order."""
+    numbers: list[float] = []
+    text = path.read_text()
+    if path.suffix == ".json":
+        return _layout(json.loads(text), numbers), numbers
+    rows = [[_cell(cell, numbers) for cell in line.split(",")] for line in text.splitlines()]
+    return rows, numbers
+
+
+def relative_move(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(b - a) / abs(a) if a and not math.isnan(b) else math.inf
+
+
+def floor_move(a: Path, b: Path) -> float:
+    """|n_ba(B) - n_ba(A)| in units of A's sigma_n_ba; 0 where a summary has no floor."""
+    old, new = (json.loads(p.read_text()) for p in (a, b))
+    try:
+        shift = new["estimates"]["n_ba"] - old["estimates"]["n_ba"]
+        return abs(shift) / old["uncertainties"]["sigma_n_ba"]
+    except (KeyError, TypeError, ZeroDivisionError):
+        return 0.0
+
+
+def compare(a: Path, b: Path) -> int:
+    """Print how the files of tree ``b`` differ from those of ``a``; 1 if any does."""
+    files = {p.relative_to(root) for root in (a, b) for p in root.rglob("*") if p.is_file()}
+    moves, floors, other = [(0.0, "-")], [(0.0, "-")], []
+    for name in sorted(files):
+        left, right = a / name, b / name
+        if not (left.is_file() and right.is_file()):
+            other.append(f"only in {'A' if left.is_file() else 'B'}: {name}")
+            continue
+        if left.read_bytes() == right.read_bytes():
+            continue
+        if name.suffix in (".json", ".csv"):
+            (layout, old), (new_layout, new) = read_numbers(left), read_numbers(right)
+            if layout == new_layout:
+                moves.append((max(map(relative_move, old, new), default=0.0), str(name)))
+                if name.name == "summary.json":
+                    floors.append((floor_move(left, right), str(name)))
+                continue
+        other.append(f"differs: {name}")
+    print(f"files: {len(files)}, {len(moves) - 1} differ by number only, "
+          f"{len(other)} otherwise")
+    print("largest relative move: %.3g (%s)" % max(moves))
+    print("largest floor move: %.3g sigma_n_ba (%s)" % max(floors))
+    for line in other:
+        print(line)
+    return int(len(moves) > 1 or bool(other))
+
+
 def main() -> int:
+    if len(sys.argv) == 4 and sys.argv[1] == "compare":
+        return compare(Path(sys.argv[2]), Path(sys.argv[3]))
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
